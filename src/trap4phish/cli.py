@@ -70,6 +70,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trap4phish",
@@ -108,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which schema the CSV uses")
     p.add_argument("--out-dir", required=True, help="directory for model/metric files")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trees", type=int, default=50)
+    p.add_argument("--trees", type=_positive_int, default=50)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a model file on a labeled CSV")
@@ -122,11 +129,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="gini + permutation importance and top-k schema")
     p.add_argument("--in", dest="input", required=True, help="labeled feature CSV")
     p.add_argument("--format", choices=list(_FORMATS), required=True)
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_positive_int, default=None,
                    help="selection size (default 10, 13 for html)")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--trees", type=int, default=50)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--trees", type=_positive_int, default=50)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     p.add_argument("--out", required=True, help="ranking CSV path")
     p.set_defaults(func=cmd_rank)
 

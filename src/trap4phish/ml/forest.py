@@ -2,7 +2,9 @@
 
 Per-tree generators derive from (seed, tree_index) via SeedSequence, so a
 parallel per-tree implementation would reproduce the sequential result
-bit-for-bit. Prediction is a majority vote with ties toward label 0.
+bit-for-bit. Construction packs every tree into one `PackedTrees`, and
+prediction walks all trees over all rows in one pass of `predict_packed`,
+then takes the majority vote with ties toward label 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import numpy as np
 
 from ..core import FeatureVector, LabeledDataset
 from .errors import EmptyDatasetError, SchemaMismatchError
-from .tree import MODEL_FORMAT_VERSION, DecisionTreeModel, TreeParams, dataset_matrix, grow_tree
+from .tree import (
+    MODEL_FORMAT_VERSION, DecisionTreeModel, PackedTrees, TreeParams, dataset_matrix, grow_tree,
+    pack_trees, predict_packed,
+)
 
 
 @dataclass(frozen=True)
@@ -52,13 +57,13 @@ class RandomForestModel:
     # bootstrap row indices per tree; kept in memory for OOB checks only,
     # reproducible from the seed, not serialized
     bootstrap_indices: list[np.ndarray] = field(default_factory=list, repr=False)
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.packed = pack_trees([tree.nodes for tree in self.trees])
 
     def predict_many(self, x: np.ndarray) -> np.ndarray:
-        votes = np.zeros(len(x), dtype=np.int64)
-        for tree in self.trees:
-            votes += tree.predict_many(x)
-        # majority with tie toward 0: label 1 needs a strict majority
-        return (votes * 2 > len(self.trees)).astype(np.int64)
+        return predict_packed(self.packed, x)
 
     def to_json(self) -> str:
         payload = {

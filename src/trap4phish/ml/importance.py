@@ -77,14 +77,15 @@ def rank_features_permutation(
     rng = np.random.default_rng(seed)
     d = x.shape[1]
     scores = np.zeros(d, dtype=np.float64)
+    shuffled = x.copy()
     for j in range(d):
         drops = []
         for _ in range(n_repeats):
             perm = rng.permutation(len(y))
-            shuffled = x.copy()
             shuffled[:, j] = x[perm, j]
             acc = float((model.predict_many(shuffled) == y).mean())
             drops.append(baseline - acc)
+        shuffled[:, j] = x[:, j]
         scores[j] = max(0.0, float(np.mean(drops)))
     return _ranked(scores, tuple(model.columns), "permutation")
 
@@ -92,8 +93,8 @@ def rank_features_permutation(
 def select_top_k(ranking: ImportanceRanking, k: int, schema: FeatureSchema | None = None) -> FeatureSchema:
     """Schema projection of the top-k ranked features (in rank order), usable
     directly by the analyzers' projection helpers."""
-    if k == 0:
-        raise ValueError("k must be >= 1")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > len(ranking.entries):
         raise ValueError(f"k={k} exceeds ranking length {len(ranking.entries)}")
     names = [name for name, _ in ranking.entries[:k]]

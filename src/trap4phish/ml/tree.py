@@ -32,13 +32,111 @@ class TreeParams:
             raise ValueError("only the gini criterion is supported")
 
 
+@dataclass(frozen=True)
+class PackedTrees:
+    """Parallel node arrays of one or more trees, the form `predict_packed`
+    walks.
+
+    Node i splits on column `feature[i]` at `threshold[i]` and moves to
+    `left[i]` (value <= threshold) or `right[i]` (otherwise, NaN included).
+    A leaf has feature -1, points to itself on both sides and predicts
+    `label[i]`. `roots[t]` is tree t's root, `depth` the longest root-to-leaf
+    path of any tree and `width` the number of columns the splits read.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    label: np.ndarray
+    roots: np.ndarray
+    depth: int
+    width: int
+
+
+def pack_trees(trees: list[list[dict]]) -> PackedTrees:
+    """Pack the dict node lists of `trees` into one `PackedTrees`.
+
+    Raises ValueError when a node list is empty, a reachable split reads a
+    negative column, or the nodes reachable from a root do not form a tree
+    (a child index out of range, or a node reached twice).
+    """
+    feature, threshold, left, right, label, roots = [], [], [], [], [], []
+    depth = 0
+    for nodes in trees:
+        if not nodes:
+            raise ValueError("a tree needs at least one node")
+        base = len(feature)
+        roots.append(base)
+        for i, node in enumerate(nodes, base):
+            if node["kind"] == "leaf":
+                feature.append(-1)
+                threshold.append(0.0)
+                left.append(i)
+                right.append(i)
+                label.append(node["label"])
+            else:
+                feature.append(node["feature"])
+                threshold.append(node["threshold"])
+                left.append(base + node["left"])
+                right.append(base + node["right"])
+                label.append(0)
+        seen = set()
+        pending = [(0, 0)]
+        while pending:
+            i, level = pending.pop()
+            if not 0 <= i < len(nodes) or i in seen:
+                raise ValueError(f"tree nodes do not form a tree at node {i}")
+            seen.add(i)
+            node = nodes[i]
+            if node["kind"] == "leaf":
+                depth = max(depth, level)
+                continue
+            if node["feature"] < 0:
+                raise ValueError(f"split node {i} reads negative column {node['feature']}")
+            pending.append((node["left"], level + 1))
+            pending.append((node["right"], level + 1))
+    return PackedTrees(
+        np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64), np.array(right, dtype=np.int64),
+        np.array(label, dtype=np.int64), np.array(roots, dtype=np.int64),
+        depth, max(feature, default=-1) + 1,
+    )
+
+
+def predict_packed(packed: PackedTrees, x: np.ndarray) -> np.ndarray:
+    """Majority vote of the packed trees on each row of `x`; ties go to 0.
+
+    Every tree walks every row at once: a (trees x rows) matrix of node
+    indices advances one level per step, `depth` steps in all, after which
+    each entry sits on a leaf. A single tree's vote is its leaf label.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_rows = len(x)
+    if packed.width > x.shape[1]:
+        raise SchemaMismatchError(
+            f"model reads {packed.width} column(s), input has {x.shape[1]}")
+    n_trees = len(packed.roots)
+    node = np.repeat(packed.roots, n_rows)
+    row_start = np.tile(np.arange(n_rows) * x.shape[1], n_trees)
+    flat = x.ravel()
+    for _ in range(packed.depth):
+        # a leaf's feature -1 reads some in-bounds cell; it moves nowhere anyway
+        value = flat[row_start + packed.feature[node]]
+        node = np.where(value <= packed.threshold[node], packed.left[node], packed.right[node])
+    votes = packed.label[node].reshape(n_trees, n_rows).sum(axis=0)
+    return (votes * 2 > n_trees).astype(np.int64)
+
+
 @dataclass
 class DecisionTreeModel:
-    """Flat node-array representation.
+    """CART tree as a list of dict nodes, the serialized source of truth.
 
     Split nodes: {"kind": "split", "feature", "threshold", "left", "right",
     "samples", "impurity"}; leaves: {"kind": "leaf", "class_counts", "label",
-    "samples", "impurity"}.
+    "samples", "impurity"}. `left`/`right` index the list and node 0 is the
+    root. Construction also packs the nodes into `PackedTrees`, which
+    `predict_many` walks.
     """
 
     nodes: list[dict]
@@ -47,25 +145,13 @@ class DecisionTreeModel:
     format_kind: str = ""
     schema_version: int = 1
     warnings: list[str] = field(default_factory=list)
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.packed = pack_trees([self.nodes])
 
     def predict_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        labels = np.zeros(len(x), dtype=np.int64)
-        if not len(x):
-            return labels
-        stack = [(0, np.arange(len(x)))]
-        while stack:
-            node_idx, rows = stack.pop()
-            if not len(rows):
-                continue
-            node = self.nodes[node_idx]
-            if node["kind"] == "leaf":
-                labels[rows] = node["label"]
-                continue
-            mask = x[rows, node["feature"]] <= node["threshold"]
-            stack.append((node["left"], rows[mask]))
-            stack.append((node["right"], rows[~mask]))
-        return labels
+        return predict_packed(self.packed, x)
 
     def to_json(self) -> str:
         payload = {

@@ -131,6 +131,21 @@ class TestTrainEvaluateRank:
         top3 = [r[0] for r in rows[1:4]]
         assert any(name in top3 for name in ("macro_present", "vba_keywords_count", "dde_present"))
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("train", "--trees", "0"),
+        ("train", "--trees", "-3"),
+        ("rank", "--trees", "0"),
+        ("rank", "--repeats", "0"),
+        ("rank", "--k", "0"),
+        ("rank", "--k", "-2"),
+    ])
+    def test_nonpositive_counts_are_usage_errors(self, tmp_path, capsys, command, flag, value):
+        out = ["--out-dir", tmp_path / "m"] if command == "train" else ["--out", tmp_path / "r.csv"]
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--in", tmp_path / "x.csv", "--format", "docx", *out, flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
 
 class TestQrCli:
     def test_encode_decode_roundtrip(self, tmp_path):

@@ -117,8 +117,9 @@ class TestSelectTopK:
 
     def test_k_zero_rejected(self):
         ranking, schema = self._ranking()
-        with pytest.raises(ValueError):
-            select_top_k(ranking, 0, schema)
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                select_top_k(ranking, k, schema)
 
     def test_k_too_large_rejected(self):
         ranking, schema = self._ranking()
