@@ -181,6 +181,10 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
 def cmd_scan(args) -> int:
     config = load_config(args.config)
     inputs = _expand_inputs(args.inputs)
+    if args.labels:
+        # the labels CSV often sits in the scanned directory; it is no sample
+        labels_path = Path(args.labels).resolve()
+        inputs = [p for p in inputs if p.name != labels_path.name or p.resolve() != labels_path]
     if not inputs:
         print("error: no inputs", file=sys.stderr)
         return EXIT_IO
@@ -326,13 +330,17 @@ def cmd_train(args) -> int:
 
 
 def _load_model(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    payload = json.loads(text)
-    kind = payload.get("model_type")
-    if kind == "decision_tree":
-        return DecisionTreeModel.from_json(text)
-    if kind == "random_forest":
-        return RandomForestModel.from_json(text)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        payload = json.loads(text)
+        kind = payload.get("model_type") if isinstance(payload, dict) else None
+        if kind == "decision_tree":
+            return DecisionTreeModel.from_json(text)
+        if kind == "random_forest":
+            return RandomForestModel.from_json(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        # invalid JSON, missing fields, wrong field types, nodes that do not form a tree
+        raise SchemaError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from None
     raise SchemaError(f"unknown model_type {kind!r} in {path}")
 
 

@@ -1,18 +1,29 @@
 """QR decoding for clean, axis-aligned bitmaps (as produced by qr_render,
 possibly with bounded module corruption).
 
-Finder patterns are located by the 1:1:3:1:1 run-ratio test in rows and
-columns, the grid is sampled at module centers, format information is
-BCH-corrected by nearest-codeword search, and each Reed-Solomon block is
-corrected independently. The byte-mode bitstream is parsed strictly: pad
-bytes after the terminator must alternate 0xEC/0x11, which turns nearly all
+Finder patterns are located by the 1:1:3:1:1 run-ratio test (ISO/IEC 18004
+section 12). One run-length pass encodes every row of the bitmap at once
+(and, on the transpose, every column) and tests all five-run windows
+together; refinement reuses the same scanner on single rows and columns. A
+row hit counts only if a column hit with a similar unit lies within one unit
+of it, and the surviving hits are clustered by running mean. Both searches
+file their candidates in grid cells sized by scale level, 1.5 * 2**level
+wide, and look only at the 3x3 cells around a point, so the finder stage
+stays linear in the number of hits even on bitmaps tiled with finder-like
+cells of mixed sizes.
+
+The grid is sampled at module centers, format information is BCH-corrected
+by nearest-codeword search, and each Reed-Solomon block is corrected
+independently. The byte-mode bitstream is parsed strictly: pad bytes after
+the terminator must alternate 0xEC/0x11, which turns nearly all
 beyond-capacity miscorrections into loud failures.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BadBitmap, FormatUnrecoverable, NoFinderPatterns, RsFailure, UnsupportedMode
 from .gf256 import RsDecodeError, rs_decode
@@ -48,73 +59,136 @@ def qr_decode(bitmap: QrBitmap) -> bytes:
 
 
 _RATIO_ARR = np.array(_RATIOS, dtype=np.float64)
+# the point's own cell first: most matches are found there
+_NEIGHBOURS = [(0, 0)] + [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
 
 
-def _ratio_candidates(line: np.ndarray) -> list[tuple[float, float]]:
-    """Centers of 1:1:3:1:1 dark/light/dark/light/dark run windows."""
-    boundaries = np.flatnonzero(np.concatenate(([True], line[1:] != line[:-1], [True])))
-    lengths = np.diff(boundaries)
-    if len(lengths) < 5:
-        return []
-    starts = boundaries[:-1]
-    dark_first = bool(line[0])
-    windows = sliding_window_view(lengths, 5)
+def _ratio_hits(lines: np.ndarray):
+    """1:1:3:1:1 dark/light/dark/light/dark run windows in every row of a
+    2-D boolean array, as (row, center, unit) arrays in row-major order."""
+    n, width = lines.shape
+    # run edges of all rows at once; each row is padded with an edge at both
+    # ends, so a run is two consecutive edges of the same row
+    edges = np.ones((n, width + 1), dtype=bool)
+    np.not_equal(lines[:, 1:], lines[:, :-1], out=edges[:, 1:width])
+    flat = np.flatnonzero(edges)
+    row, pos = np.divmod(flat, width + 1)
+    lengths = np.diff(pos)
+    # window k covers runs k..k+4: edges k..k+5 on one row, first run dark
+    k = np.flatnonzero(row[:-5] == row[5:])
+    k = k[lines.reshape(-1)[flat[k] - row[k]]]
+    windows = lengths[k[:, None] + np.arange(5)]
     units = windows.sum(axis=1) / 7.0
     tolerance = np.maximum(units * 0.75, 1.5)
     ok = (np.abs(windows - units[:, None] * _RATIO_ARR) <= tolerance[:, None]).all(axis=1)
     ok &= units >= 1.0
-    # runs alternate, so window k starts dark iff k parity matches line[0]
-    parity = np.arange(len(windows)) % 2
-    ok &= parity == (0 if dark_first else 1)
-    out = []
-    for k in np.flatnonzero(ok):
-        center = starts[k + 2] + lengths[k + 2] / 2.0
-        out.append((float(center), float(units[k])))
-    return out
+    k = k[ok]
+    return row[k], pos[k + 2] + lengths[k + 2] / 2.0, units[ok]
+
+
+def _level(unit: float) -> int:
+    """Scale level of a hit unit (>= 1): the smallest L with unit <= 2**L.
+
+    Hits are filed in grids whose cell size follows their level. One grid
+    sized by the largest unit would let a single large pattern put every
+    small hit of the bitmap into a few cells and make the search quadratic.
+    """
+    return (math.ceil(unit) - 1).bit_length()
+
+
+def _cell(level: int, y: float, x: float) -> tuple[int, int, int]:
+    """Grid cell of a point at a scale level. Cells are 1.5 * 2**level wide
+    (+1 absorbs rounding in the division), so everything within that
+    distance of a point lies in the 3x3 cells around its own."""
+    size = 1.5 * (1 << level) + 1.0
+    return level, int(y // size), int(x // size)
+
+
+def _near(cells: dict, level: int, y: float, x: float) -> list:
+    """Items filed at `level` in the 3x3 cells around (y, x)."""
+    _, gy, gx = _cell(level, y, x)
+    found = []
+    for dy, dx in _NEIGHBOURS:
+        found += cells.get((level, gy + dy, gx + dx), ())
+    return found
+
+
+def _has_perpendicular(col_cells: dict, y: float, x: float, unit: float) -> bool:
+    """Whether a column hit lies within `unit` of (y, x) on both axes with a
+    unit at most 1.5 times larger or smaller."""
+    for level in range(_level(unit / 1.5), _level(unit * 1.5) + 1):
+        for cy, cx, cu in _near(col_cells, level, y, x):
+            if abs(cy - y) <= unit and abs(cx - x) <= unit and max(cu, unit) / min(cu, unit) <= 1.5:
+                return True
+    return False
 
 
 def _find_finder_centers(binary: np.ndarray):
     """Cluster row/column ratio hits into candidate finder centers."""
-    row_hits = []  # (y, x, unit)
-    for y in range(binary.shape[0]):
-        for x, unit in _ratio_candidates(binary[y]):
-            row_hits.append((float(y), x, unit))
-    col_hits = []
-    for x in range(binary.shape[1]):
-        for y, unit in _ratio_candidates(binary[:, x]):
-            col_hits.append((y, float(x), unit))
-    if not row_hits or not col_hits:
+    row_y, row_x, row_u = _ratio_hits(binary)
+    col_x, col_y, col_u = _ratio_hits(binary.T)
+    if not len(row_u) or not len(col_u):
         raise NoFinderPatterns("no 1:1:3:1:1 run pattern found")
 
-    # a candidate needs a perpendicular hit with matching center and unit
-    col_arr = np.array(col_hits)
+    # a candidate needs a perpendicular hit with matching center and unit.
+    # Column hits are filed at their own level: a match has a unit of at
+    # least unit / 1.5, so its cells are at least `unit` wide
+    col_cells: dict[tuple[int, int, int], list] = {}
+    for y, x, u in zip(col_y.tolist(), col_x.tolist(), col_u.tolist()):
+        col_cells.setdefault(_cell(_level(u), y, x), []).append((y, x, u))
     points = []
-    for y, x, unit in row_hits:
-        dy = np.abs(col_arr[:, 0] - y)
-        dx = np.abs(col_arr[:, 1] - x)
-        du = np.maximum(col_arr[:, 2], unit) / np.minimum(col_arr[:, 2], unit)
-        close = (dy <= unit) & (dx <= unit) & (du <= 1.5)
-        if close.any():
+    for y, x, unit in zip(row_y.astype(np.float64).tolist(), row_x.tolist(), row_u.tolist()):
+        if _has_perpendicular(col_cells, y, x, unit):
             points.append((y, x, unit))
     if not points:
         raise NoFinderPatterns("row and column patterns never intersect")
 
+    # each point joins the first cluster, in creation order, whose running
+    # mean lies within 1.5 * unit of it. Clusters are filed by the cell of
+    # their mean at every level a point has, and a point looks only at its
+    # own level, whose cells are at least 1.5 * unit wide
+    levels = sorted({_level(unit) for _y, _x, unit in points})
     clusters: list[dict] = []
+    cluster_cells: dict[tuple[int, int, int], list[int]] = {}
     for y, x, unit in points:
-        for cluster in clusters:
-            if abs(cluster["y"] - y) <= 1.5 * unit and abs(cluster["x"] - x) <= 1.5 * unit:
-                w = cluster["weight"]
-                cluster["y"] = (cluster["y"] * w + y) / (w + 1)
-                cluster["x"] = (cluster["x"] * w + x) / (w + 1)
-                cluster["unit"] = (cluster["unit"] * w + unit) / (w + 1)
-                cluster["weight"] = w + 1
-                break
-        else:
+        first = None
+        for i in _near(cluster_cells, _level(unit), y, x):
+            cluster = clusters[i]
+            if ((first is None or i < first) and abs(cluster["y"] - y) <= 1.5 * unit
+                    and abs(cluster["x"] - x) <= 1.5 * unit):
+                first = i
+        if first is None:
+            for level in levels:
+                cluster_cells.setdefault(_cell(level, y, x), []).append(len(clusters))
             clusters.append({"y": y, "x": x, "unit": unit, "weight": 1})
+            continue
+        cluster = clusters[first]
+        old = [_cell(level, cluster["y"], cluster["x"]) for level in levels]
+        w = cluster["weight"]
+        cluster["y"] = (cluster["y"] * w + y) / (w + 1)
+        cluster["x"] = (cluster["x"] * w + x) / (w + 1)
+        cluster["unit"] = (cluster["unit"] * w + unit) / (w + 1)
+        cluster["weight"] = w + 1
+        for level, old_cell in zip(levels, old):
+            new_cell = _cell(level, cluster["y"], cluster["x"])
+            if new_cell != old_cell:
+                cluster_cells[old_cell].remove(first)
+                cluster_cells.setdefault(new_cell, []).append(first)
     if len(clusters) < 3:
         raise NoFinderPatterns(f"found {len(clusters)} finder pattern(s), need 3")
     clusters.sort(key=lambda c: -c["weight"])
     return clusters[:12]
+
+
+def _nearest_hit(lines: np.ndarray, target: float, radius: float):
+    """(center, unit) of the ratio hit in a one-row array closest to
+    `target`, among those within `radius`; None when there is none."""
+    _row, centers, units = _ratio_hits(lines)
+    near = np.flatnonzero(np.abs(centers - target) <= radius)
+    if not len(near):
+        return None
+    best = near[np.argmin(np.abs(centers[near] - target))]
+    return float(centers[best]), float(units[best])
 
 
 def _refine_center(binary: np.ndarray, y: float, x: float, unit: float):
@@ -124,19 +198,17 @@ def _refine_center(binary: np.ndarray, y: float, x: float, unit: float):
         row_idx = int(round(y)) + dy
         if not 0 <= row_idx < height:
             continue
-        candidates = [(cx, u) for cx, u in _ratio_candidates(binary[row_idx])
-                      if abs(cx - x) <= 2 * unit]
-        if not candidates:
+        horizontal = _nearest_hit(binary[row_idx:row_idx + 1], x, 2 * unit)
+        if horizontal is None:
             continue
-        x2, u2 = min(candidates, key=lambda c: abs(c[0] - x))
+        x2, u2 = horizontal
         col_idx = int(round(x2))
         if not 0 <= col_idx < width:
             continue
-        vertical = [(cy, u) for cy, u in _ratio_candidates(binary[:, col_idx])
-                    if abs(cy - y) <= 2 * unit]
-        if not vertical:
+        vertical = _nearest_hit(binary[:, col_idx:col_idx + 1].T, y, 2 * unit)
+        if vertical is None:
             continue
-        y2, u3 = min(vertical, key=lambda c: abs(c[0] - y))
+        y2, u3 = vertical
         return y2, x2, (u2 + u3) / 2.0
     return y, x, unit
 

@@ -6,9 +6,17 @@ writer. PDF fixtures are assembled as byte strings with known counts.
 """
 
 import io
+import os
 import zipfile
 
 import pytest
+from hypothesis import settings
+
+# CI runs draw the same examples every time and print a reproduction blob
+# for any failure, so a red build can be replayed locally
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def make_zip(entries: dict, method=zipfile.ZIP_DEFLATED) -> bytes:

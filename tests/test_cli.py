@@ -74,6 +74,17 @@ class TestScan:
         payload = json.loads(report_files[0].read_text())
         assert set(payload) == {"source_path", "format", "features", "warnings", "parse_failed"}
 
+    def test_labels_file_inside_scanned_dir_is_not_a_sample(self, docx_corpus, tmp_path, capsys):
+        out = tmp_path / "labeled.csv"
+        code = run(["scan", docx_corpus, "--format", "docx", "--out", out,
+                    "--labels", docx_corpus / "labels.csv"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "scanned 16 file(s); parse_failed 0; skipped 0; io_failures 0" in captured.out
+        assert "warning" not in captured.err
+        with open(out) as fh:
+            assert len(list(csv.reader(fh))) == 17
+
     def test_order_stable_with_jobs(self, docx_corpus, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -113,6 +124,39 @@ class TestTrainEvaluateRank:
         code = run(["evaluate", "--model", models / "random_forest.json",
                     "--in", html_csv, "--format", "html"])
         assert code == 3
+
+    def test_evaluate_malformed_model_exit_3(self, docx_corpus, tmp_path, capsys):
+        data = tmp_path / "docx.csv"
+        run(["scan", docx_corpus, "--format", "docx", "--out", data,
+             "--labels", docx_corpus / "labels.csv"])
+        models = tmp_path / "models"
+        run(["train", "--in", data, "--format", "docx", "--out-dir", models,
+             "--seed", "7", "--trees", "3"])
+        tree = json.loads((models / "decision_tree.json").read_text())
+        forest = json.loads((models / "random_forest.json").read_text())
+        assert tree["nodes"][0]["kind"] == "split"
+
+        self_child = json.loads(json.dumps(tree))
+        self_child["nodes"][0]["left"] = 0
+        no_label = json.loads(json.dumps(forest))
+        leaf = next(n for n in no_label["trees"][0] if n["kind"] == "leaf")
+        del leaf["label"]
+        bad_params = json.loads(json.dumps(tree))
+        bad_params["params"] = [1, 2]
+        cases = [
+            (json.dumps(self_child), "ValueError: tree nodes do not form a tree at node 0"),
+            (json.dumps(no_label), "KeyError: 'label'"),
+            (json.dumps(bad_params), "TypeError"),
+            ('{"model_type": "decision_tree", ', "JSONDecodeError"),
+            ("[1, 2]", "unknown model_type None"),
+        ]
+        for text, message in cases:
+            model = tmp_path / "bad.json"
+            model.write_text(text)
+            code = run(["evaluate", "--model", model, "--in", data, "--format", "docx"])
+            err = capsys.readouterr().err
+            assert code == 3, text
+            assert message in err and "Traceback" not in err, err
 
     def test_rank_outputs(self, docx_corpus, tmp_path):
         data = tmp_path / "docx.csv"

@@ -1,3 +1,6 @@
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -194,3 +197,42 @@ class TestDecode:
             m = qr_encode(payload.encode(), level, version=version)
             text, _pts, _ = detector.detectAndDecode(qr_render(m, 8, 4).pixels)
             assert text == payload, (version, level)
+
+
+def finder_tiles(side: int, large: str = "") -> QrBitmap:
+    """A bitmap tiled with 9x9 cells that each hold a 7x7 finder-like
+    pattern (unit 1). `large` adds patterns of unit side // 8 drawn on
+    single rows and columns: "edge" puts one on row 0 and column 0, where
+    they never cross; "cross" puts three of each through one point, so
+    large-unit finder candidates exist next to the small ones."""
+    cell = np.zeros((9, 9), dtype=bool)
+    cell[1:8, 1:8] = True
+    cell[2:7, 2:7] = False
+    cell[3:6, 3:6] = True
+    dark = np.tile(cell, (side // 9, side // 9))
+    u = side // 8
+    line = np.zeros(len(dark), dtype=bool)
+    line[:u] = line[2 * u:5 * u] = line[6 * u:7 * u] = True
+    at = {"": [], "edge": [0], "cross": [3 * u, 3 * u + 9, 3 * u + 18]}[large]
+    for i in at:
+        dark[i] = dark[:, i] = line
+    pixels = np.where(dark, 0, 255).astype(np.uint8)
+    return QrBitmap(len(pixels), len(pixels), pixels, 0, 0)
+
+
+@pytest.mark.parametrize("large", ["", "edge", "cross"])
+def test_finder_search_time_grows_linearly(large):
+    """Twice the side is four times the pixels and the hits; the old
+    all-pairs search took about 14 times as long. Each small/large pair is
+    timed back to back in CPU time, and the median pair decides, so a slow
+    spell of a shared machine does not."""
+    def cpu_time(bitmap):
+        start = time.process_time()
+        with pytest.raises(NoFinderPatterns):
+            qr_decode(bitmap)
+        return time.process_time() - start
+
+    side_s, side_2s = finder_tiles(198, large), finder_tiles(396, large)
+    pairs = [(cpu_time(side_s), cpu_time(side_2s)) for _ in range(7)]
+    assert min(t_2s for _t_s, t_2s in pairs) < 5.0
+    assert statistics.median(t_2s / t_s for t_s, t_2s in pairs) <= 6.0, pairs
