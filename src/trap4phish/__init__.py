@@ -13,7 +13,6 @@ from .core import (
     LabeledDataset,
     SchemaError,
     count_pattern,
-    dataset_from_reports,
     read_dataset_csv,
     shannon_entropy,
     sniff_file_kind,
@@ -37,7 +36,6 @@ __all__ = [
     "read_dataset_csv",
     "write_dataset_csv",
     "write_features_csv",
-    "dataset_from_reports",
     "Config",
     "default_config",
     "load_config",

@@ -8,9 +8,9 @@ import re
 
 from ..config import Config, default_config
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, count_pattern, shannon_entropy
-from ..containers import ContainerError
-from ..containers.ziparc import zip_open
-from .ooxml import count_regex, extract_vba_sources, parse_relationships, read_xml_parts, resolve_target
+from .ooxml import (
+    ATTR_RE, extract_vba_sources, open_archive, parse_relationships, read_xml_parts, resolve_target,
+)
 
 SCHEMA_VERSION = 1
 
@@ -47,7 +47,8 @@ DOCX_COLUMNS = (
     "ole_object_type_count",
 ) + STRUCT_COLUMNS
 
-DOCX_TOP10 = (
+SCHEMA = FeatureSchema("docx", DOCX_COLUMNS, SCHEMA_VERSION)
+SELECTED = SCHEMA.project((
     "ole_object_count",
     "ole_object_type_count",
     "macro_present",
@@ -58,7 +59,7 @@ DOCX_TOP10 = (
     "struct_PartName",
     "file_size",
     "struct_pos",
-)
+))
 
 _ATTR_PATTERNS = {
     _struct_column(name): re.compile(rb"\s" + re.escape(name.encode()) + rb"\s*=")
@@ -72,15 +73,6 @@ _ELEMENT_PATTERNS = {
 _INSTR_TEXT_RE = re.compile(rb"<w:instrText\b[^>]*>(.*?)</w:instrText>", re.DOTALL)
 _DDE_TOKEN_RE = re.compile(rb"DDEAUTO|(?<![A-Za-z])DDE(?![A-Za-z])")
 _OLE_ELEMENT_RE = re.compile(rb"<(?:o:OLEObject|oleObject)\b([^>]*)>")
-_TAG_ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
-
-
-def docx_schema() -> FeatureSchema:
-    return FeatureSchema("docx", DOCX_COLUMNS, SCHEMA_VERSION)
-
-
-def docx_top10_schema() -> FeatureSchema:
-    return docx_schema().project(DOCX_TOP10)
 
 
 def analyze_docx(data: bytes, source_path: str = "<bytes>", config: Config | None = None) -> AnalysisReport:
@@ -94,23 +86,13 @@ def analyze_docx(data: bytes, source_path: str = "<bytes>", config: Config | Non
     values = dict.fromkeys(DOCX_COLUMNS, 0.0)
     values["file_size"] = float(len(data))
     values["entropy"] = shannon_entropy(data)
-    parse_failed = False
 
-    archive = None
-    try:
-        archive = zip_open(data)
-    except ContainerError as exc:
-        warnings.append(f"zip: {exc}")
-        parse_failed = True
-    except Exception as exc:  # pragma: no cover - defensive
-        warnings.append(f"zip: unexpected: {exc}")
-        parse_failed = True
-
+    archive = open_archive(data, warnings)
     if archive is not None:
         _extract_from_archive(archive, values, warnings, config)
 
-    vector = FeatureVector(docx_schema(), [values[c] for c in DOCX_COLUMNS])
-    return AnalysisReport(source_path, "docx", vector, warnings, parse_failed)
+    vector = FeatureVector(SCHEMA, [values[c] for c in DOCX_COLUMNS])
+    return AnalysisReport(source_path, "docx", vector, warnings, archive is None)
 
 
 def _extract_from_archive(archive, values, warnings, config: Config) -> None:
@@ -131,9 +113,9 @@ def _extract_from_archive(archive, values, warnings, config: Config) -> None:
     # Structural counters over every XML part.
     for content in parts.values():
         for column, pattern in _ATTR_PATTERNS.items():
-            values[column] += count_regex(content, pattern)
+            values[column] += len(pattern.findall(content))
         for column, pattern in _ELEMENT_PATTERNS.items():
-            values[column] += count_regex(content, pattern)
+            values[column] += len(pattern.findall(content))
 
     # DDE: raw XML text plus concatenated field-instruction runs (attackers
     # split DDEAUTO across w:instrText runs).
@@ -165,7 +147,7 @@ def _count_ole_objects(archive, parts: dict[str, bytes], values) -> None:
         for m in _OLE_ELEMENT_RE.finditer(content):
             attrs = {
                 k.decode("ascii", "replace"): v.decode("utf-8", "replace")
-                for k, v in _TAG_ATTR_RE.findall(m.group(1))
+                for k, v in ATTR_RE.findall(m.group(1))
             }
             elements.append(attrs)
 
@@ -205,8 +187,3 @@ def _count_ole_objects(archive, parts: dict[str, bytes], values) -> None:
 
     values["ole_object_count"] = float(count)
     values["ole_object_type_count"] = float(len(set(type_keys.values()))) if count else 0.0
-
-
-def project_top10_docx(features: FeatureVector) -> FeatureVector:
-    """Project a full docx vector onto the 10 selected columns, in rank order."""
-    return features.project(docx_top10_schema())

@@ -47,7 +47,8 @@ HTML_COLUMNS = (
     "event_handler_count",
 )
 
-HTML_TOP13 = (
+SCHEMA = FeatureSchema("html", HTML_COLUMNS, SCHEMA_VERSION)
+SELECTED = SCHEMA.project((
     "url_punct_char_count",
     "tag_count",
     "whitespace_ratio",
@@ -61,7 +62,7 @@ HTML_TOP13 = (
     "total_script_characters",
     "internal_link_count",
     "url_digit_count",
-)
+))
 
 _VOID_ELEMENTS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -163,14 +164,6 @@ def _tokenize(text: str) -> _TokenStream:
     return out
 
 
-def html_schema() -> FeatureSchema:
-    return FeatureSchema("html", HTML_COLUMNS, SCHEMA_VERSION)
-
-
-def html_top13_schema() -> FeatureSchema:
-    return html_schema().project(HTML_TOP13)
-
-
 def analyze_html(
     data: bytes,
     page_host: str | None = None,
@@ -259,7 +252,7 @@ def analyze_html(
 
     _url_features(stream, values, page_host, config)
 
-    vector = FeatureVector(html_schema(), [values[c] for c in HTML_COLUMNS])
+    vector = FeatureVector(SCHEMA, [values[c] for c in HTML_COLUMNS])
     return AnalysisReport(source_path, "html", vector, warnings, False)
 
 
@@ -368,8 +361,3 @@ def _url_features(stream: _TokenStream, values: dict, page_host: str | None, con
             internal += 1
     values["internal_link_count"] = float(internal)
     values["external_link_count"] = float(external)
-
-
-def project_top13_html(features: FeatureVector) -> FeatureVector:
-    """Project a full html vector onto the 13 selected columns, in rank order."""
-    return features.project(html_top13_schema())

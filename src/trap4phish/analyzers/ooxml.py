@@ -6,7 +6,21 @@ import posixpath
 import re
 
 from ..containers import ContainerError, cfb_open, vba_extract
-from ..containers.ziparc import ZipArchive
+from ..containers.ziparc import ZipArchive, zip_open
+
+# one name="value" attribute pair inside a start tag
+ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
+
+
+def open_archive(data: bytes, warnings: list[str]) -> ZipArchive | None:
+    """The ZIP archive in `data`, or None with a warning when it does not parse."""
+    try:
+        return zip_open(data)
+    except ContainerError as exc:
+        warnings.append(f"zip: {exc}")
+    except Exception as exc:  # pragma: no cover - defensive
+        warnings.append(f"zip: unexpected: {exc}")
+    return None
 
 
 def read_xml_parts(archive: ZipArchive, warnings: list[str]) -> dict[str, bytes]:
@@ -23,7 +37,6 @@ def read_xml_parts(archive: ZipArchive, warnings: list[str]) -> dict[str, bytes]
 
 
 _REL_RE = re.compile(rb"<Relationship\b([^>]*)>")
-_ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
 
 
 def parse_relationships(parts: dict[str, bytes]) -> list[dict[str, str]]:
@@ -36,7 +49,7 @@ def parse_relationships(parts: dict[str, bytes]) -> list[dict[str, str]]:
         for m in _REL_RE.finditer(content):
             attrs = {
                 k.decode("ascii", "replace"): v.decode("utf-8", "replace")
-                for k, v in _ATTR_RE.findall(m.group(1))
+                for k, v in ATTR_RE.findall(m.group(1))
             }
             attrs["_part"] = name
             attrs["_base"] = base
@@ -66,7 +79,3 @@ def extract_vba_sources(archive: ZipArchive, warnings: list[str]) -> list[str]:
         for module in vba_extract(project, warnings):
             sources.append(module.source)
     return sources
-
-
-def count_regex(content: bytes, pattern: re.Pattern) -> int:
-    return sum(1 for _ in pattern.finditer(content))

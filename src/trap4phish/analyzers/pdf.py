@@ -44,7 +44,8 @@ PDF_COLUMNS = (
     "nonstandard_port_flag",
 )
 
-PDF_TOP10 = (
+SCHEMA = FeatureSchema("pdf", PDF_COLUMNS, SCHEMA_VERSION)
+SELECTED = SCHEMA.project((
     "text_length",
     "total_filters",
     "title_chars",
@@ -55,7 +56,7 @@ PDF_TOP10 = (
     "metadata_size",
     "valid_pdf_header",
     "entropy_of_streams",
-)
+))
 
 _HEADER_RE = re.compile(rb"%PDF-\d")
 _OBJ_RE = re.compile(rb"(?<![0-9])(\d{1,10})\s+(\d{1,5})\s+obj(?![A-Za-z0-9])")
@@ -109,14 +110,6 @@ _TJ_RE = re.compile(rb"\(((?:\\.|[^\\)])*)\)\s*(?:Tj|'|\")")
 _TJ_ARRAY_RE = re.compile(rb"\[((?:\\.|[^\]\\])*)\]\s*TJ")
 _ARRAY_STRING_RE = re.compile(rb"\(((?:\\.|[^\\)])*)\)")
 _ESCAPE_RE = re.compile(rb"\\(\d{1,3}|.)")
-
-
-def pdf_schema() -> FeatureSchema:
-    return FeatureSchema("pdf", PDF_COLUMNS, SCHEMA_VERSION)
-
-
-def pdf_top10_schema() -> FeatureSchema:
-    return pdf_schema().project(PDF_TOP10)
 
 
 def analyze_pdf(data: bytes, source_path: str = "<bytes>", config: Config | None = None) -> AnalysisReport:
@@ -189,7 +182,7 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>", config: Config | None
 
     _object_statistics(data, values, streams, warnings)
 
-    vector = FeatureVector(pdf_schema(), [values[c] for c in PDF_COLUMNS])
+    vector = FeatureVector(SCHEMA, [values[c] for c in PDF_COLUMNS])
     return AnalysisReport(source_path, "pdf", vector, warnings, parse_failed)
 
 
@@ -285,8 +278,3 @@ def _unescape_string(raw: bytes) -> bytes:
         return mapping.get(token, token)
 
     return _ESCAPE_RE.sub(repl, raw)
-
-
-def project_top10_pdf(features: FeatureVector) -> FeatureVector:
-    """Project a full pdf vector onto the 10 selected columns, in rank order."""
-    return features.project(pdf_top10_schema())

@@ -11,8 +11,7 @@ from dataclasses import dataclass, fields
 from ..config import Config, default_config
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, count_pattern, shannon_entropy
 from ..containers import ContainerError
-from ..containers.ziparc import zip_open
-from .ooxml import extract_vba_sources, parse_relationships, read_xml_parts
+from .ooxml import ATTR_RE, extract_vba_sources, open_archive, parse_relationships, read_xml_parts
 
 SCHEMA_VERSION = 1
 
@@ -68,7 +67,8 @@ XLSX_COLUMNS = (
     "drawing_part_count", "media_entry_count",
 )
 
-XLSX_TOP10 = (
+SCHEMA = FeatureSchema("xlsx", XLSX_COLUMNS, SCHEMA_VERSION)
+SELECTED = SCHEMA.project((
     "entropy_of_text",
     "macro_chr_count",
     "macro_vocab_size",
@@ -79,7 +79,7 @@ XLSX_TOP10 = (
     "numeric_cell_count",
     "string_cell_count",
     "avg_cell_length",
-)
+))
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.$]+|[^\sA-Za-z0-9_.$]")
 _CHR_RE = re.compile(r"(?<![A-Za-z0-9_])chr(?:w|\$)?\s*\(", re.IGNORECASE)
@@ -129,16 +129,7 @@ def compute_macro_metrics(source: str) -> MacroMetrics:
     )
 
 
-def xlsx_schema() -> FeatureSchema:
-    return FeatureSchema("xlsx", XLSX_COLUMNS, SCHEMA_VERSION)
-
-
-def xlsx_top10_schema() -> FeatureSchema:
-    return xlsx_schema().project(XLSX_TOP10)
-
-
 _SHEET_RE = re.compile(rb"<sheet\b([^>]*)>")
-_ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
 _ROW_RE = re.compile(rb"<row\b([^>]*)>")
 _CELL_RE = re.compile(rb"<c\b([^>]*?)(?:/>|>(.*?)</c>)", re.DOTALL)
 _V_RE = re.compile(rb"<v[^>]*>(.*?)</v>", re.DOTALL)
@@ -162,26 +153,16 @@ def analyze_xlsx(data: bytes, source_path: str = "<bytes>", config: Config | Non
     values = dict.fromkeys(XLSX_COLUMNS, 0.0)
     values["file_size"] = float(len(data))
     values["entropy_of_file"] = shannon_entropy(data)
-    parse_failed = False
 
-    archive = None
-    try:
-        archive = zip_open(data)
-    except ContainerError as exc:
-        warnings.append(f"zip: {exc}")
-        parse_failed = True
-    except Exception as exc:  # pragma: no cover - defensive
-        warnings.append(f"zip: unexpected: {exc}")
-        parse_failed = True
-
+    archive = open_archive(data, warnings)
     if archive is not None:
         try:
             _extract_from_archive(archive, values, warnings, config)
         except ContainerError as exc:
             warnings.append(f"workbook: {exc}")
 
-    vector = FeatureVector(xlsx_schema(), [values[c] for c in XLSX_COLUMNS])
-    return AnalysisReport(source_path, "xlsx", vector, warnings, parse_failed)
+    vector = FeatureVector(SCHEMA, [values[c] for c in XLSX_COLUMNS])
+    return AnalysisReport(source_path, "xlsx", vector, warnings, archive is None)
 
 
 def _extract_from_archive(archive, values, warnings, config: Config) -> None:
@@ -190,13 +171,13 @@ def _extract_from_archive(archive, values, warnings, config: Config) -> None:
 
     sheet_states = []
     for m in _SHEET_RE.finditer(workbook):
-        attrs = dict(_ATTR_RE.findall(m.group(1)))
+        attrs = dict(ATTR_RE.findall(m.group(1)))
         sheet_states.append(attrs.get(b"state", b"visible"))
     values["sheet_count"] = float(len(sheet_states))
     values["hidden_sheet_count"] = float(sum(1 for s in sheet_states if s == b"hidden"))
     values["very_hidden_sheet_count"] = float(sum(1 for s in sheet_states if s == b"veryHidden"))
 
-    defined_names = [dict(_ATTR_RE.findall(m.group(1))) for m in _DEFINED_NAME_RE.finditer(workbook)]
+    defined_names = [dict(ATTR_RE.findall(m.group(1))) for m in _DEFINED_NAME_RE.finditer(workbook)]
     values["defined_name_count"] = float(len(defined_names))
     suspicious_names = 0
     for attrs in defined_names:
@@ -295,7 +276,7 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
     row_ordinal = 0
     for rm in _ROW_RE.finditer(content):
         row_ordinal += 1
-        attrs = dict(_ATTR_RE.findall(rm.group(1)))
+        attrs = dict(ATTR_RE.findall(rm.group(1)))
         try:
             row_idx = int(attrs.get(b"r", row_ordinal))
         except ValueError:
@@ -304,7 +285,7 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
     col_ordinal = 0
     for m in _CELL_RE.finditer(content):
         col_ordinal += 1
-        attrs = dict(_ATTR_RE.findall(m.group(1)))
+        attrs = dict(ATTR_RE.findall(m.group(1)))
         body = m.group(2) or b""
         ref = attrs.get(b"r", b"")
         ref_m = _CELL_REF_RE.match(ref)
@@ -361,11 +342,6 @@ def _scan_relationships(parts, values) -> None:
             and rel.get("_part", "").startswith("xl/")
         ):
             values["remote_template_present"] = 1.0
-
-
-def project_top10_xlsx(features: FeatureVector) -> FeatureVector:
-    """Project a full xlsx vector onto the 10 selected columns, in rank order."""
-    return features.project(xlsx_top10_schema())
 
 
 def _scan_media(archive, values) -> None:

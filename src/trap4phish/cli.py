@@ -16,17 +16,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analyzers import (
-    analyze_docx, analyze_html, analyze_pdf, analyze_xlsx,
-    docx_schema, html_schema, pdf_schema, xlsx_schema,
-)
-from .analyzers.docx import docx_top10_schema
-from .analyzers.html import html_top13_schema
-from .analyzers.pdf import pdf_top10_schema
-from .analyzers.xlsx import xlsx_top10_schema
+from .analyzers import FORMATS as _FORMATS
 from .config import load_config
 from .core import (
-    FileKind, LabeledDataset, SchemaError, DatasetError,
+    FeatureSchema, FileKind, LabeledDataset, SchemaError, DatasetError,
     read_dataset_csv, sniff_file_kind, write_dataset_csv, write_features_csv,
 )
 from .ml import (
@@ -45,13 +38,6 @@ EXIT_OK = 0
 EXIT_IO = 2
 EXIT_SCHEMA = 3
 EXIT_DOMAIN = 4
-
-_FORMATS = {
-    "docx": (docx_schema, docx_top10_schema, analyze_docx),
-    "xlsx": (xlsx_schema, xlsx_top10_schema, analyze_xlsx),
-    "pdf": (pdf_schema, pdf_top10_schema, analyze_pdf),
-    "html": (html_schema, html_top13_schema, analyze_html),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -130,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True, help="labeled feature CSV")
     p.add_argument("--format", choices=list(_FORMATS), required=True)
     p.add_argument("--k", type=_positive_int, default=None,
-                   help="selection size (default 10, 13 for html)")
+                   help="selection size (default: size of the format's selected subset)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trees", type=_positive_int, default=50)
     p.add_argument("--repeats", type=_positive_int, default=5)
@@ -266,10 +252,15 @@ def _read_labels(path: str) -> dict[str, int]:
     return labels
 
 
+def _schema(kind: str, selected: bool) -> FeatureSchema:
+    # entries are unpacked, never read by attribute: a tracer may put plain tuples here
+    full_schema, selected_schema, _analyze = _FORMATS[kind]
+    return selected_schema if selected else full_schema
+
+
 def _write_scan_csv(kind: str, reports: list, out_path: Path, selected: bool,
                     labels: dict[str, int] | None = None) -> None:
-    full_schema, selected_schema, _an = _FORMATS[kind]
-    schema = selected_schema() if selected else full_schema()
+    schema = _schema(kind, selected)
     vectors = [r.features.project(schema) if selected else r.features for r in reports]
     if labels is None:
         write_features_csv(schema, vectors, out_path)
@@ -303,9 +294,7 @@ def cmd_synth(args) -> int:
 
 
 def _load_labeled(path: str, fmt: str, selected: bool) -> LabeledDataset:
-    full_schema, selected_schema, _an = _FORMATS[fmt]
-    schema = selected_schema() if selected else full_schema()
-    return read_dataset_csv(path, schema)
+    return read_dataset_csv(path, _schema(fmt, selected))
 
 
 def cmd_train(args) -> int:
@@ -357,7 +346,7 @@ def cmd_evaluate(args) -> int:
 def cmd_rank(args) -> int:
     print(f"# rank format={args.format} seed={args.seed}")
     ds = _load_labeled(args.input, args.format, selected=False)
-    k = args.k if args.k is not None else (13 if args.format == "html" else 10)
+    k = args.k if args.k is not None else len(_schema(args.format, selected=True))
     rf = train_random_forest(ds, ForestParams(n_trees=args.trees, seed=args.seed))
     gini = rank_features_gini(rf)
     permutation = rank_features_permutation(rf, ds, seed=args.seed, n_repeats=args.repeats)

@@ -19,8 +19,8 @@ from .errors import (
     ZipError,
     ZipFormatError,
 )
-from .ziparc import ZipArchive, ZipEntry, zip_open, zip_read
-from .cfb import CfbDirEntry, CfbFile, cfb_open, cfb_read_stream
+from .ziparc import ZipArchive, ZipEntry, zip_open
+from .cfb import CfbDirEntry, CfbFile, cfb_open
 from .vba import VbaModule, ovba_decompress, vba_extract
 
 __all__ = [
@@ -42,11 +42,9 @@ __all__ = [
     "ZipArchive",
     "ZipEntry",
     "zip_open",
-    "zip_read",
     "CfbFile",
     "CfbDirEntry",
     "cfb_open",
-    "cfb_read_stream",
     "VbaModule",
     "vba_extract",
     "ovba_decompress",

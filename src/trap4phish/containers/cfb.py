@@ -208,10 +208,6 @@ def cfb_open(data: bytes) -> CfbFile:
                    fat, minifat, directory, root.start_sector, root.size)
 
 
-def cfb_read_stream(cfb: CfbFile, path: str) -> bytes:
-    return cfb.read_stream(path)
-
-
 def _parse_directory(raw: bytes) -> list[CfbDirEntry | None]:
     entries: list[CfbDirEntry | None] = []
     for off in range(0, min(len(raw), _MAX_DIR_ENTRIES * 128), 128):

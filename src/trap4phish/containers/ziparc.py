@@ -140,10 +140,6 @@ def zip_open(data: bytes) -> ZipArchive:
     return ZipArchive(data, entries)
 
 
-def zip_read(archive: ZipArchive, name: str) -> bytes:
-    return archive.read(name)
-
-
 def _find_eocd(data: bytes) -> int:
     # EOCD is within the last 64 KiB + 22 bytes (max comment length).
     window_start = max(0, len(data) - (0xFFFF + 22))

@@ -225,30 +225,27 @@ def write_dataset_csv(ds: LabeledDataset, destination: Destination) -> int:
 
     Returns the number of bytes written.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(ds.schema.columns) + ["label"])
-    for vec, label in ds.rows:
-        writer.writerow([format_value(v) for v in vec.values] + [str(label)])
-    payload = buf.getvalue().encode("utf-8")
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            fh.write(payload)
-    else:
-        destination.write(payload)
-    return len(payload)
+    rows = ([format_value(v) for v in vec.values] + [str(label)] for vec, label in ds.rows)
+    return _write_csv(list(ds.schema.columns) + ["label"], rows, destination)
 
 
 def write_features_csv(schema: FeatureSchema, vectors: Iterable[FeatureVector],
                        destination: Destination) -> int:
     """Unlabeled variant of write_dataset_csv (header = columns only)."""
+    def rows():
+        for vec in vectors:
+            if vec.schema.columns != schema.columns:
+                raise SchemaError("vector schema mismatch in write_features_csv")
+            yield [format_value(v) for v in vec.values]
+
+    return _write_csv(list(schema.columns), rows(), destination)
+
+
+def _write_csv(header: list[str], rows: Iterable[list[str]], destination: Destination) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(schema.columns))
-    for vec in vectors:
-        if vec.schema.columns != schema.columns:
-            raise SchemaError("vector schema mismatch in write_features_csv")
-        writer.writerow([format_value(v) for v in vec.values])
+    writer.writerow(header)
+    writer.writerows(rows)
     payload = buf.getvalue().encode("utf-8")
     if isinstance(destination, (str, Path)):
         with open(destination, "wb") as fh:
@@ -300,17 +297,4 @@ def read_dataset_csv(source: Union[str, Path, bytes, io.IOBase], schema: Feature
         if label_cell not in ("0", "1"):
             raise DatasetError(f"row {row_idx}, column 'label': label must be 0 or 1, got {label_cell!r}")
         rows.append((FeatureVector(schema, values), int(label_cell)))
-    return LabeledDataset(schema, rows)
-
-
-def dataset_from_reports(reports: Iterable[AnalysisReport], labels: Iterable[int]) -> LabeledDataset:
-    """Bundle analysis reports and labels into one dataset (schemas must agree)."""
-    rows = []
-    schema = None
-    for report, label in zip(reports, labels):
-        if schema is None:
-            schema = report.features.schema
-        rows.append((report.features, int(label)))
-    if schema is None:
-        raise DatasetError("no reports given")
     return LabeledDataset(schema, rows)

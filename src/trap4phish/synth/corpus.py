@@ -67,12 +67,11 @@ def synthesize(config: SynthConfig) -> list[tuple[str, bytes, int]]:
     """(filename, bytes, label) triples: `count` benign then `count` malicious."""
     rng = np.random.default_rng([config.seed, FORMATS.index(config.format)])
     maker = _MAKERS[config.format]
-    ext = "html" if config.format == "html" else config.format
     out = []
     for i in range(config.count):
-        out.append((f"benign_{i:05d}.{ext}", maker(rng, config, malicious=False), 0))
+        out.append((f"benign_{i:05d}.{config.format}", maker(rng, config, malicious=False), 0))
     for i in range(config.count):
-        out.append((f"malicious_{i:05d}.{ext}", maker(rng, config, malicious=True), 1))
+        out.append((f"malicious_{i:05d}.{config.format}", maker(rng, config, malicious=True), 1))
     return out
 
 

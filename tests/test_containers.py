@@ -16,7 +16,6 @@ from trap4phish.containers import (
     ovba_decompress,
     vba_extract,
     zip_open,
-    zip_read,
 )
 from trap4phish.synth import CfbWriter, build_vba_project, ovba_compress
 
@@ -28,7 +27,7 @@ class TestZip:
     def test_stored_entry(self):
         data = make_zip({"a.txt": "hi"}, method=zipfile.ZIP_STORED)
         archive = zip_open(data)
-        assert zip_read(archive, "a.txt") == b"hi"
+        assert archive.read("a.txt") == b"hi"
         entry = archive.find("a.txt")
         assert entry.method == "stored"
 
@@ -38,7 +37,7 @@ class TestZip:
         data = make_zip({"blob.bin": payload})
         archive = zip_open(data)
         assert archive.find("blob.bin").method == "deflate"
-        assert zip_read(archive, "blob.bin") == payload
+        assert archive.read("blob.bin") == payload
 
     def test_crc_mismatch(self):
         data = bytearray(make_zip({"a.txt": "hello world"}, method=zipfile.ZIP_STORED))
@@ -47,7 +46,7 @@ class TestZip:
         data[payload_at] ^= 0xFF
         archive = zip_open(bytes(data))
         with pytest.raises(CrcMismatch):
-            zip_read(archive, "a.txt")
+            archive.read("a.txt")
 
     def test_missing_eocd(self):
         with pytest.raises(MissingEocd):

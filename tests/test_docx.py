@@ -1,7 +1,7 @@
 import random
 
-from trap4phish.analyzers import analyze_docx, project_top10_docx
-from trap4phish.analyzers.docx import DOCX_COLUMNS, DOCX_TOP10, docx_schema
+from trap4phish.analyzers import analyze_docx
+from trap4phish.analyzers.docx import DOCX_COLUMNS, SCHEMA, SELECTED
 from trap4phish.config import default_config
 from trap4phish.core import count_pattern
 from trap4phish.synth import build_vba_project
@@ -10,10 +10,9 @@ from conftest import make_docx, make_zip
 
 
 def test_schema_shape():
-    schema = docx_schema()
-    assert len(schema.columns) == 43
-    for name in DOCX_TOP10:
-        assert name in schema.columns
+    assert len(SCHEMA.columns) == 43
+    for name in SELECTED.columns:
+        assert name in SCHEMA.columns
 
 
 def test_minimal_benign(minimal_docx):
@@ -135,20 +134,20 @@ def test_ole_type_count_bounded():
 
 def test_projection_order_and_identity(minimal_docx):
     report = analyze_docx(minimal_docx)
-    projected = project_top10_docx(report.features)
-    assert projected.schema.columns == DOCX_TOP10
+    projected = report.features.project(SELECTED)
+    assert projected.schema.columns == SELECTED.columns
     assert len(projected.values) == 10
     full = report.features.as_dict()
-    assert projected.values == [full[c] for c in DOCX_TOP10]
+    assert projected.values == [full[c] for c in SELECTED.columns]
 
 
 def test_projection_ignores_unselected_counters():
     a = make_docx(document_xml="<w:document><w:body><w:p/></w:body></w:document>")
     b = make_docx(document_xml="<w:document><w:body><w:p/><w:tbl/><w:tbl/></w:body></w:document>")
-    pa = project_top10_docx(analyze_docx(a).features)
-    pb = project_top10_docx(analyze_docx(b).features)
+    pa = analyze_docx(a).features.project(SELECTED)
+    pb = analyze_docx(b).features.project(SELECTED)
     # struct_w_tbl is not selected; only file_size/entropy columns may differ
-    diffs = [c for c, va, vb in zip(DOCX_TOP10, pa.values, pb.values) if va != vb]
+    diffs = [c for c, va, vb in zip(SELECTED.columns, pa.values, pb.values) if va != vb]
     assert set(diffs) <= {"file_size", "entropy"}
 
 

@@ -6,16 +6,11 @@ import zlib
 import numpy as np
 import pytest
 
-from trap4phish.analyzers import analyze_docx, analyze_html, analyze_pdf, analyze_xlsx
+from trap4phish.analyzers import FORMATS
 from trap4phish.core import sniff_file_kind
 from trap4phish.synth import SynthConfig, synthesize
 
-ANALYZERS = [
-    ("docx", analyze_docx, 43),
-    ("xlsx", analyze_xlsx, 48),
-    ("pdf", analyze_pdf, 40),
-    ("html", analyze_html, 40),
-]
+ANALYZERS = [(fmt, spec.analyze, len(spec.schema)) for fmt, spec in FORMATS.items()]
 
 
 @pytest.mark.parametrize("fmt,analyze,width", ANALYZERS)

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from trap4phish.analyzers import analyze_html, project_top13_html
-from trap4phish.analyzers.html import HTML_COLUMNS, HTML_TOP13, html_schema
+from trap4phish.analyzers import analyze_html
+from trap4phish.analyzers.html import HTML_COLUMNS, SCHEMA, SELECTED
 
 
 def test_schema_shape():
-    assert len(html_schema().columns) == 40
+    assert len(SCHEMA.columns) == 40
     assert len(HTML_COLUMNS) == 40
-    assert len(HTML_TOP13) == 13
+    assert len(SELECTED.columns) == 13
 
 
 def test_basic_tag_counting():
@@ -205,6 +205,6 @@ def test_implied_close_p_and_li():
 
 def test_projection_order():
     report = analyze_html(b"<html><body></body></html>")
-    projected = project_top13_html(report.features)
-    assert projected.schema.columns == HTML_TOP13
+    projected = report.features.project(SELECTED)
+    assert projected.schema.columns == SELECTED.columns
     assert len(projected.values) == 13

@@ -141,9 +141,8 @@ class TestSelectTopK:
 
     def test_projected_schema_usable_by_analyzers(self):
         from trap4phish.analyzers import analyze_html
-        from trap4phish.analyzers.html import html_schema
+        from trap4phish.analyzers.html import SCHEMA as schema
         report = analyze_html(b"<html><body><p>x</p></body></html>")
-        schema = html_schema()
         fake_scores = np.arange(len(schema.columns), dtype=float)[::-1]
         from trap4phish.ml.importance import _ranked
         ranking = _ranked(fake_scores, schema.columns, "gini")

@@ -2,14 +2,14 @@ import zlib
 
 import pytest
 
-from trap4phish.analyzers import analyze_pdf, project_top10_pdf
-from trap4phish.analyzers.pdf import PDF_COLUMNS, PDF_TOP10, pdf_schema
+from trap4phish.analyzers import analyze_pdf
+from trap4phish.analyzers.pdf import PDF_COLUMNS, SCHEMA, SELECTED
 
 from conftest import MINIMAL_PDF_OBJECTS, make_pdf
 
 
 def test_schema_shape():
-    assert len(pdf_schema().columns) == 40
+    assert len(SCHEMA.columns) == 40
     assert len(PDF_COLUMNS) == 40
 
 
@@ -147,8 +147,8 @@ def test_xref_counters(minimal_pdf):
 
 def test_projection_order(minimal_pdf):
     report = analyze_pdf(minimal_pdf)
-    projected = project_top10_pdf(report.features)
-    assert projected.schema.columns == PDF_TOP10
+    projected = report.features.project(SELECTED)
+    assert projected.schema.columns == SELECTED.columns
     # positions 5, 6, 7 are object_count, stream_count, endstream_count
     assert projected.values[4] == 4
     assert projected.values[5] == 1

@@ -1,15 +1,8 @@
 import pytest
 
-from trap4phish.analyzers import analyze_docx, analyze_html, analyze_pdf, analyze_xlsx
+from trap4phish.analyzers import FORMATS, analyze_docx, analyze_html, analyze_pdf, analyze_xlsx
 from trap4phish.core import FileKind, sniff_file_kind
 from trap4phish.synth import SynthConfig, synthesize, write_corpus
-
-ANALYZERS = {
-    "docx": analyze_docx,
-    "xlsx": analyze_xlsx,
-    "pdf": analyze_pdf,
-    "html": analyze_html,
-}
 
 
 @pytest.mark.parametrize("fmt", ["docx", "xlsx", "pdf", "html"])
@@ -43,9 +36,9 @@ def test_generated_files_sniff_correctly(fmt, expected_kind):
 
 
 def test_all_parse_clean():
-    for fmt, analyze in ANALYZERS.items():
+    for fmt, spec in FORMATS.items():
         for name, data, _label in synthesize(SynthConfig(fmt, count=5, seed=7)):
-            report = analyze(data)
+            report = spec.analyze(data)
             assert not report.parse_failed, (fmt, name, report.warnings)
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from trap4phish.analyzers import analyze_xlsx, compute_macro_metrics, project_top10_xlsx
-from trap4phish.analyzers.xlsx import XLSX_COLUMNS, XLSX_TOP10, MacroMetrics, xlsx_schema
+from trap4phish.analyzers import analyze_xlsx, compute_macro_metrics
+from trap4phish.analyzers.xlsx import SCHEMA, SELECTED, XLSX_COLUMNS, MacroMetrics
 from trap4phish.synth import build_vba_project
 
 from conftest import make_xlsx
@@ -71,7 +71,7 @@ class TestMacroMetrics:
 
 class TestAnalyzeXlsx:
     def test_schema_shape(self):
-        assert len(xlsx_schema().columns) == 48
+        assert len(SCHEMA.columns) == 48
         assert len(XLSX_COLUMNS) == 48
 
     def test_cell_inventory(self):
@@ -200,10 +200,10 @@ class TestAnalyzeXlsx:
     def test_projection(self):
         data = make_xlsx("<worksheet/>")
         report = analyze_xlsx(data)
-        projected = project_top10_xlsx(report.features)
-        assert projected.schema.columns == XLSX_TOP10
+        projected = report.features.project(SELECTED)
+        assert projected.schema.columns == SELECTED.columns
         assert len(projected.values) == 10
-        macro_columns = [c for c in XLSX_TOP10 if c.startswith("macro_")]
+        macro_columns = [c for c in SELECTED.columns if c.startswith("macro_")]
         for c in macro_columns:
             assert projected[c] == 0
 
