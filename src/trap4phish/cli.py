@@ -174,6 +174,15 @@ def cmd_scan(args) -> int:
     if not inputs:
         print("error: no inputs", file=sys.stderr)
         return EXIT_IO
+    if args.labels or args.report_dir:
+        # labels rows and report files are keyed by file name
+        first_with_name: dict[str, Path] = {}
+        for path in inputs:
+            first = first_with_name.setdefault(path.name, path)
+            if first is not path:
+                print(f"error: {first} and {path} share the file name {path.name!r}, "
+                      "which --labels and --report-dir key files by", file=sys.stderr)
+                return EXIT_IO
 
     def analyze_one(path: Path):
         try:

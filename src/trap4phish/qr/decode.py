@@ -41,9 +41,17 @@ from .tables import (
 
 _RATIOS = (1, 1, 3, 1, 1)
 
+# The finder stage runs Python for every run-ratio hit, about 0.6 us a pixel
+# on a bitmap tiled with finder-like cells. This budget still admits a
+# version-10 symbol at 31 px a module with a 4-module quiet zone (2015 px).
+MAX_PIXELS = 2048 * 2048
+
 
 def qr_decode(bitmap: QrBitmap) -> bytes:
     """Decode a rendered QR bitmap back to its byte-mode payload."""
+    if bitmap.width * bitmap.height > MAX_PIXELS:
+        raise BadBitmap(f"{bitmap.width}x{bitmap.height} bitmap exceeds the "
+                        f"{MAX_PIXELS}-pixel budget")
     binary = bitmap.pixels < 128
     clusters = _find_finder_centers(binary)
     tl, tr, bl, unit = _select_finders(clusters)

@@ -85,6 +85,21 @@ class TestScan:
         with open(out) as fh:
             assert len(list(csv.reader(fh))) == 17
 
+    @pytest.mark.parametrize("keyed_by_name", [["--labels", "labels.csv"], ["--report-dir", "rep"]])
+    def test_duplicate_file_names_rejected_before_analysis(self, tmp_path, capsys, keyed_by_name):
+        for name, seed in (("a", 1), ("b", 2)):
+            run(["synth", "--format", "docx", "--count", "1", "--seed", seed, "--out", tmp_path / name])
+        (tmp_path / "labels.csv").write_text("path,label\nbenign_00000.docx,0\n")
+        capsys.readouterr()
+        option, value = keyed_by_name
+        code = run(["scan", tmp_path / "a", tmp_path / "b", "--format", "docx",
+                    "--out", tmp_path / "out.csv", option, tmp_path / value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "a" / "benign_00000.docx") in err
+        assert str(tmp_path / "b" / "benign_00000.docx") in err
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "rep").exists()
+
     def test_order_stable_with_jobs(self, docx_corpus, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -209,6 +224,12 @@ class TestQrCli:
         pgm = tmp_path / "blank.pgm"
         pgm.write_bytes(b"P5\n32 32\n255\n" + b"\xff" * 1024)
         assert run(["qr", "decode", "--in", pgm]) == 4
+
+    def test_decode_over_pixel_budget_exit_4(self, tmp_path, capsys):
+        pgm = tmp_path / "huge.pgm"
+        pgm.write_bytes(b"P5\n2049 2048\n255\n" + b"\xff" * (2049 * 2048))
+        assert run(["qr", "decode", "--in", pgm]) == 4
+        assert "pixel budget" in capsys.readouterr().err
 
     def test_decode_prints_payload(self, tmp_path, capsys):
         url_file = tmp_path / "u.txt"

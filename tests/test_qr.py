@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trap4phish.qr import (
+    BadBitmap,
     NoFinderPatterns,
     PayloadTooLong,
     QrBitmap,
@@ -148,6 +149,15 @@ class TestDecode:
         blank = QrBitmap(80, 80, np.full((80, 80), 255, dtype=np.uint8), 4, 4)
         with pytest.raises(NoFinderPatterns):
             qr_decode(blank)
+
+    def test_pixel_budget(self):
+        # a blank bitmap gets as far as the finder search only within the budget
+        at_limit = QrBitmap(2048, 2048, np.full((2048, 2048), 255, dtype=np.uint8), 0, 0)
+        with pytest.raises(NoFinderPatterns):
+            qr_decode(at_limit)
+        over = QrBitmap(2049, 2048, np.full((2048, 2049), 255, dtype=np.uint8), 0, 0)
+        with pytest.raises(BadBitmap, match="2049x2048"):
+            qr_decode(over)
 
     def test_correction_at_capacity(self):
         rng = np.random.default_rng(5)
