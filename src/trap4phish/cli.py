@@ -175,13 +175,12 @@ def cmd_scan(args) -> int:
         print("error: no inputs", file=sys.stderr)
         return EXIT_IO
     if args.labels or args.report_dir:
-        # labels rows and report files are keyed by file name
         first_with_name: dict[str, Path] = {}
         for path in inputs:
             first = first_with_name.setdefault(path.name, path)
             if first is not path:
-                print(f"error: {first} and {path} share the file name {path.name!r}, "
-                      "which --labels and --report-dir key files by", file=sys.stderr)
+                print(f"error: {first} and {path} have the same file name; "
+                      "--labels and --report-dir key files by name", file=sys.stderr)
                 return EXIT_IO
 
     def analyze_one(path: Path):
@@ -262,7 +261,7 @@ def _read_labels(path: str) -> dict[str, int]:
 
 
 def _schema(kind: str, selected: bool) -> FeatureSchema:
-    # entries are unpacked, never read by attribute: a tracer may put plain tuples here
+    # unpacked, not read by attribute: bench/tracing.py swaps in plain tuples
     full_schema, selected_schema, _analyze = _FORMATS[kind]
     return selected_schema if selected else full_schema
 
