@@ -5,7 +5,7 @@ from trap4phish.core import FileKind, sniff_file_kind
 from trap4phish.synth import SynthConfig, synthesize, write_corpus
 
 
-@pytest.mark.parametrize("fmt", ["docx", "xlsx", "pdf", "html"])
+@pytest.mark.parametrize("fmt", list(FORMATS))
 def test_determinism_byte_identical(fmt, tmp_path):
     config = SynthConfig(fmt, count=5, seed=7)
     dir_a = tmp_path / "a"
@@ -19,7 +19,7 @@ def test_determinism_byte_identical(fmt, tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("fmt", ["docx", "xlsx", "pdf", "html"])
+@pytest.mark.parametrize("fmt", list(FORMATS))
 def test_different_seeds_differ(fmt):
     a = synthesize(SynthConfig(fmt, count=2, seed=1))
     b = synthesize(SynthConfig(fmt, count=2, seed=2))
