@@ -12,14 +12,12 @@ from .core import (
     FileKind,
     LabeledDataset,
     SchemaError,
-    count_pattern,
     read_dataset_csv,
     shannon_entropy,
     sniff_file_kind,
     write_dataset_csv,
     write_features_csv,
 )
-from .config import Config, default_config, load_config
 
 __all__ = [
     "__version__",
@@ -31,12 +29,8 @@ __all__ = [
     "DatasetError",
     "SchemaError",
     "shannon_entropy",
-    "count_pattern",
     "sniff_file_kind",
     "read_dataset_csv",
     "write_dataset_csv",
     "write_features_csv",
-    "Config",
-    "default_config",
-    "load_config",
 ]

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import re
 
-from ..config import Config, default_config
-from ..core import AnalysisReport, FeatureSchema, FeatureVector, count_pattern, shannon_entropy
+from ..config import VBA_SUSPICIOUS_KEYWORDS
+from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from .ooxml import (
     ATTR_RE, extract_vba_sources, open_archive, parse_relationships, read_xml_parts, resolve_target,
 )
@@ -70,18 +70,21 @@ _ELEMENT_PATTERNS = {
     for name in STRUCT_ELEMENTS
 }
 
+# counted in ASCII-lowercased UTF-8 (bytes.lower); str.lower() would also fold
+# non-ASCII letters such as the Kelvin sign into ASCII and change the counts
+_VBA_KEYWORDS = tuple(keyword.encode() for keyword in VBA_SUSPICIOUS_KEYWORDS)
+
 _INSTR_TEXT_RE = re.compile(rb"<w:instrText\b[^>]*>(.*?)</w:instrText>", re.DOTALL)
 _DDE_TOKEN_RE = re.compile(rb"DDEAUTO|(?<![A-Za-z])DDE(?![A-Za-z])")
 _OLE_ELEMENT_RE = re.compile(rb"<(?:o:OLEObject|oleObject)\b([^>]*)>")
 
 
-def analyze_docx(data: bytes, source_path: str = "<bytes>", config: Config | None = None) -> AnalysisReport:
+def analyze_docx(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
     """Extract the full 43-column Word feature vector from raw .docx bytes.
 
     Non-ZIP input still yields a report (parse_failed=True) with file_size
     and entropy populated.
     """
-    config = config or default_config()
     warnings: list[str] = []
     values = dict.fromkeys(DOCX_COLUMNS, 0.0)
     values["file_size"] = float(len(data))
@@ -89,13 +92,13 @@ def analyze_docx(data: bytes, source_path: str = "<bytes>", config: Config | Non
 
     archive = open_archive(data, warnings)
     if archive is not None:
-        _extract_from_archive(archive, values, warnings, config)
+        _extract_from_archive(archive, values, warnings)
 
     vector = FeatureVector(SCHEMA, [values[c] for c in DOCX_COLUMNS])
     return AnalysisReport(source_path, "docx", vector, warnings, archive is None)
 
 
-def _extract_from_archive(archive, values, warnings, config: Config) -> None:
+def _extract_from_archive(archive, values, warnings) -> None:
     names = archive.names()
 
     # Macros and suspicious VBA keywords.
@@ -103,9 +106,8 @@ def _extract_from_archive(archive, values, warnings, config: Config) -> None:
         values["macro_present"] = 1.0
         total = 0
         for source in extract_vba_sources(archive, warnings):
-            raw = source.encode("utf-8", errors="replace")
-            for keyword in config.vba_suspicious_keywords:
-                total += count_pattern(raw, keyword.encode(), case_insensitive=True)
+            lowered = source.encode("utf-8", errors="replace").lower()
+            total += sum(lowered.count(keyword) for keyword in _VBA_KEYWORDS)
         values["vba_keywords_count"] = float(total)
 
     parts = read_xml_parts(archive, warnings)

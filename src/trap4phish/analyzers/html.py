@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..config import Config, default_config
+from ..config import BASE64_MIN_LENGTH, HTML_SUSPICIOUS_KEYWORDS, URL_SHORTENER_HOSTS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from ..urls import host_only, is_ipv4_like, split_url, subdomain_count
 
@@ -81,6 +81,7 @@ _STYLE_URL_RE = re.compile(r"url\(\s*['\"]?([^)'\"]+)['\"]?\s*\)", re.IGNORECASE
 _HEX_ESCAPE_RE = re.compile(r"\\x[0-9A-Fa-f]{2}")
 _JS_ESCAPE_RE = re.compile(r"\\u[0-9A-Fa-f]{4}|%u[0-9A-Fa-f]{4}")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
+_BASE64_RE = re.compile(rb"[A-Za-z0-9+/]{%d,}={0,2}" % BASE64_MIN_LENGTH)
 _WS_BYTES = frozenset(b" \t\r\n\x0b\x0c")
 
 
@@ -168,7 +169,6 @@ def analyze_html(
     data: bytes,
     page_host: str | None = None,
     source_path: str = "<bytes>",
-    config: Config | None = None,
 ) -> AnalysisReport:
     """Extract the full 40-column HTML feature vector from raw markup bytes.
 
@@ -176,7 +176,6 @@ def analyze_html(
     a `<base href>` host is used, else relative links count as internal and
     absolute ones as external.
     """
-    config = config or default_config()
     warnings: list[str] = []
     values = dict.fromkeys(HTML_COLUMNS, 0.0)
     text = data.decode("utf-8", errors="replace")
@@ -235,8 +234,7 @@ def analyze_html(
     )
 
     # obfuscation
-    base64_re = re.compile(rb"[A-Za-z0-9+/]{%d,}={0,2}" % config.base64_min_length)
-    values["base64_occurrence_count"] = float(len(base64_re.findall(data)))
+    values["base64_occurrence_count"] = float(len(_BASE64_RE.findall(data)))
     values["hex_escape_count"] = float(len(_HEX_ESCAPE_RE.findall(text)))
     values["js_escape_count"] = float(len(_JS_ESCAPE_RE.findall(text)))
 
@@ -245,12 +243,12 @@ def analyze_html(
     if visible:
         values["whitespace_ratio"] = sum(1 for ch in visible if ch.isspace()) / len(visible)
     lowered = visible.lower()
-    keyword_hits = sum(lowered.count(k) for k in config.html_suspicious_keywords)
+    keyword_hits = sum(lowered.count(k) for k in HTML_SUSPICIOUS_KEYWORDS)
     values["suspicious_keyword_count"] = float(keyword_hits)
     words = len(_WORD_RE.findall(visible))
     values["keyword_text_ratio"] = keyword_hits / words if words else 0.0
 
-    _url_features(stream, values, page_host, config)
+    _url_features(stream, values, page_host)
 
     vector = FeatureVector(SCHEMA, [values[c] for c in HTML_COLUMNS])
     return AnalysisReport(source_path, "html", vector, warnings, False)
@@ -291,7 +289,7 @@ def _iframe_hidden(tag: _Tag) -> bool:
     return "display:none" in style or "visibility:hidden" in style
 
 
-def _url_features(stream: _TokenStream, values: dict, page_host: str | None, config: Config) -> None:
+def _url_features(stream: _TokenStream, values: dict, page_host: str | None) -> None:
     link_urls: list[str] = []
     other_urls: list[str] = []
     base_href: str | None = None
@@ -337,7 +335,7 @@ def _url_features(stream: _TokenStream, values: dict, page_host: str | None, con
         values["avg_subdomain_count"] = sum(subdomain_count(h) for h in hosts) / len(hosts)
         values["ip_url_count"] = float(sum(1 for h in hosts if is_ipv4_like(h)))
         values["shortener_url_count"] = float(
-            sum(1 for h in hosts if h in config.url_shortener_hosts)
+            sum(1 for h in hosts if h in URL_SHORTENER_HOSTS)
         )
 
     effective_host = page_host

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 import zlib
 
-from ..config import Config, default_config
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 
 SCHEMA_VERSION = 1
@@ -60,7 +59,6 @@ SELECTED = SCHEMA.project((
 
 _HEADER_RE = re.compile(rb"%PDF-\d")
 _OBJ_RE = re.compile(rb"(?<![0-9])(\d{1,10})\s+(\d{1,5})\s+obj(?![A-Za-z0-9])")
-_ENDOBJ_RE = re.compile(rb"endobj")
 _STREAM_RE = re.compile(rb"(?<![A-Za-z])stream(?![A-Za-z])")
 _ENDSTREAM_RE = re.compile(rb"endstream")
 _XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![A-Za-z])")
@@ -112,12 +110,11 @@ _ARRAY_STRING_RE = re.compile(rb"\(((?:\\.|[^\\)])*)\)")
 _ESCAPE_RE = re.compile(rb"\\(\d{1,3}|.)")
 
 
-def analyze_pdf(data: bytes, source_path: str = "<bytes>", config: Config | None = None) -> AnalysisReport:
+def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
     """Extract the full 40-column PDF feature vector from raw bytes.
 
     Never fails: non-PDF input yields zero counters and a warning.
     """
-    del config  # no configurable knobs for the PDF scan yet
     warnings: list[str] = []
     values = dict.fromkeys(PDF_COLUMNS, 0.0)
     values["file_size"] = float(len(data))

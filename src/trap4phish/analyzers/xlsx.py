@@ -8,8 +8,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from ..config import Config, default_config
-from ..core import AnalysisReport, FeatureSchema, FeatureVector, count_pattern, shannon_entropy
+from ..config import AUTO_EXEC_NAMES, XLSX_API_KEYWORDS
+from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from ..containers import ContainerError
 from .ooxml import ATTR_RE, extract_vba_sources, open_archive, parse_relationships, read_xml_parts
 
@@ -144,11 +144,16 @@ _CELL_REF_RE = re.compile(rb"([A-Z]+)(\d+)")
 _WORKSHEET_PART_RE = re.compile(r"^xl/worksheets/[^/]+\.xml$")
 _IMAGE_EXTENSIONS = {"png", "jpg", "jpeg", "gif", "bmp", "tif", "tiff", "emf", "wmf", "svg"}
 _BASE64_CELL_RE = re.compile(r"^[A-Za-z0-9+/]{24,}={0,2}$")
+# counted in ASCII-lowercased UTF-8 (bytes.lower); str.lower() would also fold
+# non-ASCII letters such as the Kelvin sign into ASCII and change the counts
+_API_KEYWORDS = tuple(keyword.encode() for keyword in XLSX_API_KEYWORDS)
+_AUTO_EXEC_RE = re.compile(
+    r"(?i)\b(?:sub|function)\s+(" + "|".join(re.escape(n) for n in AUTO_EXEC_NAMES) + r")\b"
+)
 
 
-def analyze_xlsx(data: bytes, source_path: str = "<bytes>", config: Config | None = None) -> AnalysisReport:
+def analyze_xlsx(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
     """Extract the full 48-column Excel feature vector from raw .xlsx/.xlsm bytes."""
-    config = config or default_config()
     warnings: list[str] = []
     values = dict.fromkeys(XLSX_COLUMNS, 0.0)
     values["file_size"] = float(len(data))
@@ -157,7 +162,7 @@ def analyze_xlsx(data: bytes, source_path: str = "<bytes>", config: Config | Non
     archive = open_archive(data, warnings)
     if archive is not None:
         try:
-            _extract_from_archive(archive, values, warnings, config)
+            _extract_from_archive(archive, values, warnings)
         except ContainerError as exc:
             warnings.append(f"workbook: {exc}")
 
@@ -165,7 +170,7 @@ def analyze_xlsx(data: bytes, source_path: str = "<bytes>", config: Config | Non
     return AnalysisReport(source_path, "xlsx", vector, warnings, archive is None)
 
 
-def _extract_from_archive(archive, values, warnings, config: Config) -> None:
+def _extract_from_archive(archive, values, warnings) -> None:
     parts = read_xml_parts(archive, warnings)
     workbook = parts.get("xl/workbook.xml", b"")
 
@@ -182,7 +187,7 @@ def _extract_from_archive(archive, values, warnings, config: Config) -> None:
     suspicious_names = 0
     for attrs in defined_names:
         name = attrs.get(b"name", b"").decode("utf-8", "replace").lower()
-        if name in config.auto_exec_names or name.startswith("auto_"):
+        if name in AUTO_EXEC_NAMES or name.startswith("auto_"):
             suspicious_names += 1
     values["suspicious_defined_name_count"] = float(suspicious_names)
 
@@ -244,16 +249,10 @@ def _extract_from_archive(archive, values, warnings, config: Config) -> None:
     for field_name in MACRO_METRIC_NAMES:
         values["macro_" + field_name] = float(getattr(metrics, field_name))
 
-    api_hits = 0
-    raw_combined = combined.encode("utf-8", errors="replace")
-    for keyword in config.xlsx_api_keywords:
-        api_hits += count_pattern(raw_combined, keyword.encode(), case_insensitive=True) if combined else 0
-    values["api_keyword_count"] = float(api_hits)
+    lowered = combined.encode("utf-8", errors="replace").lower()
+    values["api_keyword_count"] = float(sum(lowered.count(keyword) for keyword in _API_KEYWORDS))
 
-    auto_exec = re.compile(
-        r"(?i)\b(?:sub|function)\s+(" + "|".join(re.escape(n) for n in config.auto_exec_names) + r")\b"
-    )
-    if (combined and auto_exec.search(combined)) or suspicious_names:
+    if _AUTO_EXEC_RE.search(combined) or suspicious_names:
         values["auto_exec_name_present"] = 1.0
 
     _scan_relationships(parts, values)

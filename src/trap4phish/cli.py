@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .analyzers import FORMATS as _FORMATS
-from .config import load_config
 from .core import (
     FeatureSchema, FileKind, LabeledDataset, SchemaError, DatasetError,
     read_dataset_csv, sniff_file_kind, write_dataset_csv, write_features_csv,
@@ -72,15 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scan", help="extract feature CSVs from files")
-    p.add_argument("inputs", nargs="+", help="files or globs")
-    p.add_argument("--format", choices=["auto"] + list(_FORMATS), default="auto")
+    p.add_argument("inputs", nargs="+", help="files, directories or globs")
+    p.add_argument("--format", choices=["auto"] + list(_FORMATS), default="auto",
+                   help="with a format other than auto, a directory contributes only "
+                        "its files named *.<format> (any case); named files and glob "
+                        "matches are scanned as given")
     p.add_argument("--features", choices=["full", "selected"], default="full")
     p.add_argument("--out", required=True,
                    help="output CSV (explicit format) or directory (auto)")
     p.add_argument("--host", help="page host for HTML internal/external links")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     p.add_argument("--report-dir", help="write one AnalysisReport JSON per input")
-    p.add_argument("--config", help="keyword config file (else TRAP4PHISH_CONFIG)")
     p.add_argument("--labels", help="labels CSV (path,label) to emit labeled datasets")
     p.set_defaults(func=cmd_scan)
 
@@ -151,12 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_inputs(patterns: list[str]) -> list[Path]:
+def _expand_inputs(patterns: list[str], suffix: str | None = None) -> list[Path]:
+    """Files named by `patterns`; a directory walk keeps only files ending in
+    `suffix` (compared case-insensitively) when one is given."""
     paths: set[Path] = set()
     for pattern in patterns:
         p = Path(pattern)
         if p.is_dir():
-            paths.update(q for q in p.rglob("*") if q.is_file())
+            paths.update(q for q in p.rglob("*")
+                         if q.is_file() and (suffix is None or q.suffix.lower() == suffix))
         elif p.is_file():
             paths.add(p)
         else:
@@ -165,8 +169,7 @@ def _expand_inputs(patterns: list[str]) -> list[Path]:
 
 
 def cmd_scan(args) -> int:
-    config = load_config(args.config)
-    inputs = _expand_inputs(args.inputs)
+    inputs = _expand_inputs(args.inputs, None if args.format == "auto" else f".{args.format}")
     if args.labels:
         # the labels CSV often sits in the scanned directory; it is no sample
         labels_path = Path(args.labels).resolve()
@@ -196,9 +199,9 @@ def cmd_scan(args) -> int:
             kind = sniffed.value
         _schema, _sel, analyze = _FORMATS[kind]
         if kind == "html":
-            report = analyze(data, page_host=args.host, source_path=str(path), config=config)
+            report = analyze(data, page_host=args.host, source_path=str(path))
         else:
-            report = analyze(data, source_path=str(path), config=config)
+            report = analyze(data, source_path=str(path))
         return path, report, None
 
     if args.jobs > 1:

@@ -1,17 +1,10 @@
-"""Keyword and threshold configuration.
+"""Keyword lists and thresholds the analyzers match against.
 
-The defaults below are versioned with the feature schemas so that datasets
-extracted by different runs stay comparable. A config file (simple
-``key = value`` lines, lists comma-separated) pointed to by the
-TRAP4PHISH_CONFIG environment variable overrides individual keys.
+They are part of the feature definition, not settings: the same bytes must
+always give the same feature vector, so that datasets extracted by different
+runs stay comparable. Changing any of them changes feature values, and so
+bumps the schema version of every format that reads it.
 """
-
-from __future__ import annotations
-
-import os
-from dataclasses import dataclass, field, fields, replace
-
-CONFIG_ENV_VAR = "TRAP4PHISH_CONFIG"
 
 # Case-insensitive substrings flagged as suspicious inside VBA macro source.
 VBA_SUSPICIOUS_KEYWORDS = (
@@ -83,63 +76,3 @@ URL_SHORTENER_HOSTS = (
 
 # Minimum run length for a base64-looking match; suppresses random identifiers.
 BASE64_MIN_LENGTH = 24
-
-
-@dataclass(frozen=True)
-class Config:
-    vba_suspicious_keywords: tuple[str, ...] = VBA_SUSPICIOUS_KEYWORDS
-    xlsx_api_keywords: tuple[str, ...] = XLSX_API_KEYWORDS
-    auto_exec_names: tuple[str, ...] = AUTO_EXEC_NAMES
-    html_suspicious_keywords: tuple[str, ...] = HTML_SUSPICIOUS_KEYWORDS
-    url_shortener_hosts: tuple[str, ...] = URL_SHORTENER_HOSTS
-    base64_min_length: int = BASE64_MIN_LENGTH
-
-
-_LIST_KEYS = {
-    "vba_suspicious_keywords",
-    "xlsx_api_keywords",
-    "auto_exec_names",
-    "html_suspicious_keywords",
-    "url_shortener_hosts",
-}
-_INT_KEYS = {"base64_min_length"}
-
-
-def parse_config_text(text: str, base: Config | None = None) -> Config:
-    """Parse ``key = value`` lines; '#' starts a comment, blank lines ignored."""
-    cfg = base or Config()
-    known = {f.name for f in fields(Config)}
-    overrides = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in known:
-            raise ValueError(f"config line {line_no}: unknown key {key!r}")
-        if key in _LIST_KEYS:
-            overrides[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key in _INT_KEYS:
-            overrides[key] = int(value)
-    return replace(cfg, **overrides)
-
-
-def load_config(path: str | None = None) -> Config:
-    """Load the active config: explicit path, else TRAP4PHISH_CONFIG, else defaults."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR)
-    if not path:
-        return Config()
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
-_default = Config()
-
-
-def default_config() -> Config:
-    return _default

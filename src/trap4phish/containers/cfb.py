@@ -59,9 +59,6 @@ class CfbFile:
             if entry.entry_type == "stream":
                 self._by_path.setdefault(entry.path.lower(), entry)
 
-    def stream_paths(self) -> list[str]:
-        return [e.path for e in self.directory if e.entry_type == "stream"]
-
     def find_stream(self, path: str) -> CfbDirEntry | None:
         return self._by_path.get(path.lower())
 

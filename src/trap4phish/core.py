@@ -150,29 +150,6 @@ def shannon_entropy(data: bytes) -> float:
     return entropy
 
 
-def count_pattern(data: bytes, pattern: bytes, case_insensitive: bool = False) -> int:
-    """Count non-overlapping, left-to-right occurrences of `pattern` in `data`.
-
-    ASCII case folding is applied when `case_insensitive` is set.
-    """
-    if not pattern:
-        raise ValueError("pattern must be non-empty")
-    if case_insensitive:
-        data = data.lower()
-        pattern = pattern.lower()
-    count = 0
-    start = 0
-    while True:
-        idx = data.find(pattern, start)
-        if idx < 0:
-            return count
-        count += 1
-        start = idx + len(pattern)
-
-
-_PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
-
-
 def sniff_file_kind(data: bytes) -> FileKind:
     """Deterministically classify raw bytes into one of the supported kinds.
 
@@ -183,7 +160,7 @@ def sniff_file_kind(data: bytes) -> FileKind:
         return FileKind.PDF
     if data.startswith(b"PK\x03\x04"):
         return _sniff_ooxml(data)
-    if data.startswith(b"P5") or data.startswith(_PNG_SIGNATURE):
+    if data.startswith(b"P5"):
         return FileKind.QR_IMAGE
     head = data[:4096].lstrip()
     lowered = head[:16].lower()

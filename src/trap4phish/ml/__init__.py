@@ -1,8 +1,8 @@
 """Tree-based detectors: CART decision trees, seeded random forests,
 confusion-matrix metrics, and the two-step feature-importance rankings."""
 
-from .tree import DecisionTreeModel, TreeParams, predict, train_decision_tree
-from .forest import ForestParams, RandomForestModel, oob_accuracy, predict_forest, train_random_forest
+from .tree import DecisionTreeModel, TreeParams, train_decision_tree
+from .forest import ForestParams, RandomForestModel, oob_accuracy, train_random_forest
 from .metrics import EvalMetrics, evaluate, f1_score, metrics_table, stratified_split
 from .importance import (
     ImportanceRanking,
@@ -16,11 +16,9 @@ __all__ = [
     "DecisionTreeModel",
     "TreeParams",
     "train_decision_tree",
-    "predict",
     "RandomForestModel",
     "ForestParams",
     "train_random_forest",
-    "predict_forest",
     "oob_accuracy",
     "EvalMetrics",
     "evaluate",

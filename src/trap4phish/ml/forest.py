@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import FeatureVector, LabeledDataset
-from .errors import EmptyDatasetError, SchemaMismatchError
+from ..core import LabeledDataset
+from .errors import EmptyDatasetError
 from .tree import (
     MODEL_FORMAT_VERSION, DecisionTreeModel, PackedTrees, TreeParams, dataset_matrix, grow_tree,
     pack_trees, predict_packed,
@@ -139,13 +139,6 @@ def train_random_forest(ds: LabeledDataset, params: ForestParams | None = None) 
     return RandomForestModel(trees, params, ds.schema.columns,
                              ds.schema.format_kind, ds.schema.version,
                              warnings, indices_per_tree)
-
-
-def predict_forest(model: RandomForestModel, vec: FeatureVector) -> int:
-    """Majority-vote prediction for one feature vector (schema-checked)."""
-    if tuple(vec.schema.columns) != tuple(model.columns):
-        raise SchemaMismatchError("vector schema differs from model schema")
-    return int(model.predict_many(np.array([vec.values]))[0])
 
 
 def oob_accuracy(model: RandomForestModel, ds: LabeledDataset) -> float:

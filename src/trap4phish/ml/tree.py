@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import FeatureVector, LabeledDataset
+from ..core import LabeledDataset
 from .errors import EmptyDatasetError, SchemaMismatchError
 
 MODEL_FORMAT_VERSION = 1
@@ -314,10 +314,3 @@ def train_decision_tree(ds: LabeledDataset, params: TreeParams | None = None) ->
     schema = ds.schema
     return DecisionTreeModel(nodes, params, schema.columns, schema.format_kind,
                              schema.version, warnings)
-
-
-def predict(model: DecisionTreeModel, vec: FeatureVector) -> int:
-    """Predict the label for one feature vector (schema-checked)."""
-    if tuple(vec.schema.columns) != tuple(model.columns):
-        raise SchemaMismatchError("vector schema differs from model schema")
-    return int(model.predict_many(np.array([vec.values]))[0])

@@ -78,20 +78,6 @@ def interleave(codewords: list[int], version: int, level: str) -> list[int]:
     return out
 
 
-def interleaved_block_ids(version: int, level: str) -> list[int]:
-    """Block index of each interleaved codeword (data then parity section)."""
-    ec_per_block, _ = BLOCK_STRUCTURE[(version, level)]
-    lens = blocks_of(version, level)
-    ids: list[int] = []
-    for i in range(max(lens)):
-        for b, dlen in enumerate(lens):
-            if i < dlen:
-                ids.append(b)
-    for _i in range(ec_per_block):
-        ids.extend(range(len(lens)))
-    return ids
-
-
 def assemble(version: int, level: str, final_codewords: list[int], mask_id: int) -> np.ndarray:
     _reserved, base = function_layout(version)
     modules = base.copy()

@@ -13,8 +13,6 @@ import numpy as np
 
 from .ovbawrite import build_vba_project
 
-FORMATS = ("docx", "xlsx", "pdf", "html")
-
 # neutral vocabulary: no word contains an HTML suspicious keyword
 WORDS = (
     "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel",
@@ -415,3 +413,5 @@ _MAKERS = {
     "pdf": make_pdf,
     "html": make_html,
 }
+# a format's position here seeds its RNG, so the order is part of every corpus
+FORMATS = tuple(_MAKERS)

@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-from .config import Config, default_config
+from .config import URL_SHORTENER_HOSTS
 
 PUNCT_CHARS = set("/-=?&:._")
 
@@ -87,14 +87,13 @@ def subdomain_count(host: str) -> int:
     return max(0, len(labels) - 2)
 
 
-def url_features(url: str, config: Config | None = None) -> UrlFeatures:
+def url_features(url: str) -> UrlFeatures:
     """Compute the lexical feature record for one URL string.
 
     The input need not be RFC-valid; empty input is an error.
     """
     if not url:
         raise UrlError("empty URL")
-    config = config or default_config()
     _scheme, raw_host, path, query = split_url(url)
     host = host_only(raw_host)
     n = len(url)
@@ -113,7 +112,7 @@ def url_features(url: str, config: Config | None = None) -> UrlFeatures:
         https_start=1.0 if url.lower().startswith("https://") else 0.0,
         subdomain_count=float(subdomain_count(host)),
         punct_char_count=float(sum(1 for ch in url if ch in PUNCT_CHARS)),
-        shortener_flag=1.0 if host.lower() in config.url_shortener_hosts else 0.0,
+        shortener_flag=1.0 if host.lower() in URL_SHORTENER_HOSTS else 0.0,
     )
 
 
@@ -146,7 +145,6 @@ def cohens_d(group_a: list[float], group_b: list[float]) -> EffectSize:
 def effect_size_report(
     benign_urls: list[str],
     malicious_urls: list[str],
-    config: Config | None = None,
 ) -> dict[str, EffectSize | None]:
     """Per-feature effect sizes, sign convention malicious minus benign.
 
@@ -154,9 +152,8 @@ def effect_size_report(
     """
     if len(benign_urls) < 2 or len(malicious_urls) < 2:
         raise InsufficientData("need at least 2 URLs per group")
-    config = config or default_config()
-    benign = [url_features(u, config) for u in benign_urls]
-    malicious = [url_features(u, config) for u in malicious_urls]
+    benign = [url_features(u) for u in benign_urls]
+    malicious = [url_features(u) for u in malicious_urls]
     report: dict[str, EffectSize | None] = {}
     for name in URL_FEATURE_NAMES:
         a = [getattr(f, name) for f in malicious]

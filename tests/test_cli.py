@@ -100,6 +100,42 @@ class TestScan:
         assert str(tmp_path / "b" / "benign_00000.docx") in err
         assert not (tmp_path / "out.csv").exists() and not (tmp_path / "rep").exists()
 
+    def test_explicit_format_directory_walk_skips_other_extensions(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        run(["synth", "--format", "docx", "--count", "1", "--seed", "1", "--out", corpus])
+        capsys.readouterr()
+        assert run(["scan", corpus, "--format", "docx", "--out", tmp_path / "x.csv"]) == 0
+        assert "scanned 2 file(s); parse_failed 0" in capsys.readouterr().out
+
+    def test_explicit_format_suffix_is_case_insensitive_and_named_files_stay(self, tmp_path, capsys):
+        corpus = tmp_path / "c"
+        run(["synth", "--format", "docx", "--count", "1", "--seed", "1", "--out", corpus])
+        (corpus / "benign_00000.docx").rename(corpus / "BENIGN.DOCX")
+        capsys.readouterr()
+        assert run(["scan", corpus, corpus / "labels.csv", "--format", "docx",
+                    "--out", tmp_path / "x.csv"]) == 0
+        # both documents from the walk, plus labels.csv because it is named
+        assert "scanned 3 file(s); parse_failed 1" in capsys.readouterr().out
+
+    def test_keyword_lists_ignore_environment(self, tmp_path, monkeypatch):
+        corpus = tmp_path / "c"
+        run(["synth", "--format", "docx", "--count", "1", "--seed", "1", "--out", corpus])
+        sample = corpus / "malicious_00000.docx"
+        assert run(["scan", sample, "--format", "docx", "--out", tmp_path / "plain.csv"]) == 0
+        keywords = tmp_path / "keywords.cfg"
+        keywords.write_text("vba_suspicious_keywords = sub\n")
+        monkeypatch.setenv("TRAP4PHISH_CONFIG", str(keywords))
+        assert run(["scan", sample, "--format", "docx", "--out", tmp_path / "env.csv"]) == 0
+        assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_config_option_is_gone(self, tmp_path):
+        keywords = tmp_path / "keywords.cfg"
+        keywords.write_text("vba_suspicious_keywords = sub\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["scan", tmp_path, "--format", "docx", "--out", tmp_path / "x.csv",
+                 "--config", keywords])
+        assert exc.value.code == 2
+
     def test_order_stable_with_jobs(self, docx_corpus, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -15,8 +15,6 @@ from trap4phish.ml import (
     f1_score,
     metrics_table,
     oob_accuracy,
-    predict,
-    predict_forest,
     stratified_split,
     train_decision_tree,
     train_random_forest,
@@ -39,13 +37,13 @@ class TestDecisionTree:
         root = model.nodes[0]
         assert root["kind"] == "split"
         assert root["threshold"] == 0.5
-        assert predict(model, ds.rows[0][0]) == 0
-        assert predict(model, ds.rows[1][0]) == 1
+        assert model.predict_many(np.array([ds.rows[0][0].values]))[0] == 0
+        assert model.predict_many(np.array([ds.rows[1][0].values]))[0] == 1
 
     def test_xor_depth_two(self):
         ds = make_ds([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 1, 1, 0])
         model = train_decision_tree(ds, TreeParams(max_depth=2))
-        assert [predict(model, v) for v, _ in ds.rows] == [0, 1, 1, 0]
+        assert [model.predict_many(np.array([v.values]))[0] for v, _ in ds.rows] == [0, 1, 1, 0]
 
     def test_identical_rows_tie_to_zero(self):
         ds = make_ds([[5.0], [5.0]], [0, 1])
@@ -63,13 +61,6 @@ class TestDecisionTree:
         schema = FeatureSchema("t", ("a",))
         with pytest.raises(EmptyDatasetError):
             train_decision_tree(LabeledDataset(schema, []))
-
-    def test_schema_mismatch_on_predict(self):
-        ds = make_ds([[0], [1]], [0, 1])
-        model = train_decision_tree(ds)
-        other = FeatureSchema("t", ("other",))
-        with pytest.raises(SchemaMismatchError):
-            predict(model, FeatureVector(other, [0.5]))
 
     def test_min_samples_leaf(self):
         ds = make_ds([[i] for i in range(10)], [0] * 5 + [1] * 5)

@@ -19,7 +19,6 @@ from trap4phish.qr import (
     qr_render,
     to_pgm,
 )
-from trap4phish.qr.encode import interleaved_block_ids
 from trap4phish.qr.gf256 import generator_poly, gf_pow, poly_eval, rs_encode
 from trap4phish.qr.matrix import QrMatrix, data_positions, function_layout
 from trap4phish.qr.tables import (
@@ -29,6 +28,20 @@ from trap4phish.qr.tables import (
     blocks_of,
     matrix_size,
 )
+
+
+def interleaved_block_ids(version: int, level: str) -> list[int]:
+    """Block index of each interleaved codeword (data then parity section)."""
+    ec_per_block, _ = BLOCK_STRUCTURE[(version, level)]
+    lens = blocks_of(version, level)
+    ids: list[int] = []
+    for i in range(max(lens)):
+        for b, dlen in enumerate(lens):
+            if i < dlen:
+                ids.append(b)
+    for _i in range(ec_per_block):
+        ids.extend(range(len(lens)))
+    return ids
 
 
 def corrupt_codewords(matrix: QrMatrix, codeword_indices) -> QrMatrix:

@@ -144,6 +144,24 @@ class TestAnalyzeXlsx:
         assert d["macro_token_count"] > 0
         assert d["auto_exec_name_present"] == 1
 
+    def test_api_keywords_counted_case_insensitively(self):
+        source = (
+            "Sub Macro1()\n"
+            '  URLDownloadToFile 0, "u", "f", 0, 0\n'
+            "  ShellExecute 0\n"
+            "  CreateProcessA\n"
+            '  Set h = CreateObject("WinHttp.WinHttpRequest.5.1")\n'
+            "End Sub\n"
+        )
+        data = make_xlsx(
+            "<worksheet/>",
+            extra_entries={"xl/vbaProject.bin": build_vba_project([("Module1", source)])},
+        )
+        d = analyze_xlsx(data).features.as_dict()
+        # urldownloadtofile, shellexecute, createprocess and winhttp twice
+        assert d["api_keyword_count"] == 5
+        assert d["auto_exec_name_present"] == 0
+
     def test_sheet_properties(self):
         workbook = (
             "<workbook><sheets>"
