@@ -9,7 +9,8 @@ import re
 from ..config import VBA_SUSPICIOUS_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from .ooxml import (
-    ATTR_RE, extract_vba_sources, open_archive, parse_relationships, read_xml_parts, resolve_target,
+    ATTR_RE, element_spans, extract_vba_sources, open_archive, parse_relationships, read_xml_parts,
+    resolve_target,
 )
 
 SCHEMA_VERSION = 1
@@ -74,7 +75,6 @@ _ELEMENT_PATTERNS = {
 # non-ASCII letters such as the Kelvin sign into ASCII and change the counts
 _VBA_KEYWORDS = tuple(keyword.encode() for keyword in VBA_SUSPICIOUS_KEYWORDS)
 
-_INSTR_TEXT_RE = re.compile(rb"<w:instrText\b[^>]*>(.*?)</w:instrText>", re.DOTALL)
 _DDE_TOKEN_RE = re.compile(rb"DDEAUTO|(?<![A-Za-z])DDE(?![A-Za-z])")
 _OLE_ELEMENT_RE = re.compile(rb"<(?:o:OLEObject|oleObject)\b([^>]*)>")
 
@@ -125,12 +125,18 @@ def _extract_from_archive(archive, values, warnings) -> None:
         if _DDE_TOKEN_RE.search(content):
             values["dde_present"] = 1.0
             break
-        joined = b"".join(m.group(1) for m in _INSTR_TEXT_RE.finditer(content))
+        joined = _instr_text(content)
         if joined and _DDE_TOKEN_RE.search(joined):
             values["dde_present"] = 1.0
             break
 
     _count_ole_objects(archive, parts, values)
+
+
+def _instr_text(content: bytes) -> bytes:
+    """The field-instruction text of every closed w:instrText run, joined."""
+    spans = element_spans(content, b"<w:instrText", b"</w:instrText>", boundary=True)
+    return b"".join(content[start:end] for start, end in spans)
 
 
 def _count_ole_objects(archive, parts: dict[str, bytes], values) -> None:

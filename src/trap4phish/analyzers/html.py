@@ -82,7 +82,7 @@ _HEX_ESCAPE_RE = re.compile(r"\\x[0-9A-Fa-f]{2}")
 _JS_ESCAPE_RE = re.compile(r"\\u[0-9A-Fa-f]{4}|%u[0-9A-Fa-f]{4}")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 _BASE64_RE = re.compile(rb"[A-Za-z0-9+/]{%d,}={0,2}" % BASE64_MIN_LENGTH)
-_WS_BYTES = frozenset(b" \t\r\n\x0b\x0c")
+_WS_BYTES = tuple(bytes([b]) for b in b" \t\r\n\x0b\x0c")
 
 
 @dataclass
@@ -106,6 +106,9 @@ def _tokenize(text: str) -> _TokenStream:
     out = _TokenStream()
     i = 0
     n = len(text)
+    # lowered once, at the first script or style; its indices are used on
+    # `text` even where lower() changes the length (as for "İ")
+    lowered = None
     while i < n:
         lt = text.find("<", i)
         if lt < 0:
@@ -155,7 +158,9 @@ def _tokenize(text: str) -> _TokenStream:
         out.events.append(("start", name, self_closing))
         i = end + 1
         if name in ("script", "style") and not self_closing:
-            close = text.lower().find(f"</{name}", i)
+            if lowered is None:
+                lowered = text.lower()
+            close = lowered.find(f"</{name}", i)
             body = text[i:] if close < 0 else text[i:close]
             if name == "script":
                 out.scripts.append((tag, body))
@@ -184,7 +189,7 @@ def analyze_html(
     values["line_count"] = float(len(data.splitlines()))
     values["entropy"] = shannon_entropy(data)
     if data:
-        ws = sum(1 for b in data if b in _WS_BYTES)
+        ws = sum(data.count(b) for b in _WS_BYTES)
         values["html_whitespace_ratio"] = ws / len(data)
 
     stream = _tokenize(text)
@@ -241,7 +246,9 @@ def analyze_html(
     # visible text and suspicious keywords
     visible = "".join(stream.text_chunks)
     if visible:
-        values["whitespace_ratio"] = sum(1 for ch in visible if ch.isspace()) / len(visible)
+        # str.split() splits at exactly the characters str.isspace() accepts
+        spaces = len(visible) - sum(map(len, visible.split()))
+        values["whitespace_ratio"] = spaces / len(visible)
     lowered = visible.lower()
     keyword_hits = sum(lowered.count(k) for k in HTML_SUSPICIOUS_KEYWORDS)
     values["suspicious_keyword_count"] = float(keyword_hits)

@@ -5,11 +5,46 @@ from __future__ import annotations
 import posixpath
 import re
 
-from ..containers import ContainerError, cfb_open, vba_extract
-from ..containers.ziparc import ZipArchive, zip_open
+from ..containers import ContainerError, cfb_open, vba_extract, ziparc
+from ..containers.ziparc import ZipArchive, ZipEntry, zip_open
 
 # one name="value" attribute pair inside a start tag
 ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
+
+WORD_BYTES = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+
+
+def element_spans(data: bytes, opener: bytes, closer: bytes, start: int = 0, end: int | None = None,
+                  *, boundary: bool = False, tag: bool = True):
+    r"""(start, end) of the group of each match that `re.finditer` finds in
+    data[start:end] for the DOTALL pattern
+        opener \b [^>]*> (.*?) closer
+    where `boundary` keeps the `\b` and `tag` keeps the `[^>]*>`.
+
+    One forward pass: the next `>` and the next closer are carried from
+    opener to opener instead of searched for again, so a run of unclosed
+    openers costs linear time, not a rescan to the end per opener.
+    """
+    end = len(data) if end is None else end
+    gt = close = start - 1
+    pos = start
+    while (o := data.find(opener, pos, end)) >= 0:
+        body = o + len(opener)
+        if boundary and body < end and data[body] in WORD_BYTES:
+            pos = o + 1
+            continue
+        if tag:
+            if gt < body:
+                gt = data.find(b">", body, end)
+                if gt < 0:
+                    return
+            body = gt + 1
+        if close < body:
+            close = data.find(closer, body, end)
+            if close < 0:
+                return
+        yield body, close
+        pos = close + len(closer)
 
 
 def open_archive(data: bytes, warnings: list[str]) -> ZipArchive | None:
@@ -23,12 +58,26 @@ def open_archive(data: bytes, warnings: list[str]) -> ZipArchive | None:
     return None
 
 
+def _within_budget(archive: ZipArchive, entry: ZipEntry, warnings: list[str]) -> bool:
+    """Whether reading `entry` keeps the archive's inflated bytes within
+    MAX_UNCOMPRESSED_SIZE. The first refusal adds a `limit.inflated_bytes`
+    warning; it depends on declared sizes only, so it is deterministic."""
+    if archive.inflated + entry.uncompressed_size <= ziparc.MAX_UNCOMPRESSED_SIZE:
+        return True
+    if not any(w.startswith("limit.inflated_bytes") for w in warnings):
+        warnings.append(f"limit.inflated_bytes: stopped at {entry.name!r}, {archive.inflated} bytes "
+                        f"inflated, limit {ziparc.MAX_UNCOMPRESSED_SIZE}")
+    return False
+
+
 def read_xml_parts(archive: ZipArchive, warnings: list[str]) -> dict[str, bytes]:
     """All XML parts (``.xml`` / ``.rels``) by entry name; unreadable parts
-    are skipped with a warning."""
+    are skipped with a warning. Reading stops at the archive's inflate budget."""
     parts: dict[str, bytes] = {}
     for entry in archive.entries:
         if entry.name.lower().endswith((".xml", ".rels")):
+            if not _within_budget(archive, entry, warnings):
+                break
             try:
                 parts[entry.name] = archive.read_entry(entry)
             except ContainerError as exc:
@@ -66,11 +115,14 @@ def resolve_target(rel: dict[str, str]) -> str:
 
 
 def extract_vba_sources(archive: ZipArchive, warnings: list[str]) -> list[str]:
-    """Decompressed VBA module sources from every vbaProject.bin entry."""
+    """Decompressed VBA module sources from every vbaProject.bin entry,
+    up to the archive's inflate budget."""
     sources: list[str] = []
     for entry in archive.entries:
         if not entry.name.lower().endswith("vbaproject.bin"):
             continue
+        if not _within_budget(archive, entry, warnings):
+            break
         try:
             project = cfb_open(archive.read_entry(entry))
         except ContainerError as exc:

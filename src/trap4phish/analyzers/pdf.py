@@ -3,12 +3,31 @@ plus FlateDecode stream decoding for text operators, and the top-10 projection.
 
 No object graph is reconstructed: counters are keyword- and token-based in
 the pdfid tradition, which keeps the scan total on malformed input.
+
+Every scan takes time linear in the file size, also on hostile input:
+- A stream region runs from its `stream` keyword to the first `endstream`
+  after it, found by bisection in the `endstream` offsets. Regions are
+  offsets into the file, not copies. Regions with no `endstream` of their
+  own share the next one and are nested suffixes of each other, so their
+  histograms are built once, right to left (`_suffix_entropies`).
+- An object body runs to the first `endobj` after its header. Whether a
+  risky name occurs in a body is decided from the name's offsets in the
+  file, with no copy of the body.
+- A string literal ends at the first `)` preceded by an even run of
+  backslashes, whichever `(` a scan starts from. `_Literals` finds those
+  ends once per buffer and memoizes the text-operand totals, so the scans
+  from every nested region share one pass.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import zlib
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import groupby
+from typing import NamedTuple
 
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 
@@ -61,6 +80,8 @@ _HEADER_RE = re.compile(rb"%PDF-\d")
 _OBJ_RE = re.compile(rb"(?<![0-9])(\d{1,10})\s+(\d{1,5})\s+obj(?![A-Za-z0-9])")
 _STREAM_RE = re.compile(rb"(?<![A-Za-z])stream(?![A-Za-z])")
 _ENDSTREAM_RE = re.compile(rb"endstream")
+_ENDOBJ_RE = re.compile(rb"endobj")
+_OBJ_KEYWORD_RE = re.compile(rb"obj")
 _XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![A-Za-z])")
 _STARTXREF_RE = re.compile(rb"startxref")
 _XREF_ENTRY_RE = re.compile(rb"\d{10}\s\d{5}\s[nf]")
@@ -68,9 +89,9 @@ _TRAILER_RE = re.compile(rb"trailer")
 _NAME_OBFUSCATION_RE = re.compile(rb"/[#A-Za-z0-9.+_-]*#[0-9A-Fa-f]{2}[#A-Za-z0-9.+_-]*")
 _FILTER_ENTRY_RE = re.compile(rb"/Filter\s*(\[[^\]]*\]|/[A-Za-z0-9#]+)")
 _FILTER_NAME_RE = re.compile(rb"/[A-Za-z0-9#]+")
-_TITLE_LITERAL_RE = re.compile(rb"/Title\s*\(((?:\\.|[^\\)])*)\)", re.DOTALL)
+_TITLE_OPEN_RE = re.compile(rb"/Title\s*\(")
 _TITLE_HEX_RE = re.compile(rb"/Title\s*<([0-9A-Fa-f\s]*)>")
-_URI_VALUE_RE = re.compile(rb"/URI\s*\(((?:\\.|[^\\)])*)\)", re.DOTALL)
+_URI_OPEN_RE = re.compile(rb"/URI\s*\(")
 _PORT_RE = re.compile(rb"^[a-zA-Z][a-zA-Z0-9+.-]*://[^/:?#]+:(\d{1,5})")
 _TYPE_METADATA_RE = re.compile(rb"/Type\s*/Metadata(?![A-Za-z])")
 _EMBEDDED_FILE_SUBTYPE_RE = re.compile(rb"/EmbeddedFile(?![A-Za-z])")
@@ -99,15 +120,24 @@ _ENCRYPT_RE = _name_token(b"Encrypt")
 _ACROFORM_RE = _name_token(b"AcroForm")
 _XFA_RE = _name_token(b"XFA")
 
-_RISKY_PATTERNS = tuple(
-    _name_token(t) for t in (b"JavaScript", b"Launch", b"OpenAction", b"AA", b"SubmitForm", b"EmbeddedFile")
-)
+# co-occurrence names; no two can match at one offset, as they differ in their first letter
+_RISKY_NAME_RE = re.compile(rb"/(JavaScript|Launch|OpenAction|AA|SubmitForm|EmbeddedFile)")
+_NAME_BYTES = frozenset(b"#ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
 
+# A string literal `(...)` or array `[...]` ends at the first `)` or `]`
+# preceded by an even run of backslashes (these match at the run's start).
+# In a content stream a backslash-newline pair breaks the operand, because
+# the escape `\\.` does not take a newline there; Title and URI take one.
+_PAREN_RE = re.compile(rb"\(")
+_BRACKET_RE = re.compile(rb"\[")
+_PAREN_END_RE = re.compile(rb"(?<!\\)(?:\\\\)*\)")
+_BRACKET_END_RE = re.compile(rb"(?<!\\)(?:\\\\)*\]")
+_ESCAPED_NEWLINE_RE = re.compile(rb"(?<!\\)\\(?:\\\\)*\n")
 # Tj / ' / " take one literal string; TJ takes an array of strings and numbers.
-_TJ_RE = re.compile(rb"\(((?:\\.|[^\\)])*)\)\s*(?:Tj|'|\")")
-_TJ_ARRAY_RE = re.compile(rb"\[((?:\\.|[^\]\\])*)\]\s*TJ")
-_ARRAY_STRING_RE = re.compile(rb"\(((?:\\.|[^\\)])*)\)")
-_ESCAPE_RE = re.compile(rb"\\(\d{1,3}|.)")
+_TJ_TAIL_RE = re.compile(rb"\s*(?:Tj|'|\")")
+_TJ_ARRAY_TAIL_RE = re.compile(rb"\s*TJ")
+# an octal escape is 1-3 octal digits; `\8` stands for `8`
+_ESCAPE_RE = re.compile(rb"\\(?:([0-7]{1,3})|(.))")
 
 
 def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
@@ -152,9 +182,9 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
     values["total_filters"] = float(total_filters)
     values["nested_filter_count"] = float(nested)
 
-    title = _TITLE_LITERAL_RE.search(data)
+    title = next(_literals(data, _TITLE_OPEN_RE), None)
     if title is not None:
-        values["title_chars"] = float(len(_unescape_string(title.group(1))))
+        values["title_chars"] = float(len(_unescape_string(title)))
     else:
         hex_title = _TITLE_HEX_RE.search(data)
         if hex_title is not None:
@@ -162,20 +192,27 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
             values["title_chars"] = float((len(digits) + 1) // 2)
 
     values["nonstandard_port_flag"] = 0.0
-    for m in _URI_VALUE_RE.finditer(data):
-        uri = _unescape_string(m.group(1))
+    for raw in _literals(data, _URI_OPEN_RE):
+        uri = _unescape_string(raw)
         port_m = _PORT_RE.match(uri)
         if port_m and int(port_m.group(1)) not in (80, 443):
             values["nonstandard_port_flag"] = 1.0
             break
 
-    streams = _stream_regions(data, warnings)
+    endstreams = [m.start() for m in _ENDSTREAM_RE.finditer(data)]
+    streams = _stream_regions(data, endstreams, warnings)
     values["stream_count"] = float(len(_STREAM_RE.findall(data)))
-    values["endstream_count"] = float(len(_ENDSTREAM_RE.findall(data)))
+    values["endstream_count"] = float(len(endstreams))
     if streams:
-        sizes = [len(s["data"]) for s in streams]
+        sizes = [r.end - r.start for r in streams]
         values["avg_stream_size"] = sum(sizes) / len(sizes)
-        values["entropy_of_streams"] = sum(shannon_entropy(s["data"]) for s in streams) / len(streams)
+        entropies = []
+        for end, group in _by_end(streams):
+            if len(group) == 1:
+                entropies.append(shannon_entropy(data[group[0].start:end]))
+            else:
+                entropies += _suffix_entropies(data, [r.start for r in group], end)
+        values["entropy_of_streams"] = sum(entropies) / len(streams)
 
     _object_statistics(data, values, streams, warnings)
 
@@ -183,94 +220,284 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
     return AnalysisReport(source_path, "pdf", vector, warnings, parse_failed)
 
 
-def _stream_regions(data: bytes, warnings: list[str]) -> list[dict]:
-    """Raw bytes between each `stream` keyword EOL and its `endstream`."""
+def _literals(data: bytes, opener: re.Pattern):
+    r"""Contents of the DOTALL literals `opener ((?:\\.|[^\\)])*)\)` that
+    `re.finditer` finds. A backslash takes any next byte, so an opener whose
+    literal never closes means no later opener's does either."""
+    pos = 0
+    while (m := opener.search(data, pos)) is not None:
+        close = _PAREN_END_RE.search(data, m.end())
+        if close is None:
+            return
+        yield data[m.end():close.end() - 1]
+        pos = close.end()
+
+
+class _Region(NamedTuple):
+    keyword: int  # offset of the `stream` keyword; the dict slice ends here
+    dict_start: int
+    start: int
+    end: int  # before the EOL that precedes `endstream`
+
+
+def _stream_regions(data: bytes, endstreams: list[int], warnings: list[str]) -> list[_Region]:
+    """Each `stream` keyword's data up to the first `endstream` after it."""
     regions = []
+    objs = None
     for m in _STREAM_RE.finditer(data):
         start = m.end()
         if data[start:start + 2] == b"\r\n":
             start += 2
         elif data[start:start + 1] in (b"\n", b"\r"):
             start += 1
-        end = data.find(b"endstream", start)
-        if end < 0:
+        i = bisect_left(endstreams, start)
+        if i == len(endstreams):
             warnings.append("stream keyword without matching endstream")
             break
-        raw = data[start:end]
-        if raw.endswith(b"\r\n"):
-            raw = raw[:-2]
-        elif raw.endswith(b"\n") or raw.endswith(b"\r"):
-            raw = raw[:-1]
+        end = endstreams[i]
+        if end - start >= 2 and data[end - 2:end] == b"\r\n":
+            end -= 2
+        elif end > start and data[end - 1] in b"\r\n":
+            end -= 1
         # Dict slice between the owning object header and the keyword, used
         # for filter decisions; bounded so binary blobs cannot blow it up.
-        dict_start = data.rfind(b"obj", max(0, m.start() - 65536), m.start())
-        if dict_start < 0:
-            dict_start = max(0, m.start() - 1024)
-        regions.append({"data": raw, "dict": data[dict_start:m.start()]})
+        # This is data.rfind(b"obj", lo, keyword) by bisection.
+        if objs is None:
+            objs = [o.start() for o in _OBJ_KEYWORD_RE.finditer(data)]
+        keyword = m.start()
+        lo = max(0, keyword - 65536)
+        j = bisect_right(objs, keyword - 3) - 1
+        dict_start = objs[j] if j >= 0 and objs[j] >= lo else max(0, keyword - 1024)
+        regions.append(_Region(keyword, dict_start, start, end))
     return regions
 
 
-def _object_statistics(data: bytes, values: dict, streams: list[dict], warnings: list[str]) -> None:
-    objects = []
+def _by_end(regions: list[_Region]):
+    """(end, regions) per run of regions that share an end, in file order;
+    the regions of one run are nested suffixes of one another."""
+    for end, group in groupby(regions, key=lambda r: r.end):
+        yield end, list(group)
+
+
+def _suffix_entropies(data: bytes, starts: list[int], end: int) -> list[float]:
+    """shannon_entropy(data[s:end]) for each of the increasing `starts`.
+
+    The histogram grows right to left, one segment between starts at a time.
+    Each sum runs over the bytes in first-occurrence order, as `Counter`
+    iterates, so every value equals shannon_entropy's to the bit.
+    """
+    counts = [0] * 256
+    order: list[int] = []  # distinct bytes of data[start:end] by first occurrence
+    out = []
+    seg_end = end
+    for start in reversed(starts):
+        seg = Counter(data[start:seg_end])
+        if seg:
+            for byte, count in seg.items():
+                counts[byte] += count
+            order = [*seg, *(b for b in order if b not in seg)]
+        total = end - start
+        entropy = 0.0
+        for byte in order:
+            p = counts[byte] / total
+            entropy -= p * math.log2(p)
+        out.append(entropy)
+        seg_end = start
+    out.reverse()
+    return out
+
+
+class _NameOffsets:
+    """Where one `/Name` occurs, for deciding whether _name_token(name)
+    matches inside data[start:end] without slicing. The lookahead passes at
+    the slice's end too, so there a `/Name` followed by a name byte counts."""
+
+    def __init__(self, length: int):
+        self.length = length
+        self.tokens: list[int] = []  # not followed by a name byte
+        self.prefixes: set[int] = set()  # followed by one
+
+    def within(self, start: int, end: int) -> bool:
+        last = end - self.length
+        if last < start:
+            return False
+        i = bisect_left(self.tokens, start)
+        return (i < len(self.tokens) and self.tokens[i] <= last) or last in self.prefixes
+
+
+def _risky_names(data: bytes) -> list[_NameOffsets]:
+    """The offsets of each co-occurrence name that occurs in `data`."""
+    names: dict[bytes, _NameOffsets] = {}
+    for m in _RISKY_NAME_RE.finditer(data):
+        name = names.get(m.group(1))
+        if name is None:
+            name = names[m.group(1)] = _NameOffsets(m.end() - m.start())
+        if m.end() < len(data) and data[m.end()] in _NAME_BYTES:
+            name.prefixes.add(m.start())
+        else:
+            name.tokens.append(m.start())
+    return list(names.values())
+
+
+def _object_statistics(data: bytes, values: dict, streams: list[_Region], warnings: list[str]) -> None:
+    endobjs = [m.start() for m in _ENDOBJ_RE.finditer(data)]
+    bodies = []
     for m in _OBJ_RE.finditer(data):
-        end = data.find(b"endobj", m.end())
-        body = data[m.end():end if end >= 0 else len(data)]
-        objects.append(body)
-    values["object_count"] = float(len(objects))
+        i = bisect_left(endobjs, m.end())
+        bodies.append((m.end(), endobjs[i] if i < len(endobjs) else len(data)))
+    values["object_count"] = float(len(bodies))
 
     risky = 0
-    for body in objects:
-        distinct = sum(1 for pattern in _RISKY_PATTERNS if pattern.search(body))
-        if distinct >= 2:
-            risky += 1
+    names = _risky_names(data) if bodies else []
+    if len(names) >= 2:
+        for start, end in bodies:
+            if sum(1 for name in names if name.within(start, end)) >= 2:
+                risky += 1
     values["risky_cooccurrence_count"] = float(risky)
 
     # Metadata stream size: streams whose dict marks /Type /Metadata.
     meta_bytes = 0
     embedded_sizes = []
     text_total = 0
-    for region in streams:
-        head = region["dict"]
-        if _TYPE_METADATA_RE.search(head):
-            meta_bytes += len(region["data"])
-        if _EMBEDDED_FILE_SUBTYPE_RE.search(head):
-            embedded_sizes.append(len(region["data"]))
-        text_total += _text_operand_bytes(region, warnings)
+    for end, group in _by_end(streams):
+        shared = None  # text operands of the unfiltered regions of this group
+        for region in group:
+            size = region.end - region.start
+            if _TYPE_METADATA_RE.search(data, region.dict_start, region.keyword):
+                meta_bytes += size
+            if _EMBEDDED_FILE_SUBTYPE_RE.search(data, region.dict_start, region.keyword):
+                embedded_sizes.append(size)
+            content = _stream_content(data, region, warnings)
+            if content is None:
+                continue
+            if content is data:
+                if shared is None:
+                    shared = _Literals(data[group[0].start:end])
+                text_total += shared.text_bytes(region.start - group[0].start)
+            else:
+                text_total += _Literals(content).text_bytes(0)
     values["metadata_size"] = float(meta_bytes)
     if embedded_sizes:
         values["avg_embedded_file_size"] = sum(embedded_sizes) / len(embedded_sizes)
     values["text_length"] = float(text_total)
 
 
-def _text_operand_bytes(region: dict, warnings: list[str]) -> int:
-    """Bytes of Tj/TJ/'/" string operands; only plain or FlateDecode-alone
-    streams are inspected, everything else contributes 0."""
-    head = region["dict"]
-    filter_m = _FILTER_ENTRY_RE.search(head)
-    content = region["data"]
-    if filter_m is not None:
-        names = _FILTER_NAME_RE.findall(filter_m.group(1))
-        if names != [b"/FlateDecode"]:
-            return 0
-        try:
-            content = zlib.decompress(content)
-        except zlib.error:
-            warnings.append("stream: FlateDecode failed")
-            return 0
-    total = 0
-    for m in _TJ_RE.finditer(content):
-        total += len(_unescape_string(m.group(1)))
-    for m in _TJ_ARRAY_RE.finditer(content):
-        for s in _ARRAY_STRING_RE.findall(m.group(1)):
-            total += len(_unescape_string(s))
-    return total
+def _stream_content(data: bytes, region: _Region, warnings: list[str]) -> bytes | None:
+    """`data` itself for a stream without a filter, the inflated bytes for a
+    FlateDecode-alone stream, None for every other stream: only those two
+    are searched for text operands."""
+    filter_m = _FILTER_ENTRY_RE.search(data, region.dict_start, region.keyword)
+    if filter_m is None:
+        return data
+    if _FILTER_NAME_RE.findall(filter_m.group(1)) != [b"/FlateDecode"]:
+        return None
+    try:
+        return zlib.decompress(data[region.start:region.end])
+    except zlib.error:
+        warnings.append("stream: FlateDecode failed")
+        return None
+
+
+_STRING, _ARRAY, _ARRAY_STRING = range(3)
+
+
+class _Literals:
+    r"""Bytes of Tj/TJ/'/" string operands in the suffixes of one buffer.
+
+    Counts what these regexes find from a start to the end of the buffer:
+        \((?:\\.|[^\\)])*\)\s*(?:Tj|'|")    one string operand
+        \[(?:\\.|[^\]\\])*\]\s*TJ           one array operand, whose strings
+        \((?:\\.|[^\\)])*\)                 are counted inside the array
+    Each opener's match is decided by bisection in the even-backslash ends
+    and the escaped newlines found once. The total from each opener is
+    memoized, so scans from many starts stop where they meet an earlier
+    scan, which they do within one match.
+    """
+
+    def __init__(self, buf: bytes):
+        self.size = len(buf)
+        self.buf = buf
+        self.parens = [m.start() for m in _PAREN_RE.finditer(buf)]
+        self.brackets = [m.start() for m in _BRACKET_RE.finditer(buf)]
+        if not self.parens:
+            self.brackets = []  # an array without strings adds nothing
+            return
+        self.paren_ends = [m.end() - 1 for m in _PAREN_END_RE.finditer(buf)]
+        self.bracket_ends = [m.end() - 1 for m in _BRACKET_END_RE.finditer(buf)]
+        self.broken = [m.end() - 1 for m in _ESCAPED_NEWLINE_RE.finditer(buf)]
+        # escapes by start, and bytes saved by unescaping before each one
+        self.escapes = []
+        self.saved = [0]
+        for m in _ESCAPE_RE.finditer(buf):
+            self.escapes.append(m.start())
+            self.saved.append(self.saved[-1] + m.end() - m.start() - 1)
+        self.memo: dict[tuple, int] = {}
+
+    def text_bytes(self, start: int) -> int:
+        return (self._chain(_STRING, self.parens, start, self.size)
+                + self._chain(_ARRAY, self.brackets, start, self.size))
+
+    def _chain(self, kind: int, openers: list[int], start: int, end: int) -> int:
+        """Total over the matches that `finditer(buf, start, end)` finds."""
+        path = []
+        total = 0
+        i = bisect_left(openers, start)
+        while i < len(openers) and openers[i] < end:
+            key = (kind, end, openers[i])
+            known = self.memo.get(key)
+            if known is not None:
+                total = known
+                break
+            found = self._match(kind, openers[i], end)
+            if found is None:
+                path.append((key, 0))
+                i += 1
+            else:
+                value, resume = found
+                path.append((key, value))
+                i = bisect_left(openers, resume, i + 1)
+        for key, value in reversed(path):
+            total += value
+            self.memo[key] = total
+        return total
+
+    def _match(self, kind: int, opener: int, end: int) -> tuple[int, int] | None:
+        """(value, end of match) of the match at `opener`, or None."""
+        ends = self.bracket_ends if kind == _ARRAY else self.paren_ends
+        i = bisect_right(ends, opener)
+        if i == len(ends) or ends[i] >= end:
+            return None
+        close = ends[i]
+        j = bisect_right(self.broken, opener)
+        if j < len(self.broken) and self.broken[j] < close:
+            return None
+        if kind == _ARRAY_STRING:
+            return self._unescaped_length(opener + 1, close), close + 1
+        resume = self._tail(kind, close, end)
+        if resume is None:
+            return None
+        if kind == _STRING:
+            return self._unescaped_length(opener + 1, close), resume
+        return self._chain(_ARRAY_STRING, self.parens, opener + 1, close), resume
+
+    def _tail(self, kind: int, close: int, end: int) -> int | None:
+        key = (-1 - kind, end, close)
+        if key not in self.memo:
+            tail = (_TJ_ARRAY_TAIL_RE if kind == _ARRAY else _TJ_TAIL_RE).match(self.buf, close + 1, end)
+            self.memo[key] = None if tail is None else tail.end()
+        return self.memo[key]
+
+    def _unescaped_length(self, start: int, end: int) -> int:
+        """len(_unescape_string(buf[start:end])) for a literal's contents."""
+        saved = self.saved[bisect_left(self.escapes, end)] - self.saved[bisect_left(self.escapes, start)]
+        return end - start - saved
 
 
 def _unescape_string(raw: bytes) -> bytes:
     def repl(m: re.Match) -> bytes:
-        token = m.group(1)
-        if token.isdigit():
-            return bytes([int(token, 8) & 0xFF])
+        octal, token = m.groups()
+        if octal:
+            return bytes([int(octal, 8) & 0xFF])
         mapping = {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\x0c"}
         return mapping.get(token, token)
 

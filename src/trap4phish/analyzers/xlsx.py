@@ -1,6 +1,14 @@
-"""Excel workbook analyzer: 48 features over cell content, VBA macro code
+r"""Excel workbook analyzer: 48 features over cell content, VBA macro code
 metrics, behavioral indicators, sheet properties and embedded media, plus the
 top-10 projection.
+
+Cells, values and shared strings are read by forward scanners (`_cells`,
+`_first_value`, `ooxml.element_spans`) that find exactly what `re.finditer` finds for the
+DOTALL patterns
+    <c\b([^>]*?)(?:/>|>(.*?)</c>)    <v[^>]*>(.*?)</v>
+    <t[^>]*>(.*?)</t>                <si>(.*?)</si>
+Each carries the next `>` and the next closer forward from opener to
+opener, so a part full of unclosed openers is read in linear time.
 """
 
 from __future__ import annotations
@@ -8,10 +16,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from ..config import AUTO_EXEC_NAMES, XLSX_API_KEYWORDS
+from ..config import AUTO_EXEC_NAMES, BASE64_MIN_LENGTH, XLSX_API_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from ..containers import ContainerError
-from .ooxml import ATTR_RE, extract_vba_sources, open_archive, parse_relationships, read_xml_parts
+from .ooxml import (
+    ATTR_RE, WORD_BYTES, element_spans, extract_vba_sources, open_archive, parse_relationships,
+    read_xml_parts,
+)
 
 SCHEMA_VERSION = 1
 
@@ -131,10 +142,6 @@ def compute_macro_metrics(source: str) -> MacroMetrics:
 
 _SHEET_RE = re.compile(rb"<sheet\b([^>]*)>")
 _ROW_RE = re.compile(rb"<row\b([^>]*)>")
-_CELL_RE = re.compile(rb"<c\b([^>]*?)(?:/>|>(.*?)</c>)", re.DOTALL)
-_V_RE = re.compile(rb"<v[^>]*>(.*?)</v>", re.DOTALL)
-_IS_T_RE = re.compile(rb"<t[^>]*>(.*?)</t>", re.DOTALL)
-_SI_RE = re.compile(rb"<si>(.*?)</si>", re.DOTALL)
 _F_RE = re.compile(rb"<f[\s/>]")
 _HYPERLINK_RE = re.compile(rb"<hyperlink[\s/>]")
 _SHEETPROT_RE = re.compile(rb"<sheetProtection[\s/>]")
@@ -143,7 +150,7 @@ _DEFINED_NAME_RE = re.compile(rb"<definedName\b([^>]*)>")
 _CELL_REF_RE = re.compile(rb"([A-Z]+)(\d+)")
 _WORKSHEET_PART_RE = re.compile(r"^xl/worksheets/[^/]+\.xml$")
 _IMAGE_EXTENSIONS = {"png", "jpg", "jpeg", "gif", "bmp", "tif", "tiff", "emf", "wmf", "svg"}
-_BASE64_CELL_RE = re.compile(r"^[A-Za-z0-9+/]{24,}={0,2}$")
+_BASE64_CELL_RE = re.compile(r"^[A-Za-z0-9+/]{%d,}={0,2}$" % BASE64_MIN_LENGTH)
 # counted in ASCII-lowercased UTF-8 (bytes.lower); str.lower() would also fold
 # non-ASCII letters such as the Kelvin sign into ASCII and change the counts
 _API_KEYWORDS = tuple(keyword.encode() for keyword in XLSX_API_KEYWORDS)
@@ -259,12 +266,49 @@ def _extract_from_archive(archive, values, warnings) -> None:
     _scan_media(archive, values)
 
 
+def _text_runs(content: bytes, start: int, end: int) -> bytes:
+    """The text of every closed <t> element in content[start:end], joined."""
+    return b"".join(content[s:e] for s, e in element_spans(content, b"<t", b"</t>", start, end))
+
+
 def _shared_strings(content: bytes) -> list[str]:
-    out = []
-    for m in _SI_RE.finditer(content):
-        text = b"".join(t for t in _IS_T_RE.findall(m.group(1)))
-        out.append(text.decode("utf-8", errors="replace"))
-    return out
+    return [
+        _text_runs(content, start, end).decode("utf-8", errors="replace")
+        for start, end in element_spans(content, b"<si>", b"</si>", tag=False)
+    ]
+
+
+def _cells(content: bytes):
+    """(attributes, body start, body end) of each <c> element; the body of a
+    self-closing one is empty. The forward-scan form of _CELL_RE:
+    `[^>]*?` runs to the first `>`, which closes the cell when a `/` precedes
+    it and otherwise opens a body that runs to the first `</c>`."""
+    size = len(content)
+    gt = close = -1
+    pos = 0
+    while (o := content.find(b"<c", pos)) >= 0:
+        attrs = o + 2
+        if attrs < size and content[attrs] in WORD_BYTES:
+            pos = o + 1
+            continue
+        if gt < attrs:
+            gt = content.find(b">", attrs)
+            if gt < 0:
+                return
+        if content[gt - 1] == 0x2F:  # "/>"
+            yield content[attrs:gt - 1], gt, gt
+            pos = gt + 1
+            continue
+        if close <= gt:
+            close = content.find(b"</c>", gt + 1)
+            if close < 0:
+                close = size
+        if close == size:
+            # no `</c>` left: only self-closing cells can still match
+            pos = o + 1
+            continue
+        yield content[attrs:gt], gt + 1, close
+        pos = close + 4
 
 
 def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
@@ -282,10 +326,9 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
             row_idx = row_ordinal
         max_row = max(max_row, row_idx)
     col_ordinal = 0
-    for m in _CELL_RE.finditer(content):
+    for attr_bytes, body_start, body_end in _cells(content):
         col_ordinal += 1
-        attrs = dict(ATTR_RE.findall(m.group(1)))
-        body = m.group(2) or b""
+        attrs = dict(ATTR_RE.findall(attr_bytes))
         ref = attrs.get(b"r", b"")
         ref_m = _CELL_REF_RE.match(ref)
         if ref_m:
@@ -294,30 +337,43 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
         else:
             max_col = max(max_col, col_ordinal)
         ctype = attrs.get(b"t", b"")
-        vm = _V_RE.search(body)
+        value = _first_value(content, body_start, body_end)
         if ctype == b"s":
-            if vm is not None:
+            if value is not None:
                 populated += 1
                 try:
-                    strings.append(shared[int(vm.group(1))])
+                    strings.append(shared[int(value)])
                 except (ValueError, IndexError):
                     strings.append("")
         elif ctype == b"str":
-            if vm is not None:
+            if value is not None:
                 populated += 1
-                strings.append(vm.group(1).decode("utf-8", errors="replace"))
+                strings.append(value.decode("utf-8", errors="replace"))
         elif ctype == b"inlineStr":
-            text = b"".join(_IS_T_RE.findall(body))
+            text = _text_runs(content, body_start, body_end)
             populated += 1
             strings.append(text.decode("utf-8", errors="replace"))
-        elif vm is not None:
+        elif value is not None:
             populated += 1
             try:
-                float(vm.group(1))
+                float(value)
                 numeric += 1
             except ValueError:
                 pass
     return {"numeric": numeric, "populated": populated, "max_row": max_row, "max_col": max_col}
+
+
+def _first_value(content: bytes, start: int, end: int) -> bytes | None:
+    """What _V_RE.search finds in content[start:end]. The first `<v` decides:
+    when it has no `>` or `</v>` after it, no later `<v` has one either."""
+    opener = content.find(b"<v", start, end)
+    if opener < 0:
+        return None
+    gt = content.find(b">", opener + 2, end)
+    if gt < 0:
+        return None
+    close = content.find(b"</v>", gt + 1, end)
+    return None if close < 0 else content[gt + 1:close]
 
 
 def _col_number(letters: bytes) -> int:

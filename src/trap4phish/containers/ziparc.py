@@ -29,7 +29,8 @@ _LOCAL_SIG = b"PK\x03\x04"
 _METHOD_STORED = 0
 _METHOD_DEFLATE = 8
 
-# Hard ceiling on any single decompressed entry; OOXML parts are desk scale.
+# Hard ceiling on any single decompressed entry, and on all the entries the
+# analyzers read from one archive; OOXML parts are desk scale.
 MAX_UNCOMPRESSED_SIZE = 512 * 1024 * 1024
 
 
@@ -44,11 +45,14 @@ class ZipEntry:
 
 
 class ZipArchive:
-    """Immutable parsed view of a ZIP archive held fully in memory."""
+    """Parsed view of a ZIP archive held fully in memory. The entries never
+    change; `inflated` counts the declared sizes of the entries read."""
 
     def __init__(self, data: bytes, entries: list[ZipEntry]):
         self._data = data
         self.entries = entries
+        # declared sizes of the entries read so far, successfully or not
+        self.inflated = 0
         # Duplicate names allowed; the last central-directory record wins.
         self._by_name = {entry.name: entry for entry in entries}
 
@@ -65,6 +69,7 @@ class ZipArchive:
         return self.read_entry(entry)
 
     def read_entry(self, entry: ZipEntry) -> bytes:
+        self.inflated += entry.uncompressed_size
         data = self._data
         off = entry.local_header_offset
         if off + 30 > len(data) or data[off:off + 4] != _LOCAL_SIG:
