@@ -9,6 +9,7 @@ input and never raises.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..config import BASE64_MIN_LENGTH, HTML_SUSPICIOUS_KEYWORDS, URL_SHORTENER_HOSTS
@@ -263,24 +264,25 @@ def analyze_html(
 
 def _max_depth(stream: _TokenStream) -> int:
     # Replay tag events against a stack; implied closes for <p>/<li> only,
-    # void and self-closing elements do not nest.
+    # void and self-closing elements do not nest. `open_count` answers
+    # "is this name on the stack" without a scan of the stack per end tag.
     depth = 0
     stack: list[str] = []
+    open_count: Counter[str] = Counter()
     for kind, name, self_closing in stream.events:
         if kind == "start":
             if name in ("p", "li") and stack and stack[-1] == name:
-                stack.pop()
+                open_count[stack.pop()] -= 1
             if name in _VOID_ELEMENTS or self_closing:
                 depth = max(depth, len(stack) + 1)
                 continue
             stack.append(name)
+            open_count[name] += 1
             depth = max(depth, len(stack))
-        else:
-            if name in stack:
-                while stack and stack[-1] != name:
-                    stack.pop()
-                if stack:
-                    stack.pop()
+        elif open_count[name]:
+            while stack[-1] != name:
+                open_count[stack.pop()] -= 1
+            open_count[stack.pop()] -= 1
     return depth
 
 

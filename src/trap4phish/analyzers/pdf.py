@@ -125,14 +125,16 @@ _RISKY_NAME_RE = re.compile(rb"/(JavaScript|Launch|OpenAction|AA|SubmitForm|Embe
 _NAME_BYTES = frozenset(b"#ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
 
 # A string literal `(...)` or array `[...]` ends at the first `)` or `]`
-# preceded by an even run of backslashes (these match at the run's start).
-# In a content stream a backslash-newline pair breaks the operand, because
-# the escape `\\.` does not take a newline there; Title and URI take one.
-_PAREN_RE = re.compile(rb"\(")
-_BRACKET_RE = re.compile(rb"\[")
+# preceded by an even run of backslashes (_PAREN_END_RE matches at the run's
+# start). In a content stream a backslash-newline pair breaks the operand,
+# because the escape `\\.` does not take a newline there; Title and URI
+# take one.
 _PAREN_END_RE = re.compile(rb"(?<!\\)(?:\\\\)*\)")
-_BRACKET_END_RE = re.compile(rb"(?<!\\)(?:\\\\)*\]")
-_ESCAPED_NEWLINE_RE = re.compile(rb"(?<!\\)\\(?:\\\\)*\n")
+_BACKSLASHES_RE = re.compile(rb"\\+")
+_OPEN_PAREN_RE = re.compile(rb"\(")
+_OPEN_BRACKET_RE = re.compile(rb"\[")
+_CLOSE_PAREN_RE = re.compile(rb"\)")
+_CLOSE_BRACKET_RE = re.compile(rb"\]")
 # Tj / ' / " take one literal string; TJ takes an array of strings and numbers.
 _TJ_TAIL_RE = re.compile(rb"\s*(?:Tj|'|\")")
 _TJ_ARRAY_TAIL_RE = re.compile(rb"\s*TJ")
@@ -417,14 +419,16 @@ class _Literals:
     def __init__(self, buf: bytes):
         self.size = len(buf)
         self.buf = buf
-        self.parens = [m.start() for m in _PAREN_RE.finditer(buf)]
-        self.brackets = [m.start() for m in _BRACKET_RE.finditer(buf)]
+        self.parens = [m.start() for m in _OPEN_PAREN_RE.finditer(buf)]
+        self.brackets = [m.start() for m in _OPEN_BRACKET_RE.finditer(buf)]
         if not self.parens:
             self.brackets = []  # an array without strings adds nothing
             return
-        self.paren_ends = [m.end() - 1 for m in _PAREN_END_RE.finditer(buf)]
-        self.bracket_ends = [m.end() - 1 for m in _BRACKET_END_RE.finditer(buf)]
-        self.broken = [m.end() - 1 for m in _ESCAPED_NEWLINE_RE.finditer(buf)]
+        # the byte after an odd run of backslashes is escaped
+        escaped = {m.end() for m in _BACKSLASHES_RE.finditer(buf) if (m.end() - m.start()) % 2}
+        self.paren_ends = [m.start() for m in _CLOSE_PAREN_RE.finditer(buf) if m.start() not in escaped]
+        self.bracket_ends = [m.start() for m in _CLOSE_BRACKET_RE.finditer(buf) if m.start() not in escaped]
+        self.broken = sorted(p for p in escaped if buf[p:p + 1] == b"\n")
         # escapes by start, and bytes saved by unescaping before each one
         self.escapes = []
         self.saved = [0]

@@ -18,7 +18,7 @@ import zlib
 
 from trap4phish.analyzers.html import (
     HTML_COLUMNS, SCHEMA as HTML_SCHEMA, _ATTR_RE, _BASE64_RE, _EVENT_ATTR_RE, _HEX_ESCAPE_RE,
-    _JS_ESCAPE_RE, _TAG_NAME_RE, _WORD_RE, _Tag, _TokenStream, _iframe_hidden, _max_depth,
+    _JS_ESCAPE_RE, _TAG_NAME_RE, _VOID_ELEMENTS, _WORD_RE, _Tag, _TokenStream, _iframe_hidden,
     _url_features,
 )
 from trap4phish.analyzers.ooxml import ATTR_RE
@@ -448,3 +448,26 @@ def analyze_html(
 
     vector = FeatureVector(HTML_SCHEMA, [values[c] for c in HTML_COLUMNS])
     return AnalysisReport(source_path, "html", vector, warnings, False)
+
+
+def _max_depth(stream: _TokenStream) -> int:
+    # Replay tag events against a stack; implied closes for <p>/<li> only,
+    # void and self-closing elements do not nest.
+    depth = 0
+    stack: list[str] = []
+    for kind, name, self_closing in stream.events:
+        if kind == "start":
+            if name in ("p", "li") and stack and stack[-1] == name:
+                stack.pop()
+            if name in _VOID_ELEMENTS or self_closing:
+                depth = max(depth, len(stack) + 1)
+                continue
+            stack.append(name)
+            depth = max(depth, len(stack))
+        else:
+            if name in stack:
+                while stack and stack[-1] != name:
+                    stack.pop()
+                if stack:
+                    stack.pop()
+    return depth

@@ -55,6 +55,11 @@ def _html_scripts(n):
     return analyze_html, f"<!DOCTYPE html>\n<html><body>\n{scripts}</body></html>\n".encode()
 
 
+def _html_nesting(n):
+    # end tags that close nothing, under a deep stack of open elements
+    return analyze_html, b"<div>" * n + b"</span>" * n
+
+
 def _xlsx_si(n):
     shared = "<sst>" + "<si><t>word</t>" * n + "</sst>"
     return analyze_xlsx, make_xlsx('<worksheet><sheetData><row r="1"><c r="A1" t="s"><v>0</v></c>'
@@ -91,6 +96,7 @@ FAMILIES = {
     "docx_instrtext": (_docx_instrtext, 4000),
     "xlsx_cells": (_xlsx_cells, 4000),
     "html_scripts": (_html_scripts, 500),
+    "html_nesting": (_html_nesting, 4000),
     "xlsx_si": (_xlsx_si, 32000),
     "xlsx_v": (_xlsx_v, 32000),
     "xlsx_t": (_xlsx_t, 32000),

@@ -9,7 +9,7 @@ import zlib
 from contextlib import contextmanager
 from unittest import mock
 
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import analyzer_ref as ref
 from trap4phish.analyzers import analyze_docx, analyze_html, analyze_pdf, analyze_xlsx, docx, html, pdf, xlsx
@@ -39,7 +39,7 @@ _CONTENT_TOKENS = [
     b"(", b")", b"(a)", b"[", b"]", b"Tj", b"TJ", b"'", b'"', b" ", b"a", b"7",
     b"\\", b"\\\\", b"\\101", b"\\n", b"\\\n", b"\r\n", b"\r", b"\n",
     b"stream\n", b"stream\r\n", b"stream", b"endstream", b"endobj",
-    b"(a\\\nb) Tj", b"[(a) 1 (\\\n)] TJ", b"(\\)) Tj",
+    b"(a\\\nb) Tj", b"[(a) 1 (\\\n)] TJ", b"(\\)) Tj", b"(a\\\\) Tj", b"[(a) \\] (b)] TJ",
 ]
 _DICT_ENTRIES = [b"", b"/Filter /FlateDecode", b"/Filter [/FlateDecode /LZWDecode]", b"/Filter /DCTDecode",
                  b"/Type /Metadata", b"/Type /EmbeddedFile", b"/AA /JavaScript"]
@@ -146,7 +146,8 @@ def test_xlsx_matches_rescanning_analyzer(sheet, shared_xml):
 _HTML_TOKENS = [
     "<script>", "</script>", "<SCRIPT>", "</SCRIPT >", "<script src='x.js'>", "<style>", "</style>",
     "İ", "<", ">", "/", "a", "login", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
-    " ", "　", "<p>", "</p>", "<div>", "</div>", "<!--", "-->", "<!x>", "<br/>",
+    "\u2028", "\u3000", "<p>", "</p>", "<li>", "</li>", "<div>", "</div>", "</span>", "<!--", "-->",
+    "<!x>", "<br/>", "<b>", "</b>", "<div><b>", "</div></b>",
     "<a href='http://x.test/1'>", "</a>", "url(http://y.test/)", "=", '"',
 ]
 
@@ -164,9 +165,13 @@ def html_inputs(draw):
 
 @_SETTINGS
 @given(html_inputs())
+@example(b"<div><p>x</div></p><b>")  # an end tag closes what it skipped over
+@example(b"<p>a<p>b</p></p><li><li></li></li>")  # implied closes
 def test_html_matches_rescanning_analyzer(data):
     text = data.decode("utf-8", errors="replace")
-    assert html._tokenize(text) == ref._tokenize(text)
+    stream = ref._tokenize(text)
+    assert html._tokenize(text) == stream
+    assert html._max_depth(stream) == ref._max_depth(stream)
     new, old = analyze_html(data), ref.analyze_html(data)
     assert new.features.values == old.features.values
 
