@@ -25,7 +25,8 @@ import math
 import re
 import zlib
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
+from heapq import heappop, heappush
 from itertools import groupby
 from typing import NamedTuple
 
@@ -87,14 +88,17 @@ _STARTXREF_RE = re.compile(rb"startxref")
 _XREF_ENTRY_RE = re.compile(rb"\d{10}\s\d{5}\s[nf]")
 _TRAILER_RE = re.compile(rb"trailer")
 _NAME_OBFUSCATION_RE = re.compile(rb"/[#A-Za-z0-9.+_-]*#[0-9A-Fa-f]{2}[#A-Za-z0-9.+_-]*")
-_FILTER_ENTRY_RE = re.compile(rb"/Filter\s*(\[[^\]]*\]|/[A-Za-z0-9#]+)")
+_FILTER_OPEN_RE = re.compile(rb"/Filter\s*")
 _FILTER_NAME_RE = re.compile(rb"/[A-Za-z0-9#]+")
 _TITLE_OPEN_RE = re.compile(rb"/Title\s*\(")
 _TITLE_HEX_RE = re.compile(rb"/Title\s*<([0-9A-Fa-f\s]*)>")
 _URI_OPEN_RE = re.compile(rb"/URI\s*\(")
 _PORT_RE = re.compile(rb"^[a-zA-Z][a-zA-Z0-9+.-]*://[^/:?#]+:(\d{1,5})")
-_TYPE_METADATA_RE = re.compile(rb"/Type\s*/Metadata(?![A-Za-z])")
 _EMBEDDED_FILE_SUBTYPE_RE = re.compile(rb"/EmbeddedFile(?![A-Za-z])")
+# the two dict markers without their (?![A-Za-z]), which _Matches applies
+_METADATA_TYPE_RE = re.compile(rb"/Type\s*/Metadata")
+_EMBEDDED_FILE_RE = re.compile(rb"/EmbeddedFile")
+_LETTERS = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 def _name_token(name: bytes) -> re.Pattern:
     return re.compile(rb"/" + name + rb"(?![#A-Za-z0-9])")
@@ -122,7 +126,7 @@ _XFA_RE = _name_token(b"XFA")
 
 # co-occurrence names; no two can match at one offset, as they differ in their first letter
 _RISKY_NAME_RE = re.compile(rb"/(JavaScript|Launch|OpenAction|AA|SubmitForm|EmbeddedFile)")
-_NAME_BYTES = frozenset(b"#ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
+_NAME_BYTES = _LETTERS | frozenset(b"#0123456789")
 
 # A string literal `(...)` or array `[...]` ends at the first `)` or `]`
 # preceded by an even run of backslashes (_PAREN_END_RE matches at the run's
@@ -174,12 +178,13 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
 
     values["embedded_file_count"] = float(len(_EMBEDDED_FILE_SUBTYPE_RE.findall(data)))
 
+    filters = _FilterEntries(data)
     total_filters = 0
     nested = 0
-    for m in _FILTER_ENTRY_RE.finditer(data):
-        names = _FILTER_NAME_RE.findall(m.group(1))
+    for value in filters.values_in_file():
+        names = _FILTER_NAME_RE.findall(value)
         total_filters += len(names)
-        if m.group(1).startswith(b"[") and len(names) >= 2:
+        if value.startswith(b"[") and len(names) >= 2:
             nested += 1
     values["total_filters"] = float(total_filters)
     values["nested_filter_count"] = float(nested)
@@ -216,7 +221,7 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
                 entropies += _suffix_entropies(data, [r.start for r in group], end)
         values["entropy_of_streams"] = sum(entropies) / len(streams)
 
-    _object_statistics(data, values, streams, warnings)
+    _object_statistics(data, values, streams, filters, warnings)
 
     vector = FeatureVector(SCHEMA, [values[c] for c in PDF_COLUMNS])
     return AnalysisReport(source_path, "pdf", vector, warnings, parse_failed)
@@ -309,39 +314,105 @@ def _suffix_entropies(data: bytes, starts: list[int], end: int) -> list[float]:
     return out
 
 
-class _NameOffsets:
-    """Where one `/Name` occurs, for deciding whether _name_token(name)
-    matches inside data[start:end] without slicing. The lookahead passes at
-    the slice's end too, so there a `/Name` followed by a name byte counts."""
+class _Matches:
+    """The matches of a pattern that ends in a negative lookahead, found once
+    without the lookahead, to ask whether the pattern matches inside
+    data[start:end] without slicing. The lookahead passes at the slice's end,
+    so a match that a `stops` byte follows counts when it ends there."""
 
-    def __init__(self, length: int):
-        self.length = length
-        self.tokens: list[int] = []  # not followed by a name byte
-        self.prefixes: set[int] = set()  # followed by one
+    def __init__(self, data: bytes, matches, stops: frozenset):
+        self.starts: list[int] = []  # matches no stop byte follows
+        self.ends: list[int] = []
+        self.cut: dict[int, int] = {}  # end -> start of the others
+        for m in matches:
+            if m.end() < len(data) and data[m.end()] in stops:
+                self.cut[m.end()] = m.start()
+            else:
+                self.starts.append(m.start())
+                self.ends.append(m.end())
 
     def within(self, start: int, end: int) -> bool:
-        last = end - self.length
-        if last < start:
-            return False
-        i = bisect_left(self.tokens, start)
-        return (i < len(self.tokens) and self.tokens[i] <= last) or last in self.prefixes
+        i = bisect_left(self.starts, start)
+        return (i < len(self.starts) and self.ends[i] <= end) or self.cut.get(end, -1) >= start
 
 
-def _risky_names(data: bytes) -> list[_NameOffsets]:
-    """The offsets of each co-occurrence name that occurs in `data`."""
-    names: dict[bytes, _NameOffsets] = {}
+def _risky_names(data: bytes) -> list[_Matches]:
+    """_name_token(name) of each co-occurrence name that occurs in `data`."""
+    by_name = defaultdict(list)
     for m in _RISKY_NAME_RE.finditer(data):
-        name = names.get(m.group(1))
-        if name is None:
-            name = names[m.group(1)] = _NameOffsets(m.end() - m.start())
-        if m.end() < len(data) and data[m.end()] in _NAME_BYTES:
-            name.prefixes.add(m.start())
-        else:
-            name.tokens.append(m.start())
-    return list(names.values())
+        by_name[m.group(1)].append(m)
+    return [_Matches(data, matches, _NAME_BYTES) for matches in by_name.values()]
 
 
-def _object_statistics(data: bytes, values: dict, streams: list[_Region], warnings: list[str]) -> None:
+class _FilterEntries:
+    r"""Every match `/Filter\s*(\[[^\]]*\]|/[A-Za-z0-9#]+)` can have, found once.
+
+    An array value ends at the first `]` after its `[` and a name at the end
+    of its run of name bytes. So whether the pattern matches at one `/Filter`
+    with an endpos depends only on whether the endpos reaches `ready`: past
+    the `]`, or past the name's first byte, which is all that gets cut.
+    """
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.starts: list[int] = []  # the `/Filter`
+        self.values: list[int] = []  # its `[` or `/`
+        self.ends: list[int] = []  # the end of its value with no endpos
+        self.ready: list[int] = []
+        close = -1  # the first `]` at or after the last array value
+        for m in _FILTER_OPEN_RE.finditer(data):
+            value = m.end()
+            if data[value:value + 1] == b"[":
+                if close < value:
+                    close = data.find(b"]", value)
+                    if close < 0:
+                        close = len(data)
+                if close == len(data):
+                    continue
+                end = ready = close + 1
+            else:
+                name = _FILTER_NAME_RE.match(data, value)
+                if name is None:
+                    continue
+                end, ready = name.end(), value + 2
+            self.starts.append(m.start())
+            self.values.append(value)
+            self.ends.append(end)
+            self.ready.append(ready)
+
+    def values_in_file(self):
+        """group(1) of each match that re.finditer(pattern, data) finds."""
+        pos = 0
+        for start, value, end in zip(self.starts, self.values, self.ends):
+            if start >= pos:
+                pos = end
+                yield self.data[value:end]
+
+    def first_values(self, windows: list[tuple[int, int]]) -> list[bytes | None]:
+        """group(1) of pattern.search(data, start, end), or None, for each
+        window (start, end). Neither the starts nor the ends of the windows may
+        decrease: entries join a heap as the ends reach them and leave it for
+        good as the starts pass them."""
+        by_ready = sorted(range(len(self.starts)), key=self.ready.__getitem__)
+        heap: list[int] = []
+        joined = 0
+        out = []
+        for start, end in windows:
+            while joined < len(by_ready) and self.ready[by_ready[joined]] <= end:
+                heappush(heap, by_ready[joined])
+                joined += 1
+            while heap and self.starts[heap[0]] < start:
+                heappop(heap)
+            if heap:
+                i = heap[0]
+                out.append(self.data[self.values[i]:min(self.ends[i], end)])
+            else:
+                out.append(None)
+        return out
+
+
+def _object_statistics(data: bytes, values: dict, streams: list[_Region], filters: _FilterEntries,
+                       warnings: list[str]) -> None:
     endobjs = [m.start() for m in _ENDOBJ_RE.finditer(data)]
     bodies = []
     for m in _OBJ_RE.finditer(data):
@@ -361,15 +432,21 @@ def _object_statistics(data: bytes, values: dict, streams: list[_Region], warnin
     meta_bytes = 0
     embedded_sizes = []
     text_total = 0
+    if streams:
+        # the dict slices data[dict_start:keyword] as windows of data; later
+        # keywords own the same or a later `obj`, so no window moves back
+        filter_values = iter(filters.first_values([(r.dict_start, r.keyword) for r in streams]))
+        metadata = _Matches(data, _METADATA_TYPE_RE.finditer(data), _LETTERS)
+        embedded = _Matches(data, _EMBEDDED_FILE_RE.finditer(data), _LETTERS)
     for end, group in _by_end(streams):
         shared = None  # text operands of the unfiltered regions of this group
         for region in group:
             size = region.end - region.start
-            if _TYPE_METADATA_RE.search(data, region.dict_start, region.keyword):
+            if metadata.within(region.dict_start, region.keyword):
                 meta_bytes += size
-            if _EMBEDDED_FILE_SUBTYPE_RE.search(data, region.dict_start, region.keyword):
+            if embedded.within(region.dict_start, region.keyword):
                 embedded_sizes.append(size)
-            content = _stream_content(data, region, warnings)
+            content = _stream_content(data, region, next(filter_values), warnings)
             if content is None:
                 continue
             if content is data:
@@ -384,14 +461,14 @@ def _object_statistics(data: bytes, values: dict, streams: list[_Region], warnin
     values["text_length"] = float(text_total)
 
 
-def _stream_content(data: bytes, region: _Region, warnings: list[str]) -> bytes | None:
+def _stream_content(data: bytes, region: _Region, filter_value: bytes | None,
+                    warnings: list[str]) -> bytes | None:
     """`data` itself for a stream without a filter, the inflated bytes for a
     FlateDecode-alone stream, None for every other stream: only those two
     are searched for text operands."""
-    filter_m = _FILTER_ENTRY_RE.search(data, region.dict_start, region.keyword)
-    if filter_m is None:
+    if filter_value is None:
         return data
-    if _FILTER_NAME_RE.findall(filter_m.group(1)) != [b"/FlateDecode"]:
+    if _FILTER_NAME_RE.findall(filter_value) != [b"/FlateDecode"]:
         return None
     try:
         return zlib.decompress(data[region.start:region.end])

@@ -24,9 +24,9 @@ from trap4phish.analyzers.html import (
 from trap4phish.analyzers.ooxml import ATTR_RE
 from trap4phish.analyzers.pdf import (
     PDF_COLUMNS, SCHEMA as PDF_SCHEMA, _EMBEDDED_FILE_SUBTYPE_RE, _ENCRYPT_RE, _ACROFORM_RE,
-    _ENDSTREAM_RE, _FILTER_ENTRY_RE, _FILTER_NAME_RE, _FONT_RE, _HEADER_RE, _IMAGE_RE,
+    _ENDSTREAM_RE, _FILTER_NAME_RE, _FONT_RE, _HEADER_RE, _IMAGE_RE,
     _NAME_OBFUSCATION_RE, _OBJ_RE, _PAGE_RE, _PORT_RE, _STARTXREF_RE, _STREAM_RE, _TITLE_HEX_RE,
-    _TOKEN_COUNTERS, _TRAILER_RE, _TYPE_METADATA_RE, _XFA_RE, _XREF_ENTRY_RE, _XREF_RE, _name_token,
+    _TOKEN_COUNTERS, _TRAILER_RE, _XFA_RE, _XREF_ENTRY_RE, _XREF_RE, _name_token,
 )
 from trap4phish.analyzers.xlsx import _CELL_REF_RE, _ROW_RE, _col_number
 from trap4phish.config import HTML_SUSPICIOUS_KEYWORDS
@@ -34,6 +34,8 @@ from trap4phish.core import AnalysisReport, FeatureVector, shannon_entropy
 
 # --- pdf ---------------------------------------------------------------------
 
+_FILTER_ENTRY_RE = re.compile(rb"/Filter\s*(\[[^\]]*\]|/[A-Za-z0-9#]+)")
+_TYPE_METADATA_RE = re.compile(rb"/Type\s*/Metadata(?![A-Za-z])")
 _TITLE_LITERAL_RE = re.compile(rb"/Title\s*\(((?:\\.|[^\\)])*)\)", re.DOTALL)
 _URI_VALUE_RE = re.compile(rb"/URI\s*\(((?:\\.|[^\\)])*)\)", re.DOTALL)
 

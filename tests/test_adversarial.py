@@ -55,6 +55,16 @@ def _html_scripts(n):
     return analyze_html, f"<!DOCTYPE html>\n<html><body>\n{scripts}</body></html>\n".encode()
 
 
+def _pdf_filters(n):
+    # array filter values that never close
+    return analyze_pdf, b"%PDF-1.4\n" + b"/Filter [/A " * n
+
+
+def _pdf_filter_dicts(n):
+    # the same inside the dict slice of every stream, all reaching back to one `obj`
+    return analyze_pdf, b"%PDF-1.4\n1 0 obj\n" + b"/Filter [ stream\n" * n + b"endstream\n"
+
+
 def _html_nesting(n):
     # end tags that close nothing, under a deep stack of open elements
     return analyze_html, b"<div>" * n + b"</span>" * n
@@ -96,6 +106,8 @@ FAMILIES = {
     "docx_instrtext": (_docx_instrtext, 4000),
     "xlsx_cells": (_xlsx_cells, 4000),
     "html_scripts": (_html_scripts, 500),
+    "pdf_filters": (_pdf_filters, 4000),
+    "pdf_filter_dicts": (_pdf_filter_dicts, 1000),
     "html_nesting": (_html_nesting, 4000),
     "xlsx_si": (_xlsx_si, 32000),
     "xlsx_v": (_xlsx_v, 32000),

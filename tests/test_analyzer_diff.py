@@ -32,7 +32,7 @@ _PDF_TOKENS = [
     b"<<", b">>", b"(", b")", b"\\", b"\\101", b"\\\n", b"\n", b"\r", b" ", b"a",
     b"/Title", b"/Title <4142>", b"/URI", b"http://h.test:8080/", b"/Type /Metadata", b"/EmbeddedFile",
     b"/AA", b"/AAB", b"/JavaScript", b"/Launch", b"/OpenAction", b"/AAendobj", b"/Launchendobj",
-    b"4 0 obj /S /JavaScript /AAendobj",
+    b"4 0 obj /S /JavaScript /AAendobj", b"/Filter [", b"/Filter /A1", b"/Filter /FlateDecode", b"]",
 ]
 # inside content streams: operands and the bytes that end or break them
 _CONTENT_TOKENS = [
@@ -42,7 +42,8 @@ _CONTENT_TOKENS = [
     b"(a\\\nb) Tj", b"[(a) 1 (\\\n)] TJ", b"(\\)) Tj", b"(a\\\\) Tj", b"[(a) \\] (b)] TJ",
 ]
 _DICT_ENTRIES = [b"", b"/Filter /FlateDecode", b"/Filter [/FlateDecode /LZWDecode]", b"/Filter /DCTDecode",
-                 b"/Type /Metadata", b"/Type /EmbeddedFile", b"/AA /JavaScript"]
+                 b"/Filter [/FlateDecode", b"/Filter /FlateDecode /Filter /A1", b"/Filter /", b"/Type /Metadata",
+                 b"/Type /EmbeddedFile", b"/AA /JavaScript"]
 
 
 @st.composite
@@ -53,7 +54,8 @@ def _stream_object(draw):
         content = zlib.compress(content)  # a real zlib body
     eol = draw(st.sampled_from([b"\n", b"\r\n", b"\r", b""]))
     tail = draw(st.sampled_from([b"endstream\nendobj\n", b"endstream", b""]))
-    return b"3 0 obj\n<< " + entry + b" >>\nstream" + eol + content + eol + tail
+    close = draw(st.sampled_from([b" >>\n", b" ", b""]))  # b"" lets a name run into the keyword
+    return b"3 0 obj\n<< " + entry + close + b"stream" + eol + content + eol + tail
 
 
 @st.composite
@@ -62,8 +64,15 @@ def pdf_inputs(draw):
     return b"%PDF-1.4\n" + b"".join(pieces)
 
 
+# with no `obj` before it, a stream's dict slice starts 1024 bytes before
+# its keyword: here one byte after a /Filter entry, which it must not see
+_FILTER_BEFORE_DICT = b"%PDF-1.4\n/Filter /DCTDecode".ljust(1034) + b"stream\n(abc) Tj\nendstream\n"
+
+
 @_SETTINGS
 @given(pdf_inputs())
+@example(_FILTER_BEFORE_DICT)
+@example(b"%PDF-1.4\n1 0 obj << /Filter /stream\n(abc) Tj\nendstream")  # a name cut to "/"
 def test_pdf_matches_rescanning_analyzer(data):
     try:
         old = ref.analyze_pdf(data)
@@ -72,6 +81,15 @@ def test_pdf_matches_rescanning_analyzer(data):
     new = analyze_pdf(data)
     assert new.features.values == old.features.values
     assert new.warnings == old.warnings
+
+
+@_SETTINGS
+@given(pdf_inputs())
+def test_dict_windows_never_move_back(data):
+    # _FilterEntries.first_values relies on it
+    regions = pdf._stream_regions(data, [m.start() for m in pdf._ENDSTREAM_RE.finditer(data)], [])
+    for before, after in zip(regions, regions[1:]):
+        assert before.dict_start <= after.dict_start and before.keyword < after.keyword
 
 
 def test_octal_escape_with_digit_8_no_longer_raises():
