@@ -3,8 +3,8 @@ metrics, behavioral indicators, sheet properties and embedded media, plus the
 top-10 projection.
 
 Cells, values and shared strings are read by forward scanners (`_cells`,
-`_first_value`, `ooxml.element_spans`) that find exactly what `re.finditer` finds for the
-DOTALL patterns
+`_first_value`, `ooxml.element_spans`) that find exactly what `re.finditer`
+finds for the DOTALL patterns
     <c\b([^>]*?)(?:/>|>(.*?)</c>)    <v[^>]*>(.*?)</v>
     <t[^>]*>(.*?)</t>                <si>(.*?)</si>
 Each carries the next `>` and the next closer forward from opener to
@@ -279,8 +279,8 @@ def _shared_strings(content: bytes) -> list[str]:
 
 
 def _cells(content: bytes):
-    """(attributes, body start, body end) of each <c> element; the body of a
-    self-closing one is empty. The forward-scan form of _CELL_RE:
+    r"""(attributes, body start, body end) of each <c> element; the body of a
+    self-closing one is empty. In `<c\b([^>]*?)(?:/>|>(.*?)</c>)` the
     `[^>]*?` runs to the first `>`, which closes the cell when a `/` precedes
     it and otherwise opens a body that runs to the first `</c>`."""
     size = len(content)
@@ -364,8 +364,9 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
 
 
 def _first_value(content: bytes, start: int, end: int) -> bytes | None:
-    """What _V_RE.search finds in content[start:end]. The first `<v` decides:
-    when it has no `>` or `</v>` after it, no later `<v` has one either."""
+    """The text a search for `<v[^>]*>(.*?)</v>` finds in content[start:end].
+    The first `<v` decides: when it has no `>` or `</v>` after it, no later
+    `<v` has one either."""
     opener = content.find(b"<v", start, end)
     if opener < 0:
         return None
