@@ -78,7 +78,9 @@ _ATTR_RE = re.compile(
 )
 _TAG_NAME_RE = re.compile(r"[a-zA-Z][-a-zA-Z0-9:]*")
 _EVENT_ATTR_RE = re.compile(r"^on[a-z]+$")
-_STYLE_URL_RE = re.compile(r"url\(\s*['\"]?([^)'\"]+)['\"]?\s*\)", re.IGNORECASE)
+_URL_OPEN_RE = re.compile(r"url\(", re.IGNORECASE)
+_URL_END_RE = re.compile(r"[)'\"]")
+_SPACES_RE = re.compile(r"\s*")
 _HEX_ESCAPE_RE = re.compile(r"\\x[0-9A-Fa-f]{2}")
 _JS_ESCAPE_RE = re.compile(r"\\u[0-9A-Fa-f]{4}|%u[0-9A-Fa-f]{4}")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
@@ -298,6 +300,51 @@ def _iframe_hidden(tag: _Tag) -> bool:
     return "display:none" in style or "visibility:hidden" in style
 
 
+def _style_urls(css: str) -> list[str]:
+    """The target of every `url(...)` in a style body or attribute: group 1
+    of each match of `url\\(\\s*['"]?([^)'"]+)['"]?\\s*\\)` (case-insensitive)
+    that `finditer` would report, in one forward pass.
+
+    A target starts after `url(`, its spaces and an optional quote, and runs
+    to the first `)`, `'` or `"` after its start, its end; the match needs
+    `)` at the end, or a quote there followed by spaces and `)`. When that
+    fails, the regex also tries the target that starts one space earlier,
+    which takes its end from the same place. Ends are found left to right
+    and remembered, so an end far away is searched for once, not once per
+    `url(` before it.
+    """
+    urls = []
+    end = -1  # the last end found; it serves every start up to it
+    closers: dict[int, int] = {}  # quote end -> index after its spaces and `)`, or -1
+    pos = 0
+    while (m := _URL_OPEN_RE.search(css, pos)):
+        pos = m.start() + 1
+        open_end = m.end()
+        first = _SPACES_RE.match(css, open_end).end()
+        quoted = first < len(css) and css[first] in "'\""
+        start = first + quoted
+        if start > end:
+            hit = _URL_END_RE.search(css, start)
+            end = hit.start() if hit else len(css)
+        # the space before `first` starts a target whose end is the quote at
+        # `first`, or the same end as the target at `first`
+        for target, target_end in ((start, end), (first - 1, first if quoted else end)):
+            if target < open_end or target_end <= target or target_end == len(css):
+                continue
+            if css[target_end] == ")":
+                stop = target_end + 1
+            else:
+                if target_end not in closers:
+                    after = _SPACES_RE.match(css, target_end + 1).end()
+                    closers[target_end] = after + 1 if css[after:after + 1] == ")" else -1
+                stop = closers[target_end]
+            if stop > 0:
+                urls.append(css[target:target_end])
+                pos = stop
+                break
+    return urls
+
+
 def _url_features(stream: _TokenStream, values: dict, page_host: str | None) -> None:
     link_urls: list[str] = []
     other_urls: list[str] = []
@@ -317,10 +364,9 @@ def _url_features(stream: _TokenStream, values: dict, page_host: str | None) -> 
                 other_urls.append(url)
             else:
                 link_urls.append(url)
-        style = tag.attrs.get("style", "")
-        other_urls.extend(m.group(1) for m in _STYLE_URL_RE.finditer(style))
+        other_urls += _style_urls(tag.attrs.get("style", ""))
     for body in stream.styles:
-        other_urls.extend(m.group(1) for m in _STYLE_URL_RE.finditer(body))
+        other_urls += _style_urls(body)
 
     all_urls = link_urls + other_urls
     values["url_count"] = float(len(all_urls))

@@ -8,8 +8,12 @@ import re
 from ..containers import ContainerError, cfb_open, vba_extract, ziparc
 from ..containers.ziparc import ZipArchive, ZipEntry, zip_open
 
-# one name="value" attribute pair inside a start tag
-ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
+# one name="value" attribute pair inside a start tag. A name runs to the end
+# of its run of [\w:.-] bytes and starts at the run's first [A-Za-z:_] byte;
+# a match is tried only where such a run begins (after its leading digits,
+# dots and dashes), not again at every later byte of a run that failed, so
+# a long run with no `=` after it costs linear time, not quadratic.
+ATTR_RE = re.compile(rb'(?<![\w:.-])[0-9.-]*([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
 
 WORD_BYTES = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 

@@ -1,10 +1,13 @@
 """Seeded random forest over the CART trees.
 
-Per-tree generators derive from (seed, tree_index) via SeedSequence, so a
-parallel per-tree implementation would reproduce the sequential result
-bit-for-bit. Construction packs every tree into one `PackedTrees`, and
-prediction walks all trees over all rows in one pass of `predict_packed`,
-then takes the majority vote with ties toward label 0.
+Per-tree generators derive from (seed, tree_index) via SeedSequence. Each
+tree draws its bootstrap sample from its generator, then `grow_trees` grows
+all trees in lock-step with one batched split search per step. A tree still
+takes its feature-subset draws from its own generator in its own
+depth-first order, so the forest is the one grown tree by tree. Each tree
+packs its nodes once, the forest joins those arrays into one `PackedTrees`,
+and prediction walks all trees over all rows in one pass of
+`predict_packed`, then takes the majority vote with ties toward label 0.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from ..core import LabeledDataset
 from .errors import EmptyDatasetError
 from .tree import (
-    MODEL_FORMAT_VERSION, DecisionTreeModel, PackedTrees, TreeParams, dataset_matrix, grow_tree,
-    pack_trees, predict_packed,
+    MODEL_FORMAT_VERSION, DecisionTreeModel, PackedTrees, TreeParams, dataset_matrix, grow_trees,
+    join_packed, predict_packed,
 )
 
 
@@ -60,7 +63,8 @@ class RandomForestModel:
     packed: PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.packed = pack_trees([tree.nodes for tree in self.trees])
+        # each tree packed (and checked) its own nodes; join those, do not repack
+        self.packed = join_packed([tree.packed for tree in self.trees])
 
     def predict_many(self, x: np.ndarray) -> np.ndarray:
         return predict_packed(self.packed, x)
@@ -122,23 +126,19 @@ def train_random_forest(ds: LabeledDataset, params: ForestParams | None = None) 
     warnings = []
     if len(np.unique(y)) < 2:
         warnings.append("single-class dataset: degenerate forest")
-    trees = []
-    indices_per_tree = []
-    for t in range(params.n_trees):
-        rng = _tree_rng(params.seed, t)
-        if params.bootstrap:
-            rows = rng.integers(0, n, size=n)
-        else:
-            rows = np.arange(n)
-        indices_per_tree.append(rows)
-        subset_rng = rng if max_features < d else None
-        nodes = grow_tree(x[rows], y[rows], tree_params, rng=subset_rng,
-                          max_features=max_features)
-        trees.append(DecisionTreeModel(nodes, tree_params, ds.schema.columns,
-                                       ds.schema.format_kind, ds.schema.version))
+    rngs = [_tree_rng(params.seed, t) for t in range(params.n_trees)]
+    if params.bootstrap:
+        samples = [rng.integers(0, n, size=n) for rng in rngs]
+    else:
+        samples = [np.arange(n)] * params.n_trees
+    trees = [
+        DecisionTreeModel(nodes, tree_params, ds.schema.columns, ds.schema.format_kind,
+                          ds.schema.version)
+        for nodes in grow_trees(x, y, samples, tree_params, max_features, rngs)
+    ]
     return RandomForestModel(trees, params, ds.schema.columns,
                              ds.schema.format_kind, ds.schema.version,
-                             warnings, indices_per_tree)
+                             warnings, samples)
 
 
 def oob_accuracy(model: RandomForestModel, ds: LabeledDataset) -> float:

@@ -11,8 +11,7 @@ import numpy as np
 from ..core import FeatureSchema, LabeledDataset
 from .errors import EmptyDatasetError
 from .forest import RandomForestModel
-from .metrics import evaluate
-from .tree import dataset_matrix
+from .tree import dataset_matrix, leaf_labels
 
 
 @dataclass
@@ -67,25 +66,45 @@ def rank_features_permutation(
     model, ds: LabeledDataset, seed: int = 0, n_repeats: int = 5
 ) -> ImportanceRanking:
     """Permutation importance: mean accuracy drop when one column is shuffled;
-    negative means are clipped to 0."""
+    negative means are clipped to 0.
+
+    Reads `model.packed` (a forest or a single tree). Each tree's leaf label
+    for every row is computed once. For each column, only the trees that
+    split on it walk the `n_repeats` shuffled copies, all in one walk, and
+    their changed labels update the integer vote counts, so every
+    prediction, and every score, is exactly that of predicting each shuffled
+    copy whole. The permutations are drawn column by column from one
+    generator seeded with `seed`, for columns no tree reads too.
+    """
     if len(ds) == 0:
         raise EmptyDatasetError("cannot rank on an empty dataset")
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
     x, y = dataset_matrix(ds)
-    baseline = float((model.predict_many(x) == y).mean())
+    packed = model.packed
+    n_trees = len(packed.roots)
+    labels = leaf_labels(packed, x)
+    votes = labels.sum(axis=0)
+    baseline = float(((votes * 2 > n_trees) == y).mean())
+    n, d = x.shape
+    tree_of_node = np.repeat(np.arange(n_trees), np.diff(packed.roots, append=len(packed.feature)))
+    splits = packed.feature >= 0
+    reads = np.zeros((n_trees, d), dtype=bool)
+    reads[tree_of_node[splits], packed.feature[splits]] = True
     rng = np.random.default_rng(seed)
-    d = x.shape[1]
     scores = np.zeros(d, dtype=np.float64)
-    shuffled = x.copy()
+    shuffled = np.tile(x, (n_repeats, 1))
     for j in range(d):
-        drops = []
-        for _ in range(n_repeats):
-            perm = rng.permutation(len(y))
-            shuffled[:, j] = x[perm, j]
-            acc = float((model.predict_many(shuffled) == y).mean())
-            drops.append(baseline - acc)
-        shuffled[:, j] = x[:, j]
+        perms = np.concatenate([rng.permutation(n) for _ in range(n_repeats)])
+        trees = np.flatnonzero(reads[:, j])
+        if not len(trees):
+            continue  # every shuffle keeps the baseline accuracy: score 0
+        shuffled[:, j] = x[perms, j]
+        changed = leaf_labels(packed, shuffled, trees).sum(axis=0).reshape(n_repeats, n)
+        shuffled[:, j] = np.tile(x[:, j], n_repeats)
+        shuffled_votes = votes - labels[trees].sum(axis=0) + changed
+        accuracy = ((shuffled_votes * 2 > n_trees) == y).mean(axis=1)
+        drops = [baseline - float(acc) for acc in accuracy]
         scores[j] = max(0.0, float(np.mean(drops)))
     return _ranked(scores, tuple(model.columns), "permutation")
 

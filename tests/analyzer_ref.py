@@ -6,6 +6,12 @@ takes quadratic time on hostile input; run them on small inputs only. The
 PDF and HTML analyzers are here whole. For docx and xlsx only the scanners
 are, and the tests swap them into the current analyzer.
 
+Two patterns are here as they were before they became linear:
+`ATTR_RE`, which the OOXML analyzers use on start tags, and
+`STYLE_URL_RE`, which the HTML analyzer used on style bodies and
+attributes. Each backtracks in quadratic time on a long name run with no
+`=`, or on many `url(` that never close.
+
 One difference from the old code is deliberate: there, `\\8` or `\\9` in a
 PDF string made `_unescape_string` raise ValueError (`int(b"8", 8)`), which
 aborted the whole scan. The tests skip inputs on which these oracles raise.
@@ -21,7 +27,6 @@ from trap4phish.analyzers.html import (
     _JS_ESCAPE_RE, _TAG_NAME_RE, _VOID_ELEMENTS, _WORD_RE, _Tag, _TokenStream, _iframe_hidden,
     _url_features,
 )
-from trap4phish.analyzers.ooxml import ATTR_RE
 from trap4phish.analyzers.pdf import (
     PDF_COLUMNS, SCHEMA as PDF_SCHEMA, _EMBEDDED_FILE_SUBTYPE_RE, _ENCRYPT_RE, _ACROFORM_RE,
     _ENDSTREAM_RE, _FILTER_NAME_RE, _FONT_RE, _HEADER_RE, _IMAGE_RE,
@@ -31,6 +36,11 @@ from trap4phish.analyzers.pdf import (
 from trap4phish.analyzers.xlsx import _CELL_REF_RE, _ROW_RE, _col_number
 from trap4phish.config import HTML_SUSPICIOUS_KEYWORDS
 from trap4phish.core import AnalysisReport, FeatureVector, shannon_entropy
+
+# one name="value" attribute pair inside a start tag
+ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
+# the target of a CSS url(...)
+STYLE_URL_RE = re.compile(r"url\(\s*['\"]?([^)'\"]+)['\"]?\s*\)", re.IGNORECASE)
 
 # --- pdf ---------------------------------------------------------------------
 

@@ -4,9 +4,11 @@ Each family repeats one pattern that the rescanning scanners handled in
 quadratic time: an opener whose closer never comes, so every later opener
 rescanned to the end of the file. The first five are the shapes of the
 benchmark's hostile workload; the rest are the other lazy patterns the
-analyzers had. Timing is process CPU time, with the n and 4n inputs run
-back to back in pairs and the median pair ratio deciding, so a slow spell
-of a shared machine does not. Linear is 4 and quadratic 16.
+analyzers had, and two backtracking regexes: an attribute-name run with no
+`=`, and `url(` openers that never close. Timing is process CPU time, with
+the n and 4n inputs run back to back in pairs and the median pair ratio
+deciding, so a slow spell of a shared machine does not. Linear is 4 and
+quadratic 16.
 """
 
 import random
@@ -100,6 +102,17 @@ def _pdf_parens(n):
     return analyze_pdf, b"%PDF-1.4\n1 0 obj\n<< >>\nstream\nBT " + b"(a " * n + b"ET\nendstream\nendobj\n"
 
 
+def _xlsx_attr_run(n):
+    # one long attribute-name run with no `=` inside a start tag
+    return analyze_xlsx, make_xlsx('<worksheet><sheetData><row r="1"><c ' + "a" * n
+                                   + "/></row></sheetData></worksheet>")
+
+
+def _html_style_urls(n):
+    # `url(` openers that never close inside one style body
+    return analyze_html, b"<html><head><style>" + b"url(" * n + b"</style></head><body></body></html>"
+
+
 FAMILIES = {
     "pdf_streams": (_pdf_streams, 1000),
     "pdf_objects": (_pdf_objects, 2000),
@@ -115,6 +128,8 @@ FAMILIES = {
     "pdf_uri": (_pdf_uri, 4000),
     "pdf_title": (_pdf_title, 4000),
     "pdf_parens": (_pdf_parens, 8000),
+    "xlsx_attr_run": (_xlsx_attr_run, 10000),
+    "html_style_urls": (_html_style_urls, 2000),
 }
 
 

@@ -12,7 +12,9 @@ from unittest import mock
 from hypothesis import example, given, reject, settings, strategies as st
 
 import analyzer_ref as ref
-from trap4phish.analyzers import analyze_docx, analyze_html, analyze_pdf, analyze_xlsx, docx, html, pdf, xlsx
+from trap4phish.analyzers import (
+    analyze_docx, analyze_html, analyze_pdf, analyze_xlsx, docx, html, ooxml, pdf, xlsx,
+)
 from trap4phish.core import shannon_entropy
 
 from conftest import make_docx, make_xlsx
@@ -131,6 +133,20 @@ def test_docx_matches_rescanning_analyzer(body):
     assert analyze_docx(data).features.values == old.features.values
 
 
+# --- ooxml attributes ----------------------------------------------------------
+
+# name bytes, the run bytes a name cannot start with, and what ends a name
+_ATTR_TOKENS = [b"a", b"Zq", b"_", b":", b"1", b"9a", b".", b"-", b"=", b'"', b" ", b"\t",
+                b"\xc3\xa9", b"/", b">", b'x="v"', b"<c "]
+
+
+@_SETTINGS
+@given(_join(_ATTR_TOKENS))
+@example(b'9.-ab="1" 12="2" c.d ="3"')  # a name after digits, a run with no name
+def test_attr_pairs_match_backtracking_pattern(tag):
+    assert ooxml.ATTR_RE.findall(tag) == ref.ATTR_RE.findall(tag)
+
+
 # --- xlsx --------------------------------------------------------------------
 
 _XLSX_TOKENS = [
@@ -201,3 +217,15 @@ def test_html_whitespace_counts_match_on_every_code_point():
     rng.shuffle(chars)
     data = "".join(chars).encode("utf-8", "surrogatepass") + bytes(range(256))
     assert analyze_html(data).features.values == ref.analyze_html(data).features.values
+
+
+_STYLE_TOKENS = ["url(", "URL(", "uRl(", "u", "rl(", "(", ")", "'", '"', " ", "\t", "\u00a0",
+                 "a", "b.png", "x y"]
+
+
+@_SETTINGS
+@given(_join(_STYLE_TOKENS))
+@example("url(  ')")  # the target is the space before the quote
+@example("url(x url(  'a')")  # the first fails, the second inside it matches
+def test_style_urls_match_backtracking_pattern(css):
+    assert html._style_urls(css) == [m.group(1) for m in ref.STYLE_URL_RE.finditer(css)]

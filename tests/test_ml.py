@@ -97,6 +97,16 @@ class TestRandomForest:
         b = train_random_forest(ds, ForestParams(n_trees=9, seed=22))
         assert a.to_json() != b.to_json()
 
+    def test_each_tree_is_packed_once(self, monkeypatch):
+        from trap4phish.ml import tree as tree_module
+        packed = []
+        real = tree_module.pack_trees
+        monkeypatch.setattr(tree_module, "pack_trees", lambda trees: packed.append(len(trees)) or real(trees))
+        forest = train_random_forest(self._blob_ds(n=30), ForestParams(n_trees=7, seed=3))
+        assert packed == [1] * 7
+        RandomForestModel.from_json(forest.to_json())
+        assert packed == [1] * 14
+
     def test_forest_of_one_reduction(self):
         ds = self._blob_ds(n=40)
         forest = train_random_forest(

@@ -13,6 +13,7 @@ from trap4phish.ml import (
     SchemaMismatchError,
     TreeParams,
 )
+from trap4phish.ml.tree import pack_trees
 
 N_FEATURES = 3
 COLUMNS = tuple(f"f{i}" for i in range(N_FEATURES))
@@ -90,6 +91,15 @@ def test_forest_matches_reference(trees, x):
     assert again.predict_many(x).tolist() == expected.tolist()
 
 
+@settings(deadline=None)
+@given(st.lists(tree_nodes(), min_size=1, max_size=6))
+def test_forest_joins_the_arrays_its_trees_packed(trees):
+    joined, packed = rf(trees).packed, pack_trees(trees)
+    for name in ("feature", "threshold", "left", "right", "label", "roots", "depths"):
+        assert getattr(joined, name).tolist() == getattr(packed, name).tolist(), name
+    assert joined.width == packed.width
+
+
 def test_threshold_goes_left_and_nan_goes_right():
     model = dt([split(1, 0.5, 1, 2), leaf(0), leaf(1)])
     x = np.array([[9.0, 0.5], [9.0, np.nextafter(0.5, 1.0)], [9.0, np.nan], [9.0, -np.inf]])
@@ -124,7 +134,7 @@ def test_deep_unbalanced_chain(side):
         nodes.append(leaf(level % 2))
     nodes.append(leaf(1))
     model = dt(nodes)
-    assert model.packed.depth == depth
+    assert model.packed.depths.tolist() == [depth]
     rng = np.random.default_rng(0)
     x = rng.uniform(-10, depth + 10, size=(64, N_FEATURES)).round()
     assert model.predict_many(x).tolist() == tree_ref.tree_predict(nodes, x).tolist()
