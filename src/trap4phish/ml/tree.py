@@ -1,7 +1,9 @@
 """CART decision tree with Gini impurity.
 
 Candidate thresholds are midpoints between consecutive distinct sorted values
-of each feature; the comparison rule is `go left iff value <= threshold`.
+of each feature, or the lower value where the midpoint is not below the
+higher one (adjacent floats, overflow); the comparison rule is `go left iff
+value <= threshold`.
 Argmax ties always break toward label 0 (benign). Growth is iterative, so
 deep trees cannot hit the interpreter recursion limit. `grow_trees` grows
 every tree of a forest at once (a decision tree is a forest of one) and
@@ -242,7 +244,8 @@ def _best_splits(x: np.ndarray, y: np.ndarray, idx: np.ndarray, n_rows: np.ndarr
     `idx` row points at a last, all-NaN row of `x` with label 0, which the
     stable sort keeps after every real value, NaN included. `features[b]`
     are its candidate columns in ascending order. Thresholds are midpoints
-    of consecutive distinct sorted values.
+    of consecutive distinct sorted values, or the lower value where the
+    midpoint does not lie in [lower, higher).
     """
     k, m = idx.shape
     # (node, candidate, position) arrays, sorted along the positions
@@ -271,8 +274,12 @@ def _best_splits(x: np.ndarray, y: np.ndarray, idx: np.ndarray, n_rows: np.ndarr
     best = flat.argmin(axis=1)
     nodes = np.arange(k)
     column, pos = np.divmod(best, m - 1)
-    with np.errstate(invalid="ignore"):  # -inf + inf, as in a split between them
-        threshold = (xs[nodes, column, pos] + xs[nodes, column, pos + 1]) / 2.0
+    low, high = xs[nodes, column, pos], xs[nodes, column, pos + 1]
+    with np.errstate(invalid="ignore", over="ignore"):  # -inf + inf; 1e308 + 1.7e308
+        threshold = (low + high) / 2.0
+    # a midpoint that rounds up to the higher value or overflows to inf would
+    # send every row one way; the lower value realises the scored partition
+    threshold = np.where((low <= threshold) & (threshold < high), threshold, low)
     return [
         None if flat[b, best[b]] == np.inf else (int(features[b, column[b]]), float(threshold[b]))
         for b in range(k)

@@ -6,16 +6,19 @@ section 12). One run-length pass encodes every row of the bitmap at once
 (and, on the transpose, every column) and tests all five-run windows
 together; refinement reuses the same scanner on single rows and columns. A
 row hit counts only if a column hit with a similar unit lies within one unit
-of it, and the surviving hits are clustered by running mean. Both searches
-file their candidates in grid cells sized by scale level, 1.5 * 2**level
-wide, and look only at the 3x3 cells around a point, so the finder stage
-stays linear in the number of hits even on bitmaps tiled with finder-like
-cells of mixed sizes.
+of it, and the surviving hits are clustered by running mean. Both steps look
+for candidates in grid cells sized by scale level, 1.5 * 2**level wide, and
+only in the 3x3 cells around a point, so the finder stage stays linear in
+the number of hits even on bitmaps tiled with finder-like cells of mixed
+sizes. The row/column match is one sorted-key join over all hits
+(`searchsorted` on cell keys); the clustering stays a loop, because each
+point joins the first cluster whose running mean lies near it.
 
 The grid is sampled at module centers, format information is BCH-corrected
 by nearest-codeword search, and each Reed-Solomon block is corrected
-independently. The byte-mode bitstream is parsed strictly: pad bytes after
-the terminator must alternate 0xEC/0x11, which turns nearly all
+independently (`rs_decode` once per block, its syndromes read from the
+GF(256) log tables). The byte-mode bitstream is parsed strictly: pad bytes
+after the terminator must alternate 0xEC/0x11, which turns nearly all
 beyond-capacity miscorrections into loud failures.
 """
 
@@ -41,8 +44,9 @@ from .tables import (
 
 _RATIOS = (1, 1, 3, 1, 1)
 
-# The finder stage runs Python for every run-ratio hit, about 0.6 us a pixel
-# on a bitmap tiled with finder-like cells. This budget still admits a
+# The finder stage clusters its matched hits one at a time in Python: about
+# 0.45 us a pixel on a bitmap tiled with finder-like cells (2043 x 2043:
+# 1.7-2.0 s CPU on a 2-vCPU Xeon host). This budget still admits a
 # version-10 symbol at 31 px a module with a 4-module quiet zone (2015 px).
 MAX_PIXELS = 2048 * 2048
 
@@ -121,14 +125,61 @@ def _near(cells: dict, level: int, y: float, x: float) -> list:
     return found
 
 
-def _has_perpendicular(col_cells: dict, y: float, x: float, unit: float) -> bool:
-    """Whether a column hit lies within `unit` of (y, x) on both axes with a
-    unit at most 1.5 times larger or smaller."""
-    for level in range(_level(unit / 1.5), _level(unit * 1.5) + 1):
-        for cy, cx, cu in _near(col_cells, level, y, x):
-            if abs(cy - y) <= unit and abs(cx - x) <= unit and max(cu, unit) / min(cu, unit) <= 1.5:
-                return True
-    return False
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated aranges: starts[i], ..., starts[i] + counts[i] - 1."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - starts, counts)
+
+
+def _levels(units: np.ndarray) -> np.ndarray:
+    """`_level` of each unit: the bit length of ceil(unit) - 1, which is the
+    binary exponent `frexp` returns for it."""
+    return np.frexp(np.ceil(units) - 1.0)[1].astype(np.int64)
+
+
+def _perpendicular(row_hits, col_hits, span: int) -> np.ndarray:
+    """Whether each row hit (y, x, unit) has a column hit within `unit` of
+    it on both axes with a unit at most 1.5 times larger or smaller.
+
+    Column hits are filed at their own level: a match has a unit of at least
+    unit / 1.5, so its cells are at least `unit` wide. A row hit looks at
+    the 3x3 cells around it at each level from that of unit / 1.5 to that of
+    unit * 1.5. This is one sorted-key join: the column hits sorted by cell
+    key, `searchsorted` ranges for the nine neighbour keys of every (row
+    hit, level), and the predicate on exactly the pairs those ranges hold.
+    `span` exceeds every grid index + 2, so a key is (level, row + 1,
+    column + 1) in base `span`, and a neighbour is a fixed key offset."""
+    def keys(levels, y, x):
+        size = np.ldexp(1.5, levels) + 1.0
+        cell_y = (y // size).astype(np.int64) + 1
+        cell_x = (x // size).astype(np.int64) + 1
+        return (levels * span + cell_y) * span + cell_x
+
+    row_y, row_x, row_u = row_hits
+    col_y, col_x, col_u = col_hits
+    col_keys = keys(_levels(col_u), col_y, col_x)
+    order = np.argsort(col_keys)
+    col_keys = col_keys[order]
+
+    low = _levels(row_u / 1.5)
+    n_levels = _levels(row_u * 1.5) - low + 1
+    hit = np.repeat(np.arange(len(row_u)), n_levels)
+    level = _ranges(low, n_levels)
+    neighbours = np.array([dy * span + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
+    query = (keys(level, row_y[hit], row_x[hit])[:, None] + neighbours).ravel()
+    hit = np.repeat(hit, len(neighbours))
+    start = np.searchsorted(col_keys, query, "left")
+    count = np.searchsorted(col_keys, query, "right") - start
+    hit = np.repeat(hit, count)
+    col = order[_ranges(start, count)]
+
+    y, x, unit = row_y[hit], row_x[hit], row_u[hit]
+    cy, cx, cu = col_y[col], col_x[col], col_u[col]
+    ok = (np.abs(cy - y) <= unit) & (np.abs(cx - x) <= unit)
+    ok &= np.maximum(cu, unit) / np.minimum(cu, unit) <= 1.5
+    found = np.zeros(len(row_u), dtype=bool)
+    found[hit[ok]] = True
+    return found
 
 
 def _find_finder_centers(binary: np.ndarray):
@@ -138,16 +189,12 @@ def _find_finder_centers(binary: np.ndarray):
     if not len(row_u) or not len(col_u):
         raise NoFinderPatterns("no 1:1:3:1:1 run pattern found")
 
-    # a candidate needs a perpendicular hit with matching center and unit.
-    # Column hits are filed at their own level: a match has a unit of at
-    # least unit / 1.5, so its cells are at least `unit` wide
-    col_cells: dict[tuple[int, int, int], list] = {}
-    for y, x, u in zip(col_y.tolist(), col_x.tolist(), col_u.tolist()):
-        col_cells.setdefault(_cell(_level(u), y, x), []).append((y, x, u))
-    points = []
-    for y, x, unit in zip(row_y.astype(np.float64).tolist(), row_x.tolist(), row_u.tolist()):
-        if _has_perpendicular(col_cells, y, x, unit):
-            points.append((y, x, unit))
+    # a candidate needs a perpendicular hit with matching center and unit;
+    # cells are at least 2.5 px wide, so max(shape) + 3 bounds a grid index + 2
+    row_y = row_y.astype(np.float64)
+    col_x = col_x.astype(np.float64)
+    keep = _perpendicular((row_y, row_x, row_u), (col_y, col_x, col_u), max(binary.shape) + 3)
+    points = list(zip(row_y[keep].tolist(), row_x[keep].tolist(), row_u[keep].tolist()))
     if not points:
         raise NoFinderPatterns("row and column patterns never intersect")
 
@@ -323,21 +370,18 @@ def _deinterleave_and_correct(codewords: list[int], version: int, level: str) ->
 
 class _BitReader:
     def __init__(self, data: list[int]):
-        self.data = data
+        self.value = int.from_bytes(bytes(data), "big")
+        self.n_bits = len(data) * 8
         self.pos = 0  # bit position
 
     def take(self, width: int) -> int:
-        if self.pos + width > len(self.data) * 8:
+        if self.pos + width > self.n_bits:
             raise UnsupportedMode("bitstream truncated")
-        value = 0
-        for _ in range(width):
-            byte = self.data[self.pos // 8]
-            value = (value << 1) | ((byte >> (7 - self.pos % 8)) & 1)
-            self.pos += 1
-        return value
+        self.pos += width
+        return (self.value >> (self.n_bits - self.pos)) & ((1 << width) - 1)
 
     def remaining_bits(self) -> int:
-        return len(self.data) * 8 - self.pos
+        return self.n_bits - self.pos
 
 
 def _parse_byte_mode(data: list[int], version: int) -> bytes:
@@ -352,8 +396,7 @@ def _parse_byte_mode(data: list[int], version: int) -> bytes:
         if mode != 0b0100:
             raise UnsupportedMode(f"segment mode {mode:04b} not supported (byte mode only)")
         count = reader.take(count_indicator_bits(version))
-        for _ in range(count):
-            payload.append(reader.take(8))
+        payload += reader.take(8 * count).to_bytes(count, "big")
     # strict padding: skip to byte boundary, then 0xEC/0x11 alternation
     if reader.pos % 8:
         if reader.take(8 - reader.pos % 8) != 0:

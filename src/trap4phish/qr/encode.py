@@ -1,5 +1,10 @@
 """QR encoding: byte-mode segment, Reed-Solomon parity per block, codeword
 interleaving, and penalty-based mask selection.
+
+The data bits are placed once for all eight masks: the candidates are one
+(8, n, n) stack, the data modules of each XORed with that mask's grid and
+the format words written through index arrays, and `penalty_scores` scores
+the whole stack in one call. A forced mask is a stack of one.
 """
 
 from __future__ import annotations
@@ -10,19 +15,19 @@ from .errors import PayloadTooLong
 from .gf256 import rs_encode
 from .matrix import (
     QrMatrix,
+    data_masks,
+    data_positions,
+    format_index,
     function_layout,
-    penalty_score,
-    place_data,
-    place_format_info,
-    place_version_info,
+    penalty_scores,
 )
 from .tables import (
     BLOCK_STRUCTURE,
     EC_LEVELS,
-    REMAINDER_BITS,
     blocks_of,
     byte_mode_capacity,
     count_indicator_bits,
+    format_info_bits,
     matrix_size,
     smallest_version,
 )
@@ -32,29 +37,15 @@ PAD_BYTES = (0xEC, 0x11)
 
 def build_data_codewords(payload: bytes, version: int, level: str) -> list[int]:
     """Byte-mode bitstream: mode, count, payload, terminator, pad bytes."""
-    capacity_bits = 8 * sum(blocks_of(version, level))
-    bits: list[int] = []
-
-    def push(value: int, width: int):
-        for i in range(width - 1, -1, -1):
-            bits.append((value >> i) & 1)
-
-    push(0b0100, 4)
-    push(len(payload), count_indicator_bits(version))
-    for byte in payload:
-        push(byte, 8)
-    # terminator: up to four zero bits, truncated at capacity
-    push(0, min(4, capacity_bits - len(bits)))
-    while len(bits) % 8:
-        bits.append(0)
-    codewords = [
-        int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8)
-    ]
-    pad_idx = 0
-    while len(codewords) < capacity_bits // 8:
-        codewords.append(PAD_BYTES[pad_idx % 2])
-        pad_idx += 1
-    return codewords
+    capacity = sum(blocks_of(version, level))
+    count_bits = count_indicator_bits(version)
+    n_bits = 4 + count_bits + 8 * len(payload)
+    value = (0b0100 << count_bits | len(payload)) << 8 * len(payload) | int.from_bytes(payload, "big")
+    # terminator: up to four zero bits, truncated at capacity, then zero bits
+    # to the byte boundary
+    length = -(-min(n_bits + 4, 8 * capacity) // 8)
+    codewords = list((value << 8 * length - n_bits).to_bytes(length, "big"))
+    return codewords + list(PAD_BYTES * capacity)[:capacity - len(codewords)]
 
 
 def interleave(codewords: list[int], version: int, level: str) -> list[int]:
@@ -78,15 +69,20 @@ def interleave(codewords: list[int], version: int, level: str) -> list[int]:
     return out
 
 
-def assemble(version: int, level: str, final_codewords: list[int], mask_id: int) -> np.ndarray:
+def mask_candidates(version: int, level: str, final_codewords: list[int],
+                    mask_ids: list[int]) -> np.ndarray:
+    """(len(mask_ids), n, n) stack of the symbol under each listed mask."""
     _reserved, base = function_layout(version)
-    modules = base.copy()
-    bits = np.unpackbits(np.array(final_codewords, dtype=np.uint8))
-    bits = np.concatenate([bits, np.zeros(REMAINDER_BITS[version], dtype=np.uint8)])
-    place_data(modules, bits, mask_id, version)
-    place_format_info(modules, level, mask_id)
-    place_version_info(modules, version)
-    return modules
+    rows, cols = data_positions(version)
+    bits = np.zeros(len(rows), dtype=bool)  # the remainder bits stay 0
+    bits[:8 * len(final_codewords)] = np.unpackbits(np.array(final_codewords, dtype=np.uint8))
+    stack = np.repeat(base[None], len(mask_ids), axis=0)
+    stack[:, rows, cols] = bits ^ data_masks(version)[mask_ids]
+    words = np.array([format_info_bits(level, mask_id) for mask_id in mask_ids])
+    format_bits = (words[:, None] >> np.arange(15)) & 1 == 1
+    format_rows, format_cols = format_index(base.shape[0])
+    stack[:, format_rows, format_cols] = np.tile(format_bits, 2)
+    return stack
 
 
 def qr_encode(payload: bytes, ec_level: str = "M", mask_id: int | None = None,
@@ -117,16 +113,7 @@ def qr_encode(payload: bytes, ec_level: str = "M", mask_id: int | None = None,
     codewords = build_data_codewords(payload, version, ec_level)
     final = interleave(codewords, version, ec_level)
 
-    if mask_id is not None:
-        modules = assemble(version, ec_level, final, mask_id)
-        chosen = mask_id
-    else:
-        best = None
-        chosen = 0
-        for candidate in range(8):
-            modules = assemble(version, ec_level, final, candidate)
-            score = penalty_score(modules)
-            if best is None or score < best[0]:
-                best = (score, candidate, modules)
-        _score, chosen, modules = best
-    return QrMatrix(version, matrix_size(version), ec_level, chosen, modules)
+    mask_ids = list(range(8)) if mask_id is None else [mask_id]
+    stack = mask_candidates(version, ec_level, final, mask_ids)
+    best = int(np.argmin(penalty_scores(stack)))  # the lowest id on ties
+    return QrMatrix(version, matrix_size(version), ec_level, mask_ids[best], stack[best].copy())

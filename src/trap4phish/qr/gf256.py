@@ -2,9 +2,18 @@
 Reed-Solomon encoding/decoding over it, first root alpha^0 as QR requires.
 
 Polynomials are coefficient lists with index 0 = highest degree term.
+Encoding and the syndromes work in the log domain: `rs_encode` divides by a
+generator whose coefficient logs are cached per parity length, and
+`_syndromes` evaluates a block at all roots at once from the `_LOG`/`_EXP`
+tables. Berlekamp-Massey, the Chien search and Forney run on the plain
+polynomial helpers; they run only for blocks with errors.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+
+import numpy as np
 
 _EXP = [0] * 512
 _LOG = [0] * 256
@@ -17,6 +26,8 @@ for _i in range(255):
         _x ^= 0x11D
 for _i in range(255, 512):
     _EXP[_i] = _EXP[_i - 255]
+_EXP_ARR = np.array(_EXP, dtype=np.uint8)
+_LOG_ARR = np.array(_LOG, dtype=np.int64)
 
 
 class RsDecodeError(Exception):
@@ -94,16 +105,37 @@ def generator_poly(nsym: int) -> list[int]:
     return g
 
 
+@lru_cache(maxsize=None)
+def _generator_logs(nsym: int) -> tuple[int, ...]:
+    """Logs of the generator's coefficients below the leading 1; none of
+    them is zero for any parity length QR uses."""
+    return tuple(_LOG[c] for c in generator_poly(nsym)[1:])
+
+
 def rs_encode(data: list[int], nsym: int) -> list[int]:
-    """Parity codewords for `data` (nsym of them)."""
-    gen = generator_poly(nsym)
-    _, remainder = poly_divmod(list(data) + [0] * nsym, gen)
+    """Parity codewords for `data` (nsym of them): the remainder of
+    data * x^nsym divided by the generator, shifted through one byte at a
+    time with each product taken from the log tables."""
+    gen = _generator_logs(nsym)
+    remainder = [0] * nsym
+    for byte in data:
+        coef = byte ^ remainder.pop(0)
+        remainder.append(0)
+        if coef:
+            log_coef = _LOG[coef]
+            remainder = [r ^ _EXP[log_coef + g] for r, g in zip(remainder, gen)]
     return remainder
 
 
 def _syndromes(msg: list[int], nsym: int) -> list[int]:
+    """msg(alpha^i) for i < nsym: the XOR over nonzero coefficients c of
+    degree d of alpha^(log c + i*d), for all i at once."""
+    coefs = np.asarray(msg, dtype=np.int64)[::-1]
+    degrees = np.flatnonzero(coefs)
+    powers = (_LOG_ARR[coefs[degrees]] + np.arange(nsym)[:, None] * degrees) % 255
+    synd = np.bitwise_xor.reduce(_EXP_ARR[powers], axis=1)
     # leading zero pad keeps index arithmetic in BM and Forney uniform
-    return [0] + [poly_eval(msg, gf_pow(2, i)) for i in range(nsym)]
+    return [0] + synd.tolist()
 
 
 def _error_locator(synd: list[int], nsym: int) -> list[int]:

@@ -2,7 +2,9 @@
 zigzag data placement, the eight masks, and penalty scoring for mask choice.
 
 Layouts, placement orders and mask grids are cached per version; callers must
-treat the cached arrays as read-only.
+treat the cached arrays as read-only. The encoder builds its mask candidates
+as one (masks, n, n) stack, and `penalty_scores` scores the whole stack with
+array reductions over its last two axes.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .tables import ALIGNMENT_CENTERS, format_info_bits, matrix_size, version_info_bits
+from .tables import ALIGNMENT_CENTERS, matrix_size, version_info_bits
 
 MASK_FUNCTIONS = (
     lambda r, c: (r + c) % 2 == 0,
@@ -43,8 +44,8 @@ class QrMatrix:
 @lru_cache(maxsize=None)
 def function_layout(version: int) -> tuple[np.ndarray, np.ndarray]:
     """(reserved, base) for a version: `reserved` marks every function module
-    (including format/version areas), `base` holds their dark/light values
-    except the format/version words themselves."""
+    (including format/version areas), `base` holds their dark/light values,
+    the version words included, except the format words themselves."""
     n = matrix_size(version)
     reserved = np.zeros((n, n), dtype=bool)
     base = np.zeros((n, n), dtype=bool)
@@ -97,9 +98,11 @@ def function_layout(version: int) -> tuple[np.ndarray, np.ndarray]:
 
     # version info areas
     if version >= 7:
+        bits = version_info_bits(version)
         for i in range(18):
-            reserved[i // 3, n - 11 + i % 3] = True
-            reserved[n - 11 + i % 3, i // 3] = True
+            dark = bool((bits >> i) & 1)
+            set_module(i // 3, n - 11 + i % 3, dark)
+            set_module(n - 11 + i % 3, i // 3, dark)
 
     reserved.setflags(write=False)
     base.setflags(write=False)
@@ -132,12 +135,16 @@ def _format_positions_b(n: int) -> list[tuple[int, int]]:
     return positions
 
 
-def place_format_info(modules: np.ndarray, level: str, mask_id: int) -> None:
-    n = modules.shape[0]
-    bits = format_info_bits(level, mask_id)
-    for positions in (_format_positions_a(n), _format_positions_b(n)):
-        for i, (r, c) in enumerate(positions):
-            modules[r, c] = bool((bits >> i) & 1)
+@lru_cache(maxsize=None)
+def format_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of both format copies, bits 0..14 of copy A then of
+    copy B."""
+    rows, cols = zip(*(_format_positions_a(n) + _format_positions_b(n)))
+    r_arr = np.array(rows, dtype=np.intp)
+    c_arr = np.array(cols, dtype=np.intp)
+    r_arr.setflags(write=False)
+    c_arr.setflags(write=False)
+    return r_arr, c_arr
 
 
 def read_format_words(modules: np.ndarray) -> tuple[int, int]:
@@ -151,17 +158,6 @@ def read_format_words(modules: np.ndarray) -> tuple[int, int]:
                 w |= 1 << i
         words.append(w)
     return words[0], words[1]
-
-
-def place_version_info(modules: np.ndarray, version: int) -> None:
-    if version < 7:
-        return
-    n = modules.shape[0]
-    bits = version_info_bits(version)
-    for i in range(18):
-        dark = bool((bits >> i) & 1)
-        modules[i // 3, n - 11 + i % 3] = dark
-        modules[n - 11 + i % 3, i // 3] = dark
 
 
 @lru_cache(maxsize=None)
@@ -202,10 +198,13 @@ def mask_grid(version: int, mask_id: int) -> np.ndarray:
     return grid
 
 
-def place_data(modules: np.ndarray, bits: np.ndarray, mask_id: int, version: int) -> None:
+@lru_cache(maxsize=None)
+def data_masks(version: int) -> np.ndarray:
+    """(8, data modules) stack: mask m's flips in `data_positions` order."""
     rows, cols = data_positions(version)
-    flips = mask_grid(version, mask_id)[rows, cols]
-    modules[rows, cols] = bits.astype(bool) ^ flips
+    masks = np.stack([mask_grid(version, mask_id)[rows, cols] for mask_id in range(8)])
+    masks.setflags(write=False)
+    return masks
 
 
 def read_data_bits(modules: np.ndarray, mask_id: int, version: int) -> np.ndarray:
@@ -214,42 +213,44 @@ def read_data_bits(modules: np.ndarray, mask_id: int, version: int) -> np.ndarra
     return (modules[rows, cols] ^ flips).astype(np.uint8)
 
 
-_PATTERN_A = np.array([1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0], dtype=np.int8)
-_PATTERN_B = _PATTERN_A[::-1].copy()
+# 1:1:3:1:1 finder-like pattern with four light modules after it, and its
+# mirror image, as 11-bit codes read left to right
+_PATTERN_A = 0b10111010000
+_PATTERN_B = 0b00001011101
 
 
-def penalty_score(modules: np.ndarray) -> int:
-    """Mask evaluation penalty: runs, 2x2 blocks, finder-like patterns, and
-    dark-ratio deviation."""
-    n = modules.shape[0]
-    score = 0
-    m = modules.astype(np.int8)
+def penalty_scores(stack: np.ndarray) -> np.ndarray:
+    """Mask evaluation penalty of each (n, n) symbol of a (k, n, n) boolean
+    stack, n >= 11: runs, 2x2 blocks, finder-like patterns, and dark-ratio
+    deviation. Rows and columns are scored together as the symbols and
+    their transposes, one (2k, n, n) array."""
+    k, n, _ = stack.shape
+    lines = np.concatenate([stack, stack.transpose(0, 2, 1)])
 
-    for grid in (m, m.T):
-        # rule 1: each run of length L >= 5 scores 3 + (L - 5) = L - 2.
-        # With W5/W6 = counts of all-equal windows of widths 5/6, the number
-        # of long runs is W5 - W6 and sum(L - 4) over them is W5, so the rule
-        # totals 3*W5 - 2*W6.
-        same = grid[:, 1:] == grid[:, :-1]
-        w5 = int(sliding_window_view(same, 4, axis=1).all(axis=2).sum())
-        w6 = int(sliding_window_view(same, 5, axis=1).all(axis=2).sum()) if n >= 6 else 0
-        score += 3 * w5 - 2 * w6
-        # rule 3: finder-like 1:1:3:1:1 pattern flanked by a light quiet run
-        if n >= 11:
-            windows = sliding_window_view(grid, 11, axis=1)
-            hits = (windows == _PATTERN_A).all(axis=2) | (windows == _PATTERN_B).all(axis=2)
-            score += 40 * int(hits.sum())
+    # rule 1: each run of length L >= 5 scores 3 + (L - 5) = L - 2. With
+    # W5/W6 = counts of all-equal windows of widths 5/6, the number of long
+    # runs is W5 - W6 and sum(L - 4) over them is W5, so the rule totals
+    # 3*W5 - 2*W6. A window of width w is w - 1 equal neighbour pairs.
+    same = lines[:, :, 1:] == lines[:, :, :-1]
+    same2 = same[:, :, :-1] & same[:, :, 1:]
+    same4 = same2[:, :, :-2] & same2[:, :, 2:]
+    w5 = same4.sum(axis=(1, 2))
+    w6 = (same4[:, :, :-1] & same[:, :, 4:]).sum(axis=(1, 2))
+    runs = 3 * w5 - 2 * w6
+
+    # rule 3: each 11-module window as an 11-bit code, first module highest
+    code = lines[:, :, :n - 10].astype(np.int16)
+    for j in range(1, 11):
+        code <<= 1
+        code |= lines[:, :, j:n - 10 + j]
+    finders = ((code == _PATTERN_A) | (code == _PATTERN_B)).sum(axis=(1, 2))
 
     # rule 2: 2x2 blocks of one color
-    same_block = (
-        (modules[:-1, :-1] == modules[1:, :-1])
-        & (modules[:-1, :-1] == modules[:-1, 1:])
-        & (modules[:-1, :-1] == modules[1:, 1:])
-    )
-    score += 3 * int(same_block.sum())
+    corner = stack[:, :-1, :-1]
+    blocks = ((corner == stack[:, 1:, :-1]) & (corner == stack[:, :-1, 1:])
+              & (corner == stack[:, 1:, 1:])).sum(axis=(1, 2))
 
+    scores = (runs[:k] + runs[k:]) + 40 * (finders[:k] + finders[k:]) + 3 * blocks
     # rule 4: dark module proportion
-    dark = int(modules.sum())
-    percent = dark * 100 / (n * n)
-    score += 10 * int(abs(percent - 50) // 5)
-    return score
+    dark = stack.sum(axis=(1, 2)).tolist()
+    return scores + [10 * int(abs(d * 100 / (n * n) - 50) // 5) for d in dark]

@@ -1,16 +1,43 @@
-"""Per-line finder-pattern search used only as a test oracle.
+"""Plain QR code paths used only as test oracles.
 
-Scans each row and each column on its own for 1:1:3:1:1 run windows, checks
-every row hit against every column hit, and clusters the survivors by
-comparing each one with every cluster in creation order. Quadratic, but
-written the plain way, and shares no code with the whole-bitmap scanner in
-`trap4phish.qr.decode`.
+The finder search scans each row and each column on its own for 1:1:3:1:1
+run windows, checks every row hit against every column hit, and clusters the
+survivors by comparing each one with every cluster in creation order.
+Quadratic, but written the plain way, and shares no code with the
+whole-bitmap scanner in `trap4phish.qr.decode`. `has_perpendicular` is the
+per-row-hit cell lookup that the sorted-key join in `decode._perpendicular`
+replaced.
+
+The encoder builds one masked symbol at a time with per-module loops and
+scores it with sliding-window reductions (`penalty_score`), computes
+Reed-Solomon parity by long polynomial division and syndromes by Horner
+evaluation, and packs the data codewords from a list of bits.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from trap4phish.qr import NoFinderPatterns
+from trap4phish.qr import NoFinderPatterns, QrMatrix
+from trap4phish.qr.decode import _cell, _level, _near
+from trap4phish.qr.encode import PAD_BYTES
+from trap4phish.qr.gf256 import generator_poly, gf_pow, poly_divmod, poly_eval
+from trap4phish.qr.matrix import (
+    _format_positions_a,
+    _format_positions_b,
+    data_positions,
+    mask_grid,
+)
+from trap4phish.qr.tables import (
+    ALIGNMENT_CENTERS,
+    BLOCK_STRUCTURE,
+    REMAINDER_BITS,
+    blocks_of,
+    count_indicator_bits,
+    format_info_bits,
+    matrix_size,
+    smallest_version,
+    version_info_bits,
+)
 
 _RATIO_ARR = np.array((1, 1, 3, 1, 1), dtype=np.float64)
 
@@ -104,3 +131,162 @@ def refine_center(binary: np.ndarray, y: float, x: float, unit: float):
         y2, u3 = min(vertical, key=lambda c: abs(c[0] - y))
         return y2, x2, (u2 + u3) / 2.0
     return y, x, unit
+
+
+def has_perpendicular(row_hits, col_hits) -> list[bool]:
+    """Per row hit: whether a column hit lies within `unit` of it on both
+    axes with a unit at most 1.5 times larger or smaller, looked up in the
+    3x3 cells around it at each level from that of unit / 1.5 to that of
+    unit * 1.5, with column hits filed at their own level."""
+    col_cells: dict = {}
+    for y, x, u in zip(*(np.asarray(a, dtype=np.float64).tolist() for a in col_hits)):
+        col_cells.setdefault(_cell(_level(u), y, x), []).append((y, x, u))
+    found = []
+    for y, x, unit in zip(*(np.asarray(a, dtype=np.float64).tolist() for a in row_hits)):
+        found.append(any(
+            abs(cy - y) <= unit and abs(cx - x) <= unit and max(cu, unit) / min(cu, unit) <= 1.5
+            for level in range(_level(unit / 1.5), _level(unit * 1.5) + 1)
+            for cy, cx, cu in _near(col_cells, level, y, x)
+        ))
+    return found
+
+
+_PATTERN_A = np.array([1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0], dtype=np.int8)
+_PATTERN_B = _PATTERN_A[::-1].copy()
+
+
+def penalty_score(modules: np.ndarray) -> int:
+    """Mask evaluation penalty of one symbol: runs, 2x2 blocks, finder-like
+    patterns, and dark-ratio deviation."""
+    n = modules.shape[0]
+    score = 0
+    m = modules.astype(np.int8)
+
+    for grid in (m, m.T):
+        # rule 1: a run of length L >= 5 scores L - 2, which totals 3*W5 - 2*W6
+        # over the counts of all-equal windows of widths 5 and 6
+        same = grid[:, 1:] == grid[:, :-1]
+        w5 = int(sliding_window_view(same, 4, axis=1).all(axis=2).sum())
+        w6 = int(sliding_window_view(same, 5, axis=1).all(axis=2).sum()) if n >= 6 else 0
+        score += 3 * w5 - 2 * w6
+        # rule 3: finder-like 1:1:3:1:1 pattern flanked by a light quiet run
+        if n >= 11:
+            windows = sliding_window_view(grid, 11, axis=1)
+            hits = (windows == _PATTERN_A).all(axis=2) | (windows == _PATTERN_B).all(axis=2)
+            score += 40 * int(hits.sum())
+
+    # rule 2: 2x2 blocks of one color
+    same_block = (
+        (modules[:-1, :-1] == modules[1:, :-1])
+        & (modules[:-1, :-1] == modules[:-1, 1:])
+        & (modules[:-1, :-1] == modules[1:, 1:])
+    )
+    score += 3 * int(same_block.sum())
+
+    # rule 4: dark module proportion
+    dark = int(modules.sum())
+    percent = dark * 100 / (n * n)
+    score += 10 * int(abs(percent - 50) // 5)
+    return score
+
+
+def rs_encode(data: list[int], nsym: int) -> list[int]:
+    """Parity by long division of data * x^nsym by the generator."""
+    _, remainder = poly_divmod(list(data) + [0] * nsym, generator_poly(nsym))
+    return remainder
+
+
+def syndromes(msg: list[int], nsym: int) -> list[int]:
+    return [0] + [poly_eval(msg, gf_pow(2, i)) for i in range(nsym)]
+
+
+def build_data_codewords(payload: bytes, version: int, level: str) -> list[int]:
+    """Byte-mode bitstream: mode, count, payload, terminator, pad bytes."""
+    capacity_bits = 8 * sum(blocks_of(version, level))
+    bits: list[int] = []
+
+    def push(value: int, width: int):
+        for i in range(width - 1, -1, -1):
+            bits.append((value >> i) & 1)
+
+    push(0b0100, 4)
+    push(len(payload), count_indicator_bits(version))
+    for byte in payload:
+        push(byte, 8)
+    push(0, min(4, capacity_bits - len(bits)))
+    while len(bits) % 8:
+        bits.append(0)
+    codewords = [int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8)]
+    pad_idx = 0
+    while len(codewords) < capacity_bits // 8:
+        codewords.append(PAD_BYTES[pad_idx % 2])
+        pad_idx += 1
+    return codewords
+
+
+def interleave(codewords: list[int], version: int, level: str) -> list[int]:
+    ec_per_block, _groups = BLOCK_STRUCTURE[(version, level)]
+    data_blocks = []
+    pos = 0
+    for dlen in blocks_of(version, level):
+        data_blocks.append(codewords[pos:pos + dlen])
+        pos += dlen
+    ec_blocks = [rs_encode(block, ec_per_block) for block in data_blocks]
+    out = []
+    for i in range(max(len(b) for b in data_blocks)):
+        out += [block[i] for block in data_blocks if i < len(block)]
+    for i in range(ec_per_block):
+        out += [block[i] for block in ec_blocks]
+    return out
+
+
+def assemble(version: int, level: str, final_codewords: list[int], mask_id: int) -> np.ndarray:
+    """One masked symbol, module by module."""
+    n = matrix_size(version)
+    modules = np.zeros((n, n), dtype=bool)
+    # function patterns, written out again rather than copied from the layout
+    for r0, c0 in ((0, 0), (0, n - 7), (n - 7, 0)):
+        for dr in range(7):
+            for dc in range(7):
+                ring = max(abs(dr - 3), abs(dc - 3))
+                modules[r0 + dr, c0 + dc] = ring != 2
+    centers = ALIGNMENT_CENTERS[version]
+    for rc in centers:
+        for cc in centers:
+            if (rc < 9 and cc < 9) or (rc < 9 and cc > n - 10) or (rc > n - 10 and cc < 9):
+                continue
+            for dr in range(-2, 3):
+                for dc in range(-2, 3):
+                    modules[rc + dr, cc + dc] = max(abs(dr), abs(dc)) != 1
+    for i in range(8, n - 8):
+        modules[6, i] = modules[i, 6] = i % 2 == 0
+    modules[n - 8, 8] = True
+
+    bits = np.unpackbits(np.array(final_codewords, dtype=np.uint8)).tolist()
+    bits += [0] * REMAINDER_BITS[version]
+    rows, cols = data_positions(version)
+    grid = mask_grid(version, mask_id)
+    for bit, r, c in zip(bits, rows.tolist(), cols.tolist()):
+        modules[r, c] = bool(bit) ^ bool(grid[r, c])
+
+    word = format_info_bits(level, mask_id)
+    for positions in (_format_positions_a(n), _format_positions_b(n)):
+        for i, (r, c) in enumerate(positions):
+            modules[r, c] = bool((word >> i) & 1)
+    if version >= 7:
+        word = version_info_bits(version)
+        for i in range(18):
+            modules[i // 3, n - 11 + i % 3] = modules[n - 11 + i % 3, i // 3] = bool((word >> i) & 1)
+    return modules
+
+
+def qr_encode(payload: bytes, level: str = "M", mask_id=None, version=None) -> QrMatrix:
+    """Symbol by symbol: each of the eight masks is assembled and scored on
+    its own, and the first lowest score wins."""
+    if version is None:
+        version = smallest_version(len(payload), level)
+    final = interleave(build_data_codewords(payload, version, level), version, level)
+    scored = [(penalty_score(assemble(version, level, final, m)), m)
+              for m in (range(8) if mask_id is None else [mask_id])]
+    _score, chosen = min(scored)
+    return QrMatrix(version, matrix_size(version), level, chosen, assemble(version, level, final, chosen))

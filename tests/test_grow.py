@@ -72,9 +72,9 @@ def _ref_forest(x, y, tree, forest):
                                  forest["seed"], tree["max_depth"], tree["min_samples_leaf"])
 
 
-# A split between a finite value and NaN or +inf has threshold NaN or +inf
-# and sends every row to one child, which splits the same way again, in both
-# growers; so these trees get a depth limit.
+# Two NaNs count as distinct sorted values, and a split between them has
+# threshold NaN, which sends every row right, where the child splits the same
+# way again, in both growers; so these trees get a depth limit.
 bounded_tree_settings = st.fixed_dictionaries({
     "max_depth": st.integers(0, 6),
     "min_samples_leaf": st.integers(1, 3),
@@ -131,3 +131,18 @@ def test_single_tree_permutation_ranking_matches_reference(data, tree, rank_seed
     ranking = rank_features_permutation(model, ds, seed=rank_seed, n_repeats=repeats)
     scores = tree_ref.permutation_scores([model.nodes], x, y, rank_seed, repeats)
     assert dict(ranking.entries) == {f"f{j}": score for j, score in enumerate(scores)}
+
+
+@pytest.mark.parametrize("low, high", [(1.0000000000000002, 1.0000000000000004), (1e308, 1.7e308)])
+def test_split_between_adjacent_or_huge_values_separates(low, high):
+    # (low + high) / 2 rounds up to `high` or overflows to inf; a split there
+    # would send every row left, and the left child would split the same way
+    # without end. The depth limit only keeps a failure from hanging.
+    x = np.array([[low], [low], [high], [high]])
+    ds = _dataset(x, np.array([0, 0, 1, 1]))
+    tree = train_decision_tree(ds, TreeParams(max_depth=8))
+    forest = train_random_forest(ds, ForestParams(n_trees=3, max_depth=8, bootstrap=False))
+    for nodes in [tree.nodes] + [t.nodes for t in forest.trees]:
+        assert [node["kind"] for node in nodes] == ["split", "leaf", "leaf"]
+        assert nodes[0]["threshold"] == low
+        assert [nodes[i]["class_counts"] for i in (1, 2)] == [[2, 0], [0, 2]]

@@ -105,6 +105,11 @@ class TestEncode:
         for nsym in (7, 10, 13, 30):
             assert len(generator_poly(nsym)) == nsym + 1
 
+    def test_generator_coefficients_have_logs(self):
+        # rs_encode multiplies by the generator in the log domain
+        for nsym in {ec for ec, _groups in BLOCK_STRUCTURE.values()}:
+            assert all(generator_poly(nsym))
+
 
 class TestRenderPgm:
     def test_geometry(self):

@@ -1,6 +1,7 @@
 """Differential tests: the whole-bitmap finder search in `qr/decode.py`
-against the per-line search kept in `qr_ref.py`, on rendered symbols with
-noise and damage, symbol pairs and degenerate bitmaps."""
+against the per-line search kept in `qr_ref.py`, and its sorted-key
+perpendicular join against the per-hit cell lookup there, on rendered
+symbols with noise and damage, symbol pairs and degenerate bitmaps."""
 
 from unittest import mock
 
@@ -30,6 +31,11 @@ def reference_decode(bitmap: QrBitmap):
 
 def assert_agree(pixels: np.ndarray):
     binary = pixels < 128
+    row_y, row_x, row_u = decode._ratio_hits(binary)
+    col_x, col_y, col_u = decode._ratio_hits(binary.T)
+    rows, cols = (row_y.astype(float), row_x, row_u), (col_y, col_x.astype(float), col_u)
+    assert decode._perpendicular(rows, cols, max(binary.shape) + 3).tolist() == \
+        qr_ref.has_perpendicular(rows, cols)
     assert outcome(decode._find_finder_centers, binary) == outcome(qr_ref.find_finder_centers, binary)
     bitmap = QrBitmap(pixels.shape[1], pixels.shape[0], pixels, 0, 0)
     assert outcome(qr_decode, bitmap) == outcome(reference_decode, bitmap)

@@ -82,8 +82,10 @@ def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray,
         if score[k] < best_score:
             best_score = float(score[k])
             pos = change[k]
-            threshold = (xs[pos - 1] + xs[pos]) / 2.0
-            best = (int(j), float(threshold))
+            lo, hi = float(xs[pos - 1]), float(xs[pos])
+            threshold = (lo + hi) / 2.0
+            # a midpoint outside [lo, hi) would not split the rows as scored
+            best = (int(j), threshold if lo <= threshold < hi else lo)
     return best
 
 
