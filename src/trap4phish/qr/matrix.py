@@ -149,15 +149,9 @@ def format_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def read_format_words(modules: np.ndarray) -> tuple[int, int]:
     """Raw 15-bit words from both format copies (LSB = bit index 0)."""
-    n = modules.shape[0]
-    words = []
-    for positions in (_format_positions_a(n), _format_positions_b(n)):
-        w = 0
-        for i, (r, c) in enumerate(positions):
-            if modules[r, c]:
-                w |= 1 << i
-        words.append(w)
-    return words[0], words[1]
+    bits = modules[format_index(modules.shape[0])].reshape(2, 15)
+    word_a, word_b = (bits << np.arange(15)).sum(axis=1).tolist()
+    return word_a, word_b
 
 
 @lru_cache(maxsize=None)

@@ -8,12 +8,13 @@ and decode with up to floor(ec / 2) damaged codewords in every block.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import qr_ref
 from test_qr import interleaved_block_ids
 from trap4phish.qr import byte_mode_capacity, qr_decode, qr_encode, qr_render
-from trap4phish.qr.encode import build_data_codewords
+from trap4phish.qr.encode import build_data_codewords, interleave, mask_candidates
 from trap4phish.qr.gf256 import _syndromes, rs_decode, rs_encode
 from trap4phish.qr.matrix import QrMatrix, data_positions, penalty_scores
 from trap4phish.qr.tables import BLOCK_STRUCTURE, smallest_version
@@ -76,6 +77,18 @@ def test_encoder_matches_per_mask_encoder(case):
     assert got.modules.tobytes() == want.modules.tobytes()
     assert build_data_codewords(payload, got.version, level) == qr_ref.build_data_codewords(
         payload, got.version, level)
+
+
+@pytest.mark.parametrize("level, n, salt, mask_id", [
+    ("L", 18, 0, 2), ("Q", 8, 1, 0), ("Q", 20, 0, 0), ("H", 26, 2, 1),
+])
+def test_lowest_mask_id_wins_a_tied_penalty(level, n, salt, mask_id):
+    payload = bytes((i * 31 + salt * 7 + n) % 256 for i in range(n))
+    version = smallest_version(n, level)
+    final = interleave(build_data_codewords(payload, version, level), version, level)
+    scores = penalty_scores(mask_candidates(version, level, final, list(range(8))))
+    assert (scores == scores.min()).sum() == 2
+    assert qr_encode(payload, level).mask_id == mask_id == qr_ref.qr_encode(payload, level).mask_id
 
 
 @settings(deadline=None, max_examples=200)

@@ -67,6 +67,12 @@ def test_ratio_hits_match_per_line_scan(lines):
     assert list(zip(row.astype(float).tolist(), center.tolist(), unit.tolist())) == expected
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(st.floats(1.0, 1e6), st.integers(1, 2**20).map(float)), min_size=1))
+def test_levels_match_scalar_level(units):
+    assert decode._levels(np.array(units)).tolist() == [decode._level(u) for u in units]
+
+
 @st.composite
 def symbols(draw, max_version=4):
     """A rendered symbol, optionally with flipped modules (finder patterns
