@@ -11,7 +11,7 @@ for candidates in grid cells sized by scale level, 1.5 * 2**level wide, and
 only in the 3x3 cells around a point, so the finder stage stays linear in
 the number of hits even on bitmaps tiled with finder-like cells of mixed
 sizes. The row/column match is one sorted-key join over all hits
-(`searchsorted` on cell keys); the clustering stays a loop, because each
+(`searchsorted` on cell keys); the clustering is a loop, because each
 point joins the first cluster whose running mean lies near it.
 
 The grid is sampled at module centers, format information is BCH-corrected
