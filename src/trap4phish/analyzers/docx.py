@@ -1,10 +1,15 @@
 """Word document analyzer: 43 features over macro, DDE, OLE and XML-structure
 signals, plus the top-10 projection used by the detectors.
+
+The 36 structure counters come from one regex pass per XML part, run over
+windows of about 64 KiB so that a part inflating to megabytes never holds
+more than one window's matches at a time.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 from ..config import VBA_SUSPICIOUS_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
@@ -62,20 +67,29 @@ SELECTED = SCHEMA.project((
     "struct_pos",
 ))
 
-_ATTR_PATTERNS = {
-    _struct_column(name): re.compile(rb"\s" + re.escape(name.encode()) + rb"\s*=")
-    for name in STRUCT_ATTRIBUTES
-}
-_ELEMENT_PATTERNS = {
-    _struct_column(name): re.compile(rb"<" + re.escape(name.encode()) + rb"(?=[\s/>])")
-    for name in STRUCT_ELEMENTS
-}
+# One pass counts all 36 names. No two matches can overlap: an attribute
+# match holds no "<" and ends at its first "=", an element match holds no
+# whitespace or "=" and its only "<" is its first byte, and at most one name
+# fits at any offset. So each count equals that of the name's own pattern.
+_STRUCT_RE = re.compile(
+    rb"\s(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ATTRIBUTES) + rb")\s*="
+    rb"|<(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ELEMENTS) + rb")(?=[\s/>])"
+)
+# the two name sets are disjoint, so a match's one nonempty group names its column
+_STRUCT_COLUMN_OF = {n.encode(): _struct_column(n) for n in STRUCT_ATTRIBUTES + STRUCT_ELEMENTS}
+# A window ends before a "<" or after a "=" (no match crosses either) found
+# at least this far into it; the bytes past that point hold no match that
+# starts there, so one window's match list stays bounded by this size.
+_WINDOW = 1 << 16
+_WINDOW_CUT_RE = re.compile(rb"[<=]")
 
 # counted in ASCII-lowercased UTF-8 (bytes.lower); str.lower() would also fold
 # non-ASCII letters such as the Kelvin sign into ASCII and change the counts
 _VBA_KEYWORDS = tuple(keyword.encode() for keyword in VBA_SUSPICIOUS_KEYWORDS)
 
-_DDE_TOKEN_RE = re.compile(rb"DDEAUTO|(?<![A-Za-z])DDE(?![A-Za-z])")
+# DDEAUTO, or DDE with no letter on either side; the literal start lets the
+# search skip to each "DDE"
+_DDE_TOKEN_RE = re.compile(rb"DDE(?:AUTO|(?<![A-Za-z]DDE)(?![A-Za-z]))")
 _OLE_ELEMENT_RE = re.compile(rb"<(?:o:OLEObject|oleObject)\b([^>]*)>")
 
 
@@ -113,11 +127,8 @@ def _extract_from_archive(archive, values, warnings) -> None:
     parts = read_xml_parts(archive, warnings)
 
     # Structural counters over every XML part.
-    for content in parts.values():
-        for column, pattern in _ATTR_PATTERNS.items():
-            values[column] += len(pattern.findall(content))
-        for column, pattern in _ELEMENT_PATTERNS.items():
-            values[column] += len(pattern.findall(content))
+    for column, count in _struct_counts(parts.values()).items():
+        values[column] = float(count)
 
     # DDE: raw XML text plus concatenated field-instruction runs (attackers
     # split DDEAUTO across w:instrText runs).
@@ -131,6 +142,23 @@ def _extract_from_archive(archive, values, warnings) -> None:
             break
 
     _count_ole_objects(archive, parts, values)
+
+
+def _struct_counts(parts) -> dict[str, int]:
+    """The struct_* columns' counts over the XML parts, where nonzero. Each
+    part is searched one window of about `_WINDOW` bytes at a time."""
+    tally: Counter = Counter()  # (attribute, element) name pairs
+    for content in parts:
+        start = 0
+        while start < len(content):
+            cut = _WINDOW_CUT_RE.search(content, start + _WINDOW)
+            if cut is None:
+                end = len(content)
+            else:  # before "<", after "="
+                end = cut.start() if content[cut.start()] == 0x3C else cut.end()
+            tally.update(_STRUCT_RE.findall(content, start, end))
+            start = end
+    return {_STRUCT_COLUMN_OF[attribute or element]: n for (attribute, element), n in tally.items()}
 
 
 def _instr_text(content: bytes) -> bytes:

@@ -59,25 +59,30 @@ def ovba_decompress(data: bytes) -> bytes:
         while pos < chunk_end:
             flags = data[pos]
             pos += 1
-            for bit in range(8):
-                if pos >= chunk_end:
-                    break
-                if not (flags >> bit) & 1:
-                    out.append(data[pos])
-                    pos += 1
-                    continue
-                if pos + 2 > chunk_end:
-                    raise OvbaError("truncated copy token")
-                token = struct.unpack_from("<H", data, pos)[0]
-                pos += 2
-                length_bits = _copy_length_bits(len(out) - chunk_start)
-                length = (token & ((1 << length_bits) - 1)) + 3
-                offset = (token >> length_bits) + 1
-                src = len(out) - offset
-                if src < chunk_start:
-                    raise OvbaError("copy token references before chunk window")
-                for i in range(length):
-                    out.append(out[src + i])
+            if not flags:  # eight literals
+                end = min(pos + 8, chunk_end)
+                out += data[pos:end]
+                pos = end
+            else:
+                for bit in range(8):
+                    if pos >= chunk_end:
+                        break
+                    if not (flags >> bit) & 1:
+                        out.append(data[pos])
+                        pos += 1
+                        continue
+                    if pos + 2 > chunk_end:
+                        raise OvbaError("truncated copy token")
+                    token = struct.unpack_from("<H", data, pos)[0]
+                    pos += 2
+                    length_bits = _copy_length_bits(len(out) - chunk_start)
+                    length = (token & ((1 << length_bits) - 1)) + 3
+                    offset = (token >> length_bits) + 1
+                    src = len(out) - offset
+                    if src < chunk_start:
+                        raise OvbaError("copy token references before chunk window")
+                    for i in range(length):
+                        out.append(out[src + i])
             if len(out) - chunk_start > _CHUNK_DATA:
                 raise OvbaError("chunk decompresses past 4096 bytes")
     return bytes(out)

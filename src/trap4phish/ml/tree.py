@@ -243,9 +243,10 @@ def _best_splits(x: np.ndarray, y: np.ndarray, idx: np.ndarray, n_rows: np.ndarr
     Node b holds rows `idx[b, :n_rows[b]]` of `x`/`y`; the rest of its
     `idx` row points at a last, all-NaN row of `x` with label 0, which the
     stable sort keeps after every real value, NaN included. `features[b]`
-    are its candidate columns in ascending order. Thresholds are midpoints
-    of consecutive distinct sorted values, or the lower value where the
-    midpoint does not lie in [lower, higher).
+    are its candidate columns in ascending order. Splits lie between
+    consecutive distinct sorted values whose lower one is not NaN. Thresholds
+    are their midpoints, or the lower value where the midpoint does not lie
+    in [lower, higher).
     """
     k, m = idx.shape
     # (node, candidate, position) arrays, sorted along the positions
@@ -259,7 +260,9 @@ def _best_splits(x: np.ndarray, y: np.ndarray, idx: np.ndarray, n_rows: np.ndarr
     # a split before sorted position p = 1..m-1 sends the first p rows left
     left_n = np.arange(1, m, dtype=ones.dtype)
     right_n = n_rows[:, None, None] - left_n
+    # NaN != NaN, but a split whose lower value is NaN would send every row right
     valid = xs[:, :, 1:] != xs[:, :, :-1]
+    valid &= ~np.isnan(xs[:, :, :-1])
     valid &= left_n >= min_samples_leaf
     valid &= right_n >= min_samples_leaf
     with np.errstate(divide="ignore", invalid="ignore"):  # padding positions, masked below

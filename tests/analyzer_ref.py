@@ -6,6 +6,10 @@ takes quadratic time on hostile input; run them on small inputs only. The
 PDF and HTML analyzers are here whole. For docx and xlsx only the scanners
 are, and the tests swap them into the current analyzer.
 
+The docx structure counters are here as the 36 patterns that counted them,
+one `findall` pass each per XML part, and the DDE pattern as it was before
+it began with its literal.
+
 Two patterns are here as they were before they became linear:
 `ATTR_RE`, which the OOXML analyzers use on start tags, and
 `STYLE_URL_RE`, which the HTML analyzer used on style bodies and
@@ -33,6 +37,7 @@ from trap4phish.analyzers.pdf import (
     _NAME_OBFUSCATION_RE, _OBJ_RE, _PAGE_RE, _PORT_RE, _STARTXREF_RE, _STREAM_RE, _TITLE_HEX_RE,
     _TOKEN_COUNTERS, _TRAILER_RE, _XFA_RE, _XREF_ENTRY_RE, _XREF_RE, _name_token,
 )
+from trap4phish.analyzers.docx import STRUCT_ATTRIBUTES, STRUCT_ELEMENTS, _struct_column
 from trap4phish.analyzers.xlsx import _CELL_REF_RE, _ROW_RE, _col_number
 from trap4phish.config import HTML_SUSPICIOUS_KEYWORDS
 from trap4phish.core import AnalysisReport, FeatureVector, shannon_entropy
@@ -234,6 +239,27 @@ _INSTR_TEXT_RE = re.compile(rb"<w:instrText\b[^>]*>(.*?)</w:instrText>", re.DOTA
 
 def _instr_text(content: bytes) -> bytes:
     return b"".join(m.group(1) for m in _INSTR_TEXT_RE.finditer(content))
+
+
+# the structure counters as 36 patterns, one findall pass each over every part
+_STRUCT_PATTERNS = {
+    **{_struct_column(name): re.compile(rb"\s" + re.escape(name.encode()) + rb"\s*=")
+       for name in STRUCT_ATTRIBUTES},
+    **{_struct_column(name): re.compile(rb"<" + re.escape(name.encode()) + rb"(?=[\s/>])")
+       for name in STRUCT_ELEMENTS},
+}
+
+
+def _struct_counts(parts) -> dict[str, int]:
+    counts = dict.fromkeys(_STRUCT_PATTERNS, 0)
+    for content in parts:
+        for column, pattern in _STRUCT_PATTERNS.items():
+            counts[column] += len(pattern.findall(content))
+    return counts
+
+
+# tried at every offset: the lookbehind comes first
+DDE_TOKEN_RE = re.compile(rb"DDEAUTO|(?<![A-Za-z])DDE(?![A-Za-z])")
 
 
 # --- xlsx --------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Independent MS-OVBA compressor used only as a test oracle.
+"""Independent MS-OVBA compressor used only as a test oracle, and the
+decompressor as it was when it decoded one token at a time.
 
-Emits real copy tokens (greedy longest match over a hash index), so the
-round-trip tests exercise the decompressor's copy path, not just literals.
-Implemented from the container spec; shares no code with the extractor.
+The compressor emits real copy tokens (greedy longest match over a hash
+index), so the round-trip tests exercise the decompressor's copy path, not
+just literals. It is implemented from the container spec and shares no code
+with the extractor. `decompress_per_token` is the extractor's old loop,
+kept so that malformed containers can be compared error for error.
 """
 
 import struct
+
+from trap4phish.containers.errors import OvbaError
 
 CHUNK = 4096
 
@@ -73,4 +78,55 @@ def compress(data: bytes) -> bytes:
         out += struct.pack("<H", header)
         out += body
         pos = cur
+    return bytes(out)
+
+
+def decompress_per_token(data: bytes) -> bytes:
+    if not data:
+        raise OvbaError("empty container")
+    if data[0] != 0x01:
+        raise OvbaError(f"bad container signature 0x{data[0]:02x}")
+    out = bytearray()
+    pos = 1
+    while pos < len(data):
+        if pos + 2 > len(data):
+            raise OvbaError("truncated chunk header")
+        header = struct.unpack_from("<H", data, pos)[0]
+        chunk_size = (header & 0x0FFF) + 3
+        if (header >> 12) & 0x7 != 0b011:
+            raise OvbaError("bad chunk signature bits")
+        compressed = (header >> 15) & 1
+        chunk_end = min(len(data), pos + chunk_size)
+        pos += 2
+        if not compressed:
+            if pos + CHUNK > len(data):
+                raise OvbaError("truncated raw chunk")
+            out += data[pos:pos + CHUNK]
+            pos += CHUNK
+            continue
+        chunk_start = len(out)
+        while pos < chunk_end:
+            flags = data[pos]
+            pos += 1
+            for bit in range(8):
+                if pos >= chunk_end:
+                    break
+                if not (flags >> bit) & 1:
+                    out.append(data[pos])
+                    pos += 1
+                    continue
+                if pos + 2 > chunk_end:
+                    raise OvbaError("truncated copy token")
+                token = struct.unpack_from("<H", data, pos)[0]
+                pos += 2
+                length_bits = _length_bits(len(out) - chunk_start)
+                length = (token & ((1 << length_bits) - 1)) + 3
+                offset = (token >> length_bits) + 1
+                src = len(out) - offset
+                if src < chunk_start:
+                    raise OvbaError("copy token references before chunk window")
+                for i in range(length):
+                    out.append(out[src + i])
+            if len(out) - chunk_start > CHUNK:
+                raise OvbaError("chunk decompresses past 4096 bytes")
     return bytes(out)

@@ -122,13 +122,47 @@ def _patched(owner, **functions):
         yield
 
 
+# the six \s bytes, names that are prefixes of others or end in another
+# (w:t/w:tbl, Type/Types, id/r:id, Target/TargetMode, w/w:p), and the bytes
+# that end a name, a window or a match
+_STRUCT_TOKENS = [
+    b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"<", b"=", b"/", b">", b'"x"', b"a", b":",
+    b"w", b"w:", b"w:t", b"w:tbl", b"w:tblPr", b"w:p", b"w:pict", b"w:r", b"w:rPr", b"w:instrText",
+    b"Type", b"Types", b"id", b"Id", b"r:id", b"r:idx", b"r:embed", b"val", b"pos", b"h", b"name",
+    b"Target", b"TargetMode", b"xmlns", b"xmlns:w", b"ContentType", b"Relationship",
+    b' name =', b" w\t=", b"<w:tbl>", b"<w:t/>", b'<Types xmlns="x">', b' r:id="1"', b"<w:p w=",
+    b"DDE", b"DDEAUTO", b"DD", b"E", b"AUTO", b"xDDE", b"DDEx", b"1DDE",
+]
+
+
 @_SETTINGS
-@given(_join(_DOCX_TOKENS))
-def test_docx_matches_rescanning_analyzer(body):
+@given(_join(_STRUCT_TOKENS), st.integers(1, 40))
+@example(b"<w:p w=", 3)  # a window ends just before the "=", then just after it
+def test_struct_counts_match_one_pattern_per_name(content, window):
+    expected = {column: n for column, n in ref._struct_counts([content]).items() if n}
+    assert docx._struct_counts([content]) == expected
+    # windows this short cut through most tags
+    with mock.patch.object(docx, "_WINDOW", window):
+        assert docx._struct_counts([content, content]) == {c: 2 * n for c, n in expected.items()}
+    assert bool(docx._DDE_TOKEN_RE.search(content)) == bool(ref.DDE_TOKEN_RE.search(content))
+
+
+def test_struct_counts_match_across_full_size_windows():
+    rng = random.Random(3)
+    content = b"".join(rng.choice(_STRUCT_TOKENS) for _ in range(120_000))  # about 7 windows
+    expected = {column: n for column, n in ref._struct_counts([content]).items() if n}
+    assert docx._struct_counts([content]) == expected
+
+
+@_SETTINGS
+@given(_join(_DOCX_TOKENS), _join(_STRUCT_TOKENS).map(bytes.decode))
+def test_docx_matches_rescanning_analyzer(body, attributes):
     content = body.encode()
     assert docx._instr_text(content) == ref._instr_text(content)
-    data = make_docx(document_xml="<w:document><w:body><w:p>" + body + "</w:p></w:body></w:document>")
-    with _patched(docx, _instr_text=ref._instr_text):
+    data = make_docx(document_xml="<w:document " + attributes + "><w:body><w:p>" + body
+                     + "</w:p></w:body></w:document>")
+    with _patched(docx, _instr_text=ref._instr_text, _struct_counts=ref._struct_counts,
+                  _DDE_TOKEN_RE=ref.DDE_TOKEN_RE):
         old = analyze_docx(data)
     assert analyze_docx(data).features.values == old.features.values
 

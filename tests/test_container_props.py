@@ -1,14 +1,17 @@
 """Property tests of the container readers against independent writers: the
 ZIP reader against archives built by the standard-library `zipfile`, and the
-MS-OVBA decompressor against the copy-token compressor in `ovba_ref.py`."""
+MS-OVBA decompressor against the copy-token compressor in `ovba_ref.py` and,
+on malformed containers, against the per-token decompressor kept there."""
 
 import io
+import random
+import struct
 import zipfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ovba_ref
-from trap4phish.containers import ovba_decompress, zip_open
+from trap4phish.containers import OvbaError, ovba_decompress, zip_open
 
 NAME_CHARS = st.sampled_from("abcXYZ019._-/ éü")
 
@@ -63,3 +66,58 @@ def test_zip_reader_matches_zipfile(data):
 @given(contents(max_size=10000))
 def test_ovba_decompress_inverts_reference_compressor(source):
     assert ovba_decompress(ovba_ref.compress(source)) == source
+
+
+@st.composite
+def damaged_containers(draw):
+    """Compressed chunks of random literals and copy tokens: literal runs cut
+    short by the chunk's end, copy tokens reaching one byte before the chunk
+    or past 4096 bytes, truncated tokens and headers."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # drawing each byte would be slow
+    out = bytearray([0x01])
+    for _ in range(rnd.randint(1, 3)):
+        body = bytearray()
+        produced = 0
+        for _ in range(rnd.randint(0, 500)):
+            flags = rnd.choice([0x00, 0x00, 0x00, 0xFF, 0x01, 0x80, 0x55])
+            if not produced:
+                flags &= 0xFE  # nothing to copy yet
+            body.append(flags)
+            for bit in range(8):
+                if not (flags >> bit) & 1:
+                    body.append(rnd.randrange(256))
+                    produced += 1
+                    continue
+                length_bits = ovba_ref._length_bits(produced)
+                offset = rnd.randint(1, produced) if produced and rnd.random() < 0.999 else produced + 1
+                offset = min(offset, 1 << (16 - length_bits))
+                length = rnd.randint(3, rnd.choice([10, (1 << length_bits) + 2]))
+                body += struct.pack("<H", ((offset - 1) << length_bits) | (length - 3))
+                produced += length
+        body = body[:rnd.randint(0, len(body))]
+        size = rnd.randint(max(len(body) - 40, 0), len(body) + 40)
+        out += struct.pack("<H", (max(min(size, 4098), 3) - 3) | (0b011 << 12) | (1 << 15)) + body
+    return bytes(out[:rnd.randint(1, len(out))])
+
+
+def _outcome(decompress, data):
+    try:
+        return decompress(data)
+    except OvbaError as exc:
+        return str(exc)
+
+
+def _chunk(body: bytes) -> bytes:
+    return struct.pack("<H", (len(body) + 2 - 3) | (0b011 << 12) | (1 << 15)) + body
+
+
+# a copy token fills the chunk to 4096 bytes, then eight literals overflow it
+_LITERALS_PAST_4096 = b"\x01" + _chunk(
+    b"\x00" + b"a" * 8 + b"\x01" + struct.pack("<H", 4081 - 3) + b"b" * 7 + b"\x00" + b"c" * 8)
+
+
+@settings(deadline=None, max_examples=200)
+@given(damaged_containers())
+@example(_LITERALS_PAST_4096)
+def test_ovba_decompress_matches_per_token_loop_on_damaged_input(data):
+    assert _outcome(ovba_decompress, data) == _outcome(ovba_ref.decompress_per_token, data)

@@ -1,9 +1,14 @@
 import io
 import math
 import random
+import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trap4phish import core
 from trap4phish.core import (
     DatasetError,
     FeatureSchema,
@@ -53,6 +58,61 @@ class TestShannonEntropy:
         for _ in range(50):
             data = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 200)))
             assert shannon_entropy(data + data) == pytest.approx(shannon_entropy(data), abs=1e-12)
+
+
+def _counter_entropy(data: bytes) -> float:
+    """The entropy summed over `Counter`'s counts, as it was for every input."""
+    entropy = 0.0
+    for count in Counter(data).values():
+        p = count / len(data)
+        entropy -= p * math.log2(p)
+    return entropy
+
+
+class TestEntropyMatchesCounter:
+    """Every length gives the `Counter` loop's float to the bit."""
+
+    CHUNK = core._ENTROPY_CHUNK
+
+    @pytest.mark.parametrize("n", [core._NUMPY_ENTROPY_MIN - 1, core._NUMPY_ENTROPY_MIN,
+                                   core._NUMPY_ENTROPY_MIN + 1])
+    def test_both_sides_of_the_threshold(self, n):
+        rng = random.Random(n)
+        for k in (1, 2, 7, 256):
+            data = bytes(rng.randrange(k) for _ in range(n))
+            assert shannon_entropy(data) == _counter_entropy(data)
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"\x41" * 5000,
+        bytes(range(256)) * 8,
+        bytes(range(255, -1, -1)) * 300,  # all 256 values, over more than one chunk
+        bytes(CHUNK) + b"\x07" + bytes(9) + b"\x03",  # values first seen after the first chunk
+        b"ab" * CHUNK + b"c" + b"a" * (CHUNK - 1) + b"d",  # ...the last one on a chunk's first byte
+        bytes(range(200)) * (3 * CHUNK // 200) + bytes(range(199, 256)),
+    ], ids=["empty", "one-value", "all-values", "all-values-chunks", "late-values",
+            "late-on-boundary", "late-tail"])
+    def test_edge_inputs(self, data):
+        assert shannon_entropy(data) == _counter_entropy(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.binary(max_size=1500), st.lists(st.integers(0, 5), max_size=1500).map(bytes)),
+           st.integers(1, 300))
+    def test_chunked_counts_keep_first_occurrence_order(self, data, chunk):
+        # chunks this short put first occurrences in every chunk
+        with mock.patch.object(core, "_ENTROPY_CHUNK", chunk):
+            assert core._byte_counts(data) == list(Counter(data).values())
+            assert shannon_entropy(data) == _counter_entropy(data)
+
+    def test_memory_stays_bounded_on_large_input(self):
+        data = random.Random(5).randbytes(8 << 20)
+        tracemalloc.start()
+        try:
+            shannon_entropy(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class TestSniffFileKind:

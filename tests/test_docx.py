@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 
-from trap4phish.analyzers import analyze_docx
+from trap4phish.analyzers import analyze_docx, docx
 from trap4phish.analyzers.docx import DOCX_COLUMNS, SCHEMA, SELECTED
 from trap4phish.config import VBA_SUSPICIOUS_KEYWORDS
 from trap4phish.synth import build_vba_project
@@ -158,3 +159,19 @@ def test_struct_counters_count_attribute_positions_only():
     doc = '<w:document><w:body><w:p w:x="1" pos="2"/><w:t>pos pos</w:t><pose pos="3"/></w:body></w:document>'
     d = analyze_docx(make_docx(document_xml=doc)).features.as_dict()
     assert d["struct_pos"] == 2
+
+
+def test_struct_counting_memory_stays_bounded_on_a_large_part():
+    # one findall over the whole part would hold one match per tag at once;
+    # the tail has no "<" at which a window could end
+    unit = b"<w:p><w:r><w:t>lorem ipsum dolor sit amet</w:t></w:r></w:p>"
+    n = (3 << 20) // len(unit)
+    part = unit * n + b' w="1"' * 100_000
+    tracemalloc.start()
+    try:
+        counts = docx._struct_counts([part])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == {"struct_w_p": n, "struct_w_r": n, "struct_w_t": n, "struct_w": 100_000}
+    assert peak < 2 << 20

@@ -72,18 +72,9 @@ def _ref_forest(x, y, tree, forest):
                                  forest["seed"], tree["max_depth"], tree["min_samples_leaf"])
 
 
-# Two NaNs count as distinct sorted values, and a split between them has
-# threshold NaN, which sends every row right, where the child splits the same
-# way again, in both growers; so these trees get a depth limit.
-bounded_tree_settings = st.fixed_dictionaries({
-    "max_depth": st.integers(0, 6),
-    "min_samples_leaf": st.integers(1, 3),
-})
-
-
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # -inf + inf in the oracle
 @_SETTINGS
-@given(matrices(FINITE + SPECIAL), bounded_tree_settings, forest_settings)
+@given(matrices(FINITE + SPECIAL), tree_settings, forest_settings)
 def test_grow_trees_matches_per_node_grower(data, tree, forest):
     # NaN and +-inf cannot enter through a dataset, so the grower is fed directly
     x, y = data
@@ -146,3 +137,14 @@ def test_split_between_adjacent_or_huge_values_separates(low, high):
         assert [node["kind"] for node in nodes] == ["split", "leaf", "leaf"]
         assert nodes[0]["threshold"] == low
         assert [nodes[i]["class_counts"] for i in (1, 2)] == [[2, 0], [0, 2]]
+
+
+def test_adjacent_nans_are_not_a_split():
+    # NaN != NaN; a split between two NaNs would have threshold NaN and send
+    # every row right, where the child would split the same way again
+    x = np.array([[0.0], [math.nan], [math.nan], [math.nan]])
+    y = np.array([0, 1, 0, 1])
+    [nodes] = grow_trees(x, y, [np.arange(4)], TreeParams(max_depth=8))
+    assert [node["kind"] for node in nodes] == ["split", "leaf", "leaf"]
+    assert nodes[0]["threshold"] == 0.0
+    assert [nodes[i]["class_counts"] for i in (1, 2)] == [[1, 0], [1, 2]]

@@ -60,8 +60,8 @@ def _best_split(x: np.ndarray, y: np.ndarray, feature_ids: np.ndarray,
         order = np.argsort(x[:, j], kind="stable")
         xs = x[order, j]
         ys = y[order]
-        # positions where the sorted value changes
-        change = np.nonzero(xs[1:] != xs[:-1])[0] + 1
+        # positions where the sorted value changes, not after a NaN (NaN != NaN)
+        change = np.nonzero((xs[1:] != xs[:-1]) & ~np.isnan(xs[:-1]))[0] + 1
         if not len(change):
             continue
         ones = np.cumsum(ys == 1)
