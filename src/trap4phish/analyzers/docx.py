@@ -77,9 +77,10 @@ _STRUCT_RE = re.compile(
 )
 # the two name sets are disjoint, so a match's one nonempty group names its column
 _STRUCT_COLUMN_OF = {n.encode(): _struct_column(n) for n in STRUCT_ATTRIBUTES + STRUCT_ELEMENTS}
-# A window ends before a "<" or after a "=" (no match crosses either) found
-# at least this far into it; the bytes past that point hold no match that
-# starts there, so one window's match list stays bounded by this size.
+# A part is searched in windows. Each ends just before a "<" or just after a
+# "=", whichever comes first at least _WINDOW bytes past its start; no match
+# crosses either point. Every match holds a "<" or a "=", so a window holds
+# at most about _WINDOW matches however far it runs past that point.
 _WINDOW = 1 << 16
 _WINDOW_CUT_RE = re.compile(rb"[<=]")
 
