@@ -77,7 +77,31 @@ _NEIGHBOURS = [(0, 0)] + [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if 
 
 def _ratio_hits(lines: np.ndarray):
     """1:1:3:1:1 dark/light/dark/light/dark run windows in every row of a
-    2-D boolean array, as (row, center, unit) arrays in row-major order."""
+    2-D boolean array, as (row, center, unit) arrays in row-major order.
+
+    A row equal to the one above it has the same hits, so only the first
+    row of each run of equal rows is scanned, and its hits are repeated
+    over the run."""
+    first = np.ones(len(lines), dtype=bool)
+    np.any(lines[1:] != lines[:-1], axis=1, out=first[1:])
+    if first.all():
+        return _scan_lines(lines)
+    first = np.flatnonzero(first)
+    row, center, unit = _scan_lines(lines[first])
+    # distinct row j repeats over reps[j] rows: its hits, hits[j] of them,
+    # fill a block of reps[j] * hits[j] outputs, one copy per repeated row
+    reps = np.diff(first, append=len(lines))
+    hits = np.bincount(row, minlength=len(first))
+    block = reps * hits
+    owner = np.repeat(np.arange(len(first)), block)
+    offset = _ranges(np.zeros_like(block), block)
+    own_hits = hits[owner]
+    take = (np.cumsum(hits) - hits)[owner] + offset % own_hits
+    return first[owner] + offset // own_hits, center[take], unit[take]
+
+
+def _scan_lines(lines: np.ndarray):
+    """`_ratio_hits` with every row run-length encoded."""
     n, width = lines.shape
     # run edges of all rows at once; each row is padded with an edge at both
     # ends, so a run is two consecutive edges of the same row
