@@ -4,15 +4,19 @@ possibly with bounded module corruption).
 Finder patterns are located by the 1:1:3:1:1 run-ratio test (ISO/IEC 18004
 section 12). One run-length pass encodes every row of the bitmap at once
 (and, on the transpose, every column) and tests all five-run windows
-together; refinement reuses the same scanner on single rows and columns. A
-row hit counts only if a column hit with a similar unit lies within one unit
-of it, and the surviving hits are clustered by running mean. Both steps look
-for candidates in grid cells sized by scale level, 1.5 * 2**level wide, and
+together. In a rendered symbol each module spans several equal pixel rows
+and columns, so a line equal to the one before it is not scanned again:
+its hits are copies of that line's. A row hit counts only if a
+column hit with a similar unit lies within one unit of it, and the
+surviving hits are clustered by running mean. Both steps look for
+candidates in grid cells sized by scale level, 1.5 * 2**level wide, and
 only in the 3x3 cells around a point, so the finder stage stays linear in
 the number of hits even on bitmaps tiled with finder-like cells of mixed
 sizes. The row/column match is one sorted-key join over all hits
 (`searchsorted` on cell keys); the clustering is a loop, because each
-point joins the first cluster whose running mean lies near it.
+point joins the first cluster whose running mean lies near it. Refinement
+scans nothing: it reads the hits of the rows and the column it needs out
+of the whole-bitmap hits, which are sorted by line.
 
 The grid is sampled at module centers, format information is BCH-corrected
 by nearest-codeword search, and each Reed-Solomon block is corrected
@@ -57,9 +61,9 @@ def qr_decode(bitmap: QrBitmap) -> bytes:
         raise BadBitmap(f"{bitmap.width}x{bitmap.height} bitmap exceeds the "
                         f"{MAX_PIXELS}-pixel budget")
     binary = bitmap.pixels < 128
-    clusters = _find_finder_centers(binary)
+    clusters, row_hits, col_hits = _find_finder_centers(binary)
     tl, tr, bl, unit = _select_finders(clusters)
-    refined = [_refine_center(binary, y, x, unit) for y, x in (tl, tr, bl)]
+    refined = [_refine_center(row_hits, col_hits, y, x, unit) for y, x in (tl, tr, bl)]
     tl, tr, bl = [(y, x) for y, x, _u in refined]
     unit = sum(u for _y, _x, u in refined) / 3.0
     modules, version = _sample_grid(binary, tl, tr, bl, unit)
@@ -207,9 +211,15 @@ def _perpendicular(row_hits, col_hits, span: int) -> np.ndarray:
 
 
 def _find_finder_centers(binary: np.ndarray):
-    """Cluster row/column ratio hits into candidate finder centers."""
-    row_y, row_x, row_u = _ratio_hits(binary)
-    col_x, col_y, col_u = _ratio_hits(binary.T)
+    """Cluster row/column ratio hits into candidate finder centers.
+
+    Returns the clusters, heaviest first, and the row and column hits of
+    the whole bitmap as `_ratio_hits` gives them: (row, x, unit) and
+    (column, y, unit), each sorted by its line index."""
+    row_hits = _ratio_hits(binary)
+    col_hits = _ratio_hits(binary.T)
+    row_y, row_x, row_u = row_hits
+    col_x, col_y, col_u = col_hits
     if not len(row_u) or not len(col_u):
         raise NoFinderPatterns("no 1:1:3:1:1 run pattern found")
 
@@ -256,35 +266,35 @@ def _find_finder_centers(binary: np.ndarray):
     if len(clusters) < 3:
         raise NoFinderPatterns(f"found {len(clusters)} finder pattern(s), need 3")
     clusters.sort(key=lambda c: -c["weight"])
-    return clusters[:12]
+    return clusters[:12], row_hits, col_hits
 
 
-def _nearest_hit(lines: np.ndarray, target: float, radius: float):
-    """(center, unit) of the ratio hit in a one-row array closest to
-    `target`, among those within `radius`; None when there is none."""
-    _row, centers, units = _ratio_hits(lines)
-    near = np.flatnonzero(np.abs(centers - target) <= radius)
+def _nearest_hit(hits, line: int, target: float, radius: float):
+    """(center, unit) of the hit on line `line` closest to `target`, among
+    those within `radius`; None when there is none. `hits` is a
+    (line, center, unit) triple from `_ratio_hits`, sorted by line, and
+    holds exactly the hits a scan of that one line would find."""
+    lines, centers, units = hits
+    lo, hi = np.searchsorted(lines, (line, line + 1))
+    offsets = np.abs(centers[lo:hi] - target)
+    near = np.flatnonzero(offsets <= radius)
     if not len(near):
         return None
-    best = near[np.argmin(np.abs(centers[near] - target))]
+    best = lo + near[np.argmin(offsets[near])]
     return float(centers[best]), float(units[best])
 
 
-def _refine_center(binary: np.ndarray, y: float, x: float, unit: float):
-    """Snap a cluster mean to the exact run-ratio center near it."""
-    height, width = binary.shape
+def _refine_center(row_hits, col_hits, y: float, x: float, unit: float):
+    """Snap a cluster mean to the exact run-ratio center near it: the row
+    hit nearest x on the nearest row around y that has one within reach,
+    then the column hit nearest y on that hit's column. A line outside the
+    bitmap has no hits, so it is skipped like one without a match."""
     for dy in sorted(range(-int(unit) - 1, int(unit) + 2), key=abs):
-        row_idx = int(round(y)) + dy
-        if not 0 <= row_idx < height:
-            continue
-        horizontal = _nearest_hit(binary[row_idx:row_idx + 1], x, 2 * unit)
+        horizontal = _nearest_hit(row_hits, int(round(y)) + dy, x, 2 * unit)
         if horizontal is None:
             continue
         x2, u2 = horizontal
-        col_idx = int(round(x2))
-        if not 0 <= col_idx < width:
-            continue
-        vertical = _nearest_hit(binary[:, col_idx:col_idx + 1].T, y, 2 * unit)
+        vertical = _nearest_hit(col_hits, int(round(x2)), y, 2 * unit)
         if vertical is None:
             continue
         y2, u3 = vertical

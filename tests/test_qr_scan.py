@@ -24,9 +24,22 @@ def outcome(fn, *args):
 
 
 def reference_decode(bitmap: QrBitmap):
-    with mock.patch.object(decode, "_find_finder_centers", qr_ref.find_finder_centers), \
-            mock.patch.object(decode, "_refine_center", qr_ref.refine_center):
+    """`qr_decode` with the reference cluster search and per-line refinement."""
+    binary = bitmap.pixels < 128
+
+    def find(lines):
+        return qr_ref.find_finder_centers(lines), None, None
+
+    def refine(_row_hits, _col_hits, y, x, unit):
+        return qr_ref.refine_center(binary, y, x, unit)
+
+    with mock.patch.object(decode, "_find_finder_centers", find), \
+            mock.patch.object(decode, "_refine_center", refine):
         return qr_decode(bitmap)
+
+
+def clusters_of(binary: np.ndarray):
+    return decode._find_finder_centers(binary)[0]
 
 
 def assert_agree(pixels: np.ndarray):
@@ -36,7 +49,7 @@ def assert_agree(pixels: np.ndarray):
     rows, cols = (row_y.astype(float), row_x, row_u), (col_y, col_x.astype(float), col_u)
     assert decode._perpendicular(rows, cols, max(binary.shape) + 3).tolist() == \
         qr_ref.has_perpendicular(rows, cols)
-    assert outcome(decode._find_finder_centers, binary) == outcome(qr_ref.find_finder_centers, binary)
+    assert outcome(clusters_of, binary) == outcome(qr_ref.find_finder_centers, binary)
     bitmap = QrBitmap(pixels.shape[1], pixels.shape[0], pixels, 0, 0)
     assert outcome(qr_decode, bitmap) == outcome(reference_decode, bitmap)
 
