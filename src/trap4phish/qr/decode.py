@@ -223,10 +223,12 @@ def _find_finder_centers(binary: np.ndarray):
     if not len(row_u) or not len(col_u):
         raise NoFinderPatterns("no 1:1:3:1:1 run pattern found")
 
+    # run centers are edge coordinates (pixel i spans [i, i + 1)), so a
+    # hit's line stands for the middle of that line
+    row_y = row_y + 0.5
+    col_x = col_x + 0.5
     # a candidate needs a perpendicular hit with matching center and unit;
     # cells are at least 2.5 px wide, so max(shape) + 3 bounds a grid index + 2
-    row_y = row_y.astype(np.float64)
-    col_x = col_x.astype(np.float64)
     keep = _perpendicular((row_y, row_x, row_u), (col_y, col_x, col_u), max(binary.shape) + 3)
     points = list(zip(row_y[keep].tolist(), row_x[keep].tolist(), row_u[keep].tolist()))
     if not points:
@@ -346,9 +348,9 @@ def _sample_grid(binary: np.ndarray, tl, tr, bl, unit: float) -> tuple[np.ndarra
     m_h = span_h / (size - 7)
     m_v = span_v / (size - 7)
     rr = np.arange(size)
-    # round half up: half-to-even would alternate across module boundaries
-    ys = np.floor(tl[0] + (rr - 3) * m_v + 0.5).astype(int)
-    xs = np.floor(tl[1] + (rr - 3) * m_h + 0.5).astype(int)
+    # module centers are edge coordinates: the pixel that holds one is its floor
+    ys = np.floor(tl[0] + (rr - 3) * m_v).astype(int)
+    xs = np.floor(tl[1] + (rr - 3) * m_h).astype(int)
     if ys.min() < 0 or xs.min() < 0 or ys.max() >= binary.shape[0] or xs.max() >= binary.shape[1]:
         raise BadBitmap("sampling grid escapes the bitmap (missing quiet zone?)")
     modules = binary[np.ix_(ys, xs)]

@@ -70,11 +70,11 @@ def find_finder_centers(binary: np.ndarray):
     row_hits = []  # (y, x, unit)
     for y in range(binary.shape[0]):
         for x, unit in ratio_candidates(binary[y]):
-            row_hits.append((float(y), x, unit))
+            row_hits.append((y + 0.5, x, unit))
     col_hits = []
     for x in range(binary.shape[1]):
         for y, unit in ratio_candidates(binary[:, x]):
-            col_hits.append((y, float(x), unit))
+            col_hits.append((y, x + 0.5, unit))
     if not row_hits or not col_hits:
         raise NoFinderPatterns("no 1:1:3:1:1 run pattern found")
 
