@@ -1,7 +1,9 @@
 """Differential tests: the whole-bitmap finder search in `qr/decode.py`
-against the per-line search kept in `qr_ref.py`, and its sorted-key
-perpendicular join against the per-hit cell lookup there, on rendered
-symbols with noise and damage, symbol pairs and degenerate bitmaps."""
+against the per-line search kept in `qr_ref.py`, its sorted-key
+perpendicular join against the per-hit cell lookup there, and its
+refinement from the whole-bitmap hits against the per-line rescan there,
+on rendered symbols with noise and damage, symbol pairs, lines repeated as
+rendering repeats them, finder-tiled and degenerate bitmaps."""
 
 from unittest import mock
 
@@ -10,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qr_ref
-from trap4phish.qr import QrBitmap, byte_mode_capacity, qr_decode, qr_encode, qr_render
+from test_qr import finder_tiles
+from trap4phish.qr import NoFinderPatterns, QrBitmap, byte_mode_capacity, qr_decode, qr_encode, qr_render
 from trap4phish.qr import decode
 from trap4phish.qr.matrix import QrMatrix
 
@@ -72,12 +75,44 @@ def run_rows(draw):
     return np.array(padded, dtype=bool).reshape(len(rows), width)
 
 
+@st.composite
+def repeated_run_rows(draw):
+    """`run_rows` with each row repeated 1-9 times and, in some examples,
+    each column too, as a symbol rendered at several pixels a module
+    repeats its lines; a few pixels are then flipped, often in the first
+    or last column, so that some lines differ from the one before them
+    in one pixel only."""
+    lines = draw(run_rows())
+    n, width = lines.shape
+    lines = np.repeat(lines, draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)), axis=0)
+    columns = st.integers(1, 9) if draw(st.booleans()) else st.just(1)
+    lines = np.repeat(lines, draw(st.lists(columns, min_size=width, max_size=width)), axis=1)
+    n, width = lines.shape
+    if n and width:
+        column = st.one_of(st.just(0), st.just(width - 1), st.integers(0, width - 1))
+        for r, c in draw(st.lists(st.tuples(st.integers(0, n - 1), column), max_size=3)):
+            lines[r, c] ^= True
+    return lines
+
+
+def assert_hits_match(lines: np.ndarray):
+    row, center, unit = decode._ratio_hits(lines)
+    assert (row.dtype, center.dtype, unit.dtype) == (np.intp, np.float64, np.float64)
+    expected = [(float(r), c, u) for r in range(len(lines)) for c, u in qr_ref.ratio_candidates(lines[r])]
+    assert list(zip(row.astype(float).tolist(), center.tolist(), unit.tolist())) == expected
+
+
 @settings(deadline=None, max_examples=300)
 @given(run_rows())
 def test_ratio_hits_match_per_line_scan(lines):
-    row, center, unit = decode._ratio_hits(lines)
-    expected = [(float(r), c, u) for r in range(len(lines)) for c, u in qr_ref.ratio_candidates(lines[r])]
-    assert list(zip(row.astype(float).tolist(), center.tolist(), unit.tolist())) == expected
+    assert_hits_match(lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(repeated_run_rows())
+def test_ratio_hits_of_repeated_lines_match_per_line_scan(lines):
+    assert_hits_match(lines)
+    assert_hits_match(lines.T)
 
 
 @settings(deadline=None, max_examples=200)
@@ -134,6 +169,44 @@ def test_two_symbols_side_by_side_agree(left, right):
 @pytest.mark.parametrize("value", [0, 255])
 def test_degenerate_bitmaps_agree(shape, value):
     assert_agree(np.full(shape, value, dtype=np.uint8))
+
+
+def assert_refinements_agree(pixels: np.ndarray):
+    """Every cluster refined from the whole-bitmap hits lands where the
+    per-line reference refinement puts it, with the cluster's own unit and
+    with the mean unit of the selected finder triple."""
+    binary = pixels < 128
+    try:
+        clusters, row_hits, col_hits = decode._find_finder_centers(binary)
+    except NoFinderPatterns:
+        return
+    selected = []
+    try:
+        selected.append(decode._select_finders(clusters)[3])
+    except NoFinderPatterns:
+        pass
+    for cluster in clusters:
+        for unit in [cluster["unit"]] + selected:
+            args = cluster["y"], cluster["x"], unit
+            assert decode._refine_center(row_hits, col_hits, *args) == qr_ref.refine_center(binary, *args)
+
+
+@pytest.mark.parametrize("module_px", range(1, 9))
+def test_refined_centres_match_per_line_refinement(module_px):
+    for level in "LH":
+        matrix = qr_encode(b"https://refine.test/" + bytes(module_px), level)
+        assert_refinements_agree(qr_render(matrix, module_px, 2).pixels)
+
+
+@settings(deadline=None, max_examples=40)
+@given(symbols(), st.floats(0.0, 0.02), st.integers(0, 2**32 - 1))
+def test_refined_centres_of_rendered_symbols_match(pixels, rate, seed):
+    assert_refinements_agree(with_noise(pixels, rate, seed))
+
+
+@pytest.mark.parametrize("large", ["", "edge", "cross"])
+def test_refined_centres_on_finder_tiles_match(large):
+    assert_refinements_agree(finder_tiles(198, large).pixels)
 
 
 def test_single_row_of_finder_runs_agrees():
