@@ -57,9 +57,6 @@ class RandomForestModel:
     format_kind: str = ""
     schema_version: int = 1
     warnings: list[str] = field(default_factory=list)
-    # bootstrap row indices per tree; kept in memory for OOB checks only,
-    # reproducible from the seed, not serialized
-    bootstrap_indices: list[np.ndarray] = field(default_factory=list, repr=False)
     packed: PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,32 +134,5 @@ def train_random_forest(ds: LabeledDataset, params: ForestParams | None = None) 
         for nodes in grow_trees(x, y, samples, tree_params, max_features, rngs)
     ]
     return RandomForestModel(trees, params, ds.schema.columns,
-                             ds.schema.format_kind, ds.schema.version,
-                             warnings, samples)
+                             ds.schema.format_kind, ds.schema.version, warnings)
 
-
-def oob_accuracy(model: RandomForestModel, ds: LabeledDataset) -> float:
-    """Out-of-bag accuracy on the training dataset the model was fit to.
-
-    Requires in-memory bootstrap indices (present right after training).
-    Rows that appear in every bootstrap sample are skipped.
-    """
-    if not model.bootstrap_indices:
-        raise ValueError("model has no bootstrap indices (deserialized model?)")
-    x, y = dataset_matrix(ds)
-    n = len(y)
-    votes = np.zeros((n, 2), dtype=np.int64)
-    for tree, rows in zip(model.trees, model.bootstrap_indices):
-        in_bag = np.zeros(n, dtype=bool)
-        in_bag[rows] = True
-        oob = ~in_bag
-        if not oob.any():
-            continue
-        pred = tree.predict_many(x[oob])
-        votes[np.nonzero(oob)[0], pred] += 1
-    considered = votes.sum(axis=1) > 0
-    if not considered.any():
-        raise ValueError("no out-of-bag rows; was bootstrap enabled?")
-    # ties toward label 0: label 1 requires strictly more votes
-    predicted = (votes[:, 1] > votes[:, 0]).astype(np.int64)
-    return float((predicted[considered] == y[considered]).mean())

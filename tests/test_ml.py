@@ -14,7 +14,6 @@ from trap4phish.ml import (
     evaluate,
     f1_score,
     metrics_table,
-    oob_accuracy,
     stratified_split,
     train_decision_tree,
     train_random_forest,
@@ -130,22 +129,6 @@ class TestRandomForest:
         assert forest.predict_many(np.array([[0.0]]))[0] == 1
         forest2 = RandomForestModel(trees[1:], ForestParams(n_trees=2), schema.columns)
         assert forest2.predict_many(np.array([[0.0]]))[0] == 0
-
-    def test_oob_accuracy_separable_blobs(self):
-        ds = self._blob_ds(n=100, seed=3)
-        # brute-force single-feature threshold oracle: blobs with means 3
-        # sigma apart give ~0.93 on one axis, confirming separable structure
-        xs = sorted(v.values[0] for v, _ in ds.rows)
-        best = 0.0
-        for a, b in zip(xs, xs[1:]):
-            threshold = (a + b) / 2
-            acc = np.mean([
-                (v.values[0] > threshold) == bool(label) for v, label in ds.rows
-            ])
-            best = max(best, acc, 1 - acc)
-        assert best >= 0.9
-        forest = train_random_forest(ds, ForestParams(n_trees=25, seed=4))
-        assert oob_accuracy(forest, ds) >= 0.95
 
     def test_scaling_invariance(self):
         # multiplying any single column by a positive constant in train and
