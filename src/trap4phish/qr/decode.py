@@ -49,9 +49,10 @@ from .tables import (
 _RATIOS = (1, 1, 3, 1, 1)
 
 # The finder stage clusters its matched hits one at a time in Python: about
-# 0.45 us a pixel on a bitmap tiled with finder-like cells (2043 x 2043:
-# 1.7-2.0 s CPU on a 2-vCPU Xeon host). This budget still admits a
-# version-10 symbol at 31 px a module with a 4-module quiet zone (2015 px).
+# 0.5-0.65 us a pixel on a bitmap tiled with 1-px finder-like cells, where
+# all three center rows of every cell are matched (2043 x 2043: 2.0-2.7 s
+# CPU on a 2-vCPU Xeon host). This budget still admits a version-10 symbol
+# at 31 px a module with a 4-module quiet zone (2015 px).
 MAX_PIXELS = 2048 * 2048
 
 
