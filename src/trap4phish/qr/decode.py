@@ -4,15 +4,14 @@ possibly with bounded module corruption).
 Finder patterns are located by the 1:1:3:1:1 run-ratio test (ISO/IEC 18004
 section 12). One run-length pass encodes every row of the bitmap at once
 (and, on the transpose, every column) and tests all five-run windows
-together. In a rendered symbol each module spans several equal pixel rows
-and columns, so a line equal to the one before it is not scanned again:
-its hits are copies of that line's. A row hit counts only if a
-column hit with a similar unit lies within one unit of it, and the
-surviving hits are clustered by running mean. Both steps look for
-candidates in grid cells sized by scale level, 1.5 * 2**level wide, and
-only in the 3x3 cells around a point, so the finder stage stays linear in
-the number of hits even on bitmaps tiled with finder-like cells of mixed
-sizes. The row/column match is one sorted-key join over all hits
+together; a line equal to the one before it, as every module of a
+rendered symbol makes several, is not scanned again but copies its hits.
+A row hit counts only if a column hit with a similar unit lies within one
+unit of it, and the surviving hits are clustered by running mean. Both
+steps look for candidates in grid cells sized by scale level, 1.5 *
+2**level wide, and only in the 3x3 cells around a point, so the finder
+stage stays linear in the number of hits even on bitmaps tiled with
+finder-like cells of mixed sizes. The row/column match is one sorted-key join over all hits
 (`searchsorted` on cell keys); the clustering is a loop, because each
 point joins the first cluster whose running mean lies near it. Refinement
 scans nothing: it reads the hits of the rows and the column it needs out
@@ -212,15 +211,10 @@ def _perpendicular(row_hits, col_hits, span: int) -> np.ndarray:
 
 
 def _find_finder_centers(binary: np.ndarray):
-    """Cluster row/column ratio hits into candidate finder centers.
-
-    Returns the clusters, heaviest first, and the row and column hits of
-    the whole bitmap as `_ratio_hits` gives them: (row, x, unit) and
-    (column, y, unit), each sorted by its line index."""
-    row_hits = _ratio_hits(binary)
-    col_hits = _ratio_hits(binary.T)
-    row_y, row_x, row_u = row_hits
-    col_x, col_y, col_u = col_hits
+    """Cluster row/column ratio hits into candidate finder centers; also
+    returns the (row, x, unit) and (column, y, unit) hits, sorted by line."""
+    row_y, row_x, row_u = row_hits = _ratio_hits(binary)
+    col_x, col_y, col_u = col_hits = _ratio_hits(binary.T)
     if not len(row_u) or not len(col_u):
         raise NoFinderPatterns("no 1:1:3:1:1 run pattern found")
 
@@ -274,9 +268,8 @@ def _find_finder_centers(binary: np.ndarray):
 
 def _nearest_hit(hits, line: int, target: float, radius: float):
     """(center, unit) of the hit on line `line` closest to `target`, among
-    those within `radius`; None when there is none. `hits` is a
-    (line, center, unit) triple from `_ratio_hits`, sorted by line, and
-    holds exactly the hits a scan of that one line would find."""
+    those within `radius`; None when there is none. `hits` is sorted by
+    line, as `_ratio_hits` gives it, and scans every line on its own."""
     lines, centers, units = hits
     lo, hi = np.searchsorted(lines, (line, line + 1))
     offsets = np.abs(centers[lo:hi] - target)
@@ -288,10 +281,8 @@ def _nearest_hit(hits, line: int, target: float, radius: float):
 
 
 def _refine_center(row_hits, col_hits, y: float, x: float, unit: float):
-    """Snap a cluster mean to the exact run-ratio center near it: the row
-    hit nearest x on the nearest row around y that has one within reach,
-    then the column hit nearest y on that hit's column. A line outside the
-    bitmap has no hits, so it is skipped like one without a match."""
+    """Snap a cluster mean to the exact run-ratio center near it. A line
+    outside the bitmap has no hits, so it is skipped like one without."""
     for dy in sorted(range(-int(unit) - 1, int(unit) + 2), key=abs):
         horizontal = _nearest_hit(row_hits, int(round(y)) + dy, x, 2 * unit)
         if horizontal is None:
