@@ -11,11 +11,11 @@ unit of it, and the surviving hits are clustered by running mean. Both
 steps look for candidates in grid cells sized by scale level, 1.5 *
 2**level wide, and only in the 3x3 cells around a point, so the finder
 stage stays linear in the number of hits even on bitmaps tiled with
-finder-like cells of mixed sizes. The row/column match is one sorted-key join over all hits
-(`searchsorted` on cell keys); the clustering is a loop, because each
-point joins the first cluster whose running mean lies near it. Refinement
-scans nothing: it reads the hits of the rows and the column it needs out
-of the whole-bitmap hits, which are sorted by line.
+finder-like cells of mixed sizes. The row/column match is one sorted-key
+join over all hits (`searchsorted` on cell keys); the clustering is a loop,
+because each point joins the first cluster whose running mean lies near
+it. Refinement scans nothing: it reads the hits of the rows and the column
+it needs out of the whole-bitmap hits, which are sorted by line.
 
 The grid is sampled at module centers, format information is BCH-corrected
 by nearest-codeword search, and each Reed-Solomon block is corrected
@@ -268,8 +268,8 @@ def _find_finder_centers(binary: np.ndarray):
 
 def _nearest_hit(hits, line: int, target: float, radius: float):
     """(center, unit) of the hit on line `line` closest to `target`, among
-    those within `radius`; None when there is none. `hits` is sorted by
-    line, as `_ratio_hits` gives it, and scans every line on its own."""
+    those within `radius`; None when there is none. `hits` comes from
+    `_ratio_hits`: sorted by line, each line's hits found on their own."""
     lines, centers, units = hits
     lo, hi = np.searchsorted(lines, (line, line + 1))
     offsets = np.abs(centers[lo:hi] - target)

@@ -30,8 +30,8 @@ def reference_decode(bitmap: QrBitmap):
     """`qr_decode` with the reference cluster search and per-line refinement."""
     binary = bitmap.pixels < 128
 
-    def find(lines):
-        return qr_ref.find_finder_centers(lines), None, None
+    def find(bits):
+        return qr_ref.find_finder_centers(bits), None, None
 
     def refine(_row_hits, _col_hits, y, x, unit):
         return qr_ref.refine_center(binary, y, x, unit)
