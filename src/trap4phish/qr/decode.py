@@ -88,8 +88,6 @@ def _ratio_hits(lines: np.ndarray):
     over the run."""
     first = np.ones(len(lines), dtype=bool)
     np.any(lines[1:] != lines[:-1], axis=1, out=first[1:])
-    if first.all():
-        return _scan_lines(lines)
     first = np.flatnonzero(first)
     row, center, unit = _scan_lines(lines[first])
     # distinct row j repeats over reps[j] rows: its hits, hits[j] of them,

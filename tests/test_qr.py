@@ -219,17 +219,13 @@ class TestDecode:
     @pytest.mark.parametrize("quiet_zone", [1, 2, 3, 4])
     @pytest.mark.parametrize("level", "LMQH")
     def test_one_pixel_a_module(self, level, quiet_zone):
+        # includes level H with 15 zero bytes (version 3, mask 0): with a
+        # hit's line index as its cross coordinate, one of each finder's
+        # three center rows failed the perpendicular test there, and a
+        # data-area cluster of weight 4 outweighed the true finders
         for n in range(30):
             m = qr_encode(bytes(n), level)
             assert qr_decode(qr_render(m, 1, quiet_zone)) == bytes(n), (level, n)
-
-    def test_one_pixel_level_h_15_zero_bytes(self):
-        # with a hit's line index as its cross coordinate, one of each
-        # finder's three center rows failed the perpendicular test here, and
-        # a data-area cluster of weight 4 outweighed the true finders
-        m = qr_encode(bytes(15), "H")
-        assert (m.version, m.mask_id) == (3, 0)
-        assert qr_decode(qr_render(m, 1, 4)) == bytes(15)
 
     def test_opencv_cross_validation(self):
         cv2 = pytest.importorskip("cv2")
