@@ -4,18 +4,21 @@ possibly with bounded module corruption).
 Finder patterns are located by the 1:1:3:1:1 run-ratio test (ISO/IEC 18004
 section 12). One run-length pass encodes every row of the bitmap at once
 (and, on the transpose, every column) and tests all five-run windows
-together; a line equal to the one before it, as every module of a
-rendered symbol makes several, is not scanned again but copies its hits.
-A row hit counts only if a column hit with a similar unit lies within one
-unit of it, and the surviving hits are clustered by running mean. Both
-steps look for candidates in grid cells sized by scale level, 1.5 *
-2**level wide, and only in the 3x3 cells around a point, so the finder
-stage stays linear in the number of hits even on bitmaps tiled with
-finder-like cells of mixed sizes. The row/column match is one sorted-key
-join over all hits (`searchsorted` on cell keys); the clustering is a loop,
+together. Lines come in runs of equal lines, as every module of a rendered
+symbol makes several, and only the first line of a run is scanned. A row
+hit counts only if a column hit with a similar unit lies within one unit
+of it. That match is one sorted-key join (`searchsorted` on cell keys)
+over the hits of each run of lines, not of each line: for each column hit
+it meets, the rows of a row hit's run that match are an interval. The
+matched copies, one for each row, are clustered by running mean in a loop,
 because each point joins the first cluster whose running mean lies near
-it. Refinement scans nothing: it reads the hits of the rows and the column
-it needs out of the whole-bitmap hits, which are sorted by line.
+it. Both steps look for candidates in grid cells sized by scale level,
+1.5 * 2**level wide, and only in the cells around a point, so the finder
+stage stays linear in the number of hits even on bitmaps tiled with
+finder-like cells of mixed sizes. The finder triple is picked by scoring
+all ordered triples of the heaviest clusters at once. Refinement scans
+nothing: it reads the hits of the rows and the column it needs out of the
+whole-bitmap hits.
 
 The grid is sampled at module centers, format information is BCH-corrected
 by nearest-codeword search, and each Reed-Solomon block is corrected
@@ -27,7 +30,8 @@ beyond-capacity miscorrections into loud failures.
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 
 import numpy as np
 
@@ -48,8 +52,8 @@ from .tables import (
 _RATIOS = (1, 1, 3, 1, 1)
 
 # The finder stage clusters its matched hits one at a time in Python: about
-# 0.5-0.65 us a pixel on a bitmap tiled with 1-px finder-like cells, where
-# all three center rows of every cell are matched (2043 x 2043: 2.0-2.7 s
+# 0.25-0.3 us a pixel on a bitmap tiled with 1-px finder-like cells, where
+# all three center rows of every cell are matched (2043 x 2043: 1.0-1.2 s
 # CPU on a 2-vCPU Xeon host). This budget still admits a version-10 symbol
 # at 31 px a module with a 4-module quiet zone (2015 px).
 MAX_PIXELS = 2048 * 2048
@@ -75,35 +79,27 @@ def qr_decode(bitmap: QrBitmap) -> bytes:
 
 
 _RATIO_ARR = np.array(_RATIOS, dtype=np.float64)
-# the point's own cell first: most matches are found there
-_NEIGHBOURS = [(0, 0)] + [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
 
 
 def _ratio_hits(lines: np.ndarray):
     """1:1:3:1:1 dark/light/dark/light/dark run windows in every row of a
-    2-D boolean array, as (row, center, unit) arrays in row-major order.
+    2-D boolean array.
 
-    A row equal to the one above it has the same hits, so only the first
-    row of each run of equal rows is scanned, and its hits are repeated
-    over the run."""
+    A row equal to the one above it has the same hits, so the rows are taken
+    in runs of equal rows and only the first row of each run is scanned.
+    Returns (first, reps, run, center, unit): the first row and the length
+    of each run of equal rows, and for each hit of a run's first row the
+    index of that run, its center and its unit, in row-major order."""
     first = np.ones(len(lines), dtype=bool)
     np.any(lines[1:] != lines[:-1], axis=1, out=first[1:])
     first = np.flatnonzero(first)
-    row, center, unit = _scan_lines(lines[first])
-    # distinct row j repeats over reps[j] rows: its hits, hits[j] of them,
-    # fill a block of reps[j] * hits[j] outputs, one copy per repeated row
-    reps = np.diff(first, append=len(lines))
-    hits = np.bincount(row, minlength=len(first))
-    block = reps * hits
-    owner = np.repeat(np.arange(len(first)), block)
-    offset = _ranges(np.zeros_like(block), block)
-    own_hits = hits[owner]
-    take = (np.cumsum(hits) - hits)[owner] + offset % own_hits
-    return first[owner] + offset // own_hits, center[take], unit[take]
+    run, center, unit = _scan_lines(lines[first])
+    return first, np.diff(first, append=len(lines)), run, center, unit
 
 
 def _scan_lines(lines: np.ndarray):
-    """`_ratio_hits` with every row run-length encoded."""
+    """The hits of every row, each row run-length encoded: (row, center,
+    unit) arrays in row-major order."""
     n, width = lines.shape
     # run edges of all rows at once; each row is padded with an edge at both
     # ends, so a run is two consecutive edges of the same row
@@ -124,152 +120,183 @@ def _scan_lines(lines: np.ndarray):
     return row[k], pos[k + 2] + lengths[k + 2] / 2.0, units[ok]
 
 
-def _level(unit: float) -> int:
-    """Scale level of a hit unit (>= 1): the smallest L with unit <= 2**L.
-
-    Hits are filed in grids whose cell size follows their level. One grid
-    sized by the largest unit would let a single large pattern put every
-    small hit of the bitmap into a few cells and make the search quadratic.
-    """
-    return (math.ceil(unit) - 1).bit_length()
-
-
-def _cell(level: int, y: float, x: float) -> tuple[int, int, int]:
-    """Grid cell of a point at a scale level. Cells are 1.5 * 2**level wide
-    (+1 absorbs rounding in the division), so everything within that
-    distance of a point lies in the 3x3 cells around its own."""
-    size = 1.5 * (1 << level) + 1.0
-    return level, int(y // size), int(x // size)
-
-
-def _near(cells: dict, level: int, y: float, x: float) -> list:
-    """Items filed at `level` in the 3x3 cells around (y, x)."""
-    _, gy, gx = _cell(level, y, x)
-    found = []
-    for dy, dx in _NEIGHBOURS:
-        found += cells.get((level, gy + dy, gx + dx), ())
-    return found
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated aranges: starts[i], ..., starts[i] + counts[i] - 1."""
+def _ranges(starts, counts: np.ndarray) -> np.ndarray:
+    """Concatenated aranges: starts[i], ..., starts[i] + counts[i] - 1
+    (`starts` may be one number for all)."""
     ends = np.cumsum(counts)
     return np.arange(ends[-1] if len(ends) else 0) - np.repeat(ends - counts - starts, counts)
 
 
 def _levels(units: np.ndarray) -> np.ndarray:
-    """`_level` of each unit: the bit length of ceil(unit) - 1, which is the
-    binary exponent `frexp` returns for it."""
+    """Scale level of each hit unit (>= 1): the smallest L with unit <= 2**L,
+    which is the bit length of ceil(unit) - 1, the binary exponent `frexp`
+    returns for it.
+
+    Hits are filed in grids of cells 1.5 * 2**level + 1 wide (+1 absorbs
+    rounding in the division), so everything within 1.5 * 2**level of a
+    point lies in the 3x3 cells around its own. One grid sized by the
+    largest unit would let a single large pattern put every small hit of
+    the bitmap into a few cells and make the search quadratic."""
     return np.frexp(np.ceil(units) - 1.0)[1].astype(np.int64)
 
 
-def _perpendicular(row_hits, col_hits, span: int) -> np.ndarray:
-    """Whether each row hit (y, x, unit) has a column hit within `unit` of
-    it on both axes with a unit at most 1.5 times larger or smaller.
+def _cell_keys(levels, y, x, span: int) -> np.ndarray:
+    """Key of the grid cell of (y, x) at each level: (level, row + 1,
+    column + 1) in base `span`, which exceeds every grid index + 2, so a
+    neighbour cell is a fixed key offset."""
+    size = np.ldexp(1.5, levels) + 1.0
+    return (levels * span + (y // size).astype(np.int64) + 1) * span + (x // size).astype(np.int64) + 1
 
-    Column hits are filed at their own level: a match has a unit of at least
-    unit / 1.5, so its cells are at least `unit` wide. A row hit looks at
-    the 3x3 cells around it at each level from that of unit / 1.5 to that of
-    unit * 1.5. This is one sorted-key join: the column hits sorted by cell
-    key, `searchsorted` ranges for the nine neighbour keys of every (row
-    hit, level), and the predicate on exactly the pairs those ranges hold.
-    `span` exceeds every grid index + 2, so a key is (level, row + 1,
-    column + 1) in base `span`, and a neighbour is a fixed key offset."""
-    def keys(levels, y, x):
-        size = np.ldexp(1.5, levels) + 1.0
-        cell_y = (y // size).astype(np.int64) + 1
-        cell_x = (x // size).astype(np.int64) + 1
-        return (levels * span + cell_y) * span + cell_x
 
-    row_y, row_x, row_u = row_hits
-    col_y, col_x, col_u = col_hits
-    col_keys = keys(_levels(col_u), col_y, col_x)
+def _perpendicular(row_hits, col_hits, span: int):
+    """The copies of the row hits, one for each row of a hit's run of equal
+    rows, that have a column hit within `unit` of them on both axes with a
+    unit at most 1.5 times larger or smaller: (y, x, unit) arrays in
+    row-major order. Run centers are edge coordinates (pixel i spans
+    [i, i + 1)), so a copy lies at y = row + 0.5, and a column hit's copies
+    at column + 0.5.
+
+    Hits are joined once per run of equal lines, as one sorted-key join. A
+    column hit is filed at its own level in every cell its run of columns
+    crosses; a match has a unit of at least unit / 1.5, so those cells are
+    at least `unit` wide. A row hit looks, at each level from that of
+    unit / 1.5 to that of unit * 1.5, in the cells its run of rows crosses
+    and their neighbours, with `searchsorted` on the cell keys. On each pair
+    found, either some copy of the column run lies within `unit` of the row
+    hit in x or none does, and the row copies within `unit` of the column
+    hit in y are an interval; both tests are exact integer arithmetic."""
+    first, reps, run, x, u = row_hits
+    col_first, col_reps, col_run, col_y, col_u = col_hits
+    top, rows = first[run], reps[run]
+    left, cols = col_first[col_run], col_reps[col_run]
+    # file each column hit in the cells from its first copy's to its last's
+    col_levels = _levels(col_u)
+    col_key = _cell_keys(col_levels, col_y, left + 0.5, span)
+    cells = _cell_keys(col_levels, col_y, left + cols - 0.5, span) - col_key + 1
+    col = np.repeat(np.arange(len(col_u)), cells)
+    col_keys = np.repeat(col_key, cells) + _ranges(0, cells)
     order = np.argsort(col_keys)
-    col_keys = col_keys[order]
+    col_keys, col = col_keys[order], col[order]
 
-    low = _levels(row_u / 1.5)
-    n_levels = _levels(row_u * 1.5) - low + 1
-    hit = np.repeat(np.arange(len(row_u)), n_levels)
+    # each row hit, at each of its levels, looks in the cell rows from the
+    # one above its first copy's to the one below its last copy's
+    low = _levels(u / 1.5)
+    n_levels = _levels(u * 1.5) - low + 1
+    hit = np.repeat(np.arange(len(u)), n_levels)
     level = _ranges(low, n_levels)
-    neighbours = np.array([dy * span + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
-    query = (keys(level, row_y[hit], row_x[hit])[:, None] + neighbours).ravel()
-    hit = np.repeat(hit, len(neighbours))
-    start = np.searchsorted(col_keys, query, "left")
-    count = np.searchsorted(col_keys, query, "right") - start
+    key = _cell_keys(level, top[hit] + 0.5, x[hit], span) - span
+    n_keys = (_cell_keys(level, (top + rows)[hit] - 0.5, x[hit], span) - key) // span + 2
+    hit = np.repeat(hit, n_keys)
+    key = np.repeat(key, n_keys) + _ranges(0, n_keys) * span
+    # a cell and its left and right neighbours are one key range
+    start = np.searchsorted(col_keys, key - 1, "left")
+    count = np.searchsorted(col_keys, key + 1, "right") - start
     hit = np.repeat(hit, count)
-    col = order[_ranges(start, count)]
+    col = col[_ranges(start, count)]
 
-    y, x, unit = row_y[hit], row_x[hit], row_u[hit]
-    cy, cx, cu = col_y[col], col_x[col], col_u[col]
-    ok = (np.abs(cy - y) <= unit) & (np.abs(cx - x) <= unit)
+    # copies lie at line + 0.5 and centers at multiples of 0.5, so, doubled,
+    # |line + 0.5 - center| <= u is |2 * line - (2 * center - 1)| <= floor(2u)
+    reach = np.floor(2.0 * u).astype(np.int64)[hit]
+    mid_x = (2.0 * x).astype(np.int64)[hit] - 1
+    mid_y = (2.0 * col_y).astype(np.int64)[col] - 1
+    lo = np.maximum(top[hit], (mid_y - reach + 1) // 2)
+    hi = np.minimum((top + rows - 1)[hit], (mid_y + reach) // 2)
+    ok = (lo <= hi) & (np.maximum(left[col], (mid_x - reach + 1) // 2)
+                       <= np.minimum((left + cols - 1)[col], (mid_x + reach) // 2))
+    cu, unit = col_u[col], u[hit]
     ok &= np.maximum(cu, unit) / np.minimum(cu, unit) <= 1.5
-    found = np.zeros(len(row_u), dtype=bool)
-    found[hit[ok]] = True
-    return found
+    # the matched rows of each pair; sorted (row, hit) keys put the copies in
+    # row-major order, and a copy matched by several pairs is kept once
+    hit, lo = hit[ok], lo[ok]
+    length = hi[ok] - lo + 1
+    copy = np.sort(_ranges(lo, length) * len(u) + np.repeat(hit, length))
+    copy = copy[np.diff(copy, prepend=-1) > 0]
+    copy_row, hit = np.divmod(copy, len(u))
+    return copy_row + 0.5, x[hit], u[hit]
 
 
 def _find_finder_centers(binary: np.ndarray):
     """Cluster row/column ratio hits into candidate finder centers; also
-    returns the (row, x, unit) and (column, y, unit) hits, sorted by line."""
-    row_y, row_x, row_u = row_hits = _ratio_hits(binary)
-    col_x, col_y, col_u = col_hits = _ratio_hits(binary.T)
-    if not len(row_u) or not len(col_u):
+    returns the row and column hits (`_ratio_hits` of the bitmap and of its
+    transpose)."""
+    row_hits = _ratio_hits(binary)
+    col_hits = _ratio_hits(binary.T)
+    if not len(row_hits[4]) or not len(col_hits[4]):
         raise NoFinderPatterns("no 1:1:3:1:1 run pattern found")
-
-    # run centers are edge coordinates (pixel i spans [i, i + 1)), so a
-    # hit's line stands for the middle of that line
-    row_y = row_y + 0.5
-    col_x = col_x + 0.5
-    # a candidate needs a perpendicular hit with matching center and unit;
     # cells are at least 2.5 px wide, so max(shape) + 3 bounds a grid index + 2
-    keep = _perpendicular((row_y, row_x, row_u), (col_y, col_x, col_u), max(binary.shape) + 3)
-    points = list(zip(row_y[keep].tolist(), row_x[keep].tolist(), row_u[keep].tolist()))
-    if not points:
+    span = max(binary.shape) + 3
+    # a candidate needs a perpendicular hit with matching center and unit
+    y, x, unit = _perpendicular(row_hits, col_hits, span)
+    if not len(y):
         raise NoFinderPatterns("row and column patterns never intersect")
-
-    # each point joins the first cluster, in creation order, whose running
-    # mean lies within 1.5 * unit of it. Clusters are filed by the cell of
-    # their mean at every level a point has, and a point looks only at its
-    # own level, whose cells are at least 1.5 * unit wide
-    levels = sorted({_level(unit) for _y, _x, unit in points})
-    clusters: list[dict] = []
-    cluster_cells: dict[tuple[int, int, int], list[int]] = {}
-    for y, x, unit in points:
-        first = None
-        for i in _near(cluster_cells, _level(unit), y, x):
-            cluster = clusters[i]
-            if ((first is None or i < first) and abs(cluster["y"] - y) <= 1.5 * unit
-                    and abs(cluster["x"] - x) <= 1.5 * unit):
-                first = i
-        if first is None:
-            for level in levels:
-                cluster_cells.setdefault(_cell(level, y, x), []).append(len(clusters))
-            clusters.append({"y": y, "x": x, "unit": unit, "weight": 1})
-            continue
-        cluster = clusters[first]
-        old = [_cell(level, cluster["y"], cluster["x"]) for level in levels]
-        w = cluster["weight"]
-        cluster["y"] = (cluster["y"] * w + y) / (w + 1)
-        cluster["x"] = (cluster["x"] * w + x) / (w + 1)
-        cluster["unit"] = (cluster["unit"] * w + unit) / (w + 1)
-        cluster["weight"] = w + 1
-        for level, old_cell in zip(levels, old):
-            new_cell = _cell(level, cluster["y"], cluster["x"])
-            if new_cell != old_cell:
-                cluster_cells[old_cell].remove(first)
-                cluster_cells.setdefault(new_cell, []).append(first)
+    clusters = _cluster(y, x, unit, span)
     if len(clusters) < 3:
         raise NoFinderPatterns(f"found {len(clusters)} finder pattern(s), need 3")
     clusters.sort(key=lambda c: -c["weight"])
     return clusters[:12], row_hits, col_hits
 
 
+def _cluster(y: np.ndarray, x: np.ndarray, unit: np.ndarray, span: int) -> list[dict]:
+    """Running-mean clusters of the points: each point joins the first
+    cluster, in creation order, whose mean lies within 1.5 * unit of it.
+    Clusters are filed by the cell of their mean at every level a point
+    has, and a point looks only in the 3x3 cells around its own at its own
+    level, whose cells are at least 1.5 * unit wide."""
+    point_levels = _levels(unit)
+    levels = np.flatnonzero(np.bincount(point_levels))
+    # (size, key of cell (0, 0)) of each level's grid, as `_cell_keys` has it
+    grids = list(zip((np.ldexp(1.5, levels) + 1.0).tolist(), ((levels * span + 1) * span + 1).tolist()))
+    neighbours = [dy * span + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    mean_y: list[float] = []
+    mean_x: list[float] = []
+    mean_u: list[float] = []
+    weight: list[int] = []
+    cluster_cells: list[list[int]] = []
+    cells: dict[int, list[int]] = {}
+    for py, px, pu, key in zip(y.tolist(), x.tolist(), unit.tolist(),
+                               _cell_keys(point_levels, y, x, span).tolist()):
+        reach = 1.5 * pu
+        first = None
+        for offset in neighbours:
+            for i in cells.get(key + offset, ()):
+                if ((first is None or i < first) and abs(mean_y[i] - py) <= reach
+                        and abs(mean_x[i] - px) <= reach):
+                    first = i
+        if first is None:
+            filed = [base + int(py // size) * span + int(px // size) for size, base in grids]
+            for cell in filed:
+                cells.setdefault(cell, []).append(len(weight))
+            cluster_cells.append(filed)
+            mean_y.append(py)
+            mean_x.append(px)
+            mean_u.append(pu)
+            weight.append(1)
+            continue
+        w = weight[first]
+        my = mean_y[first] = (mean_y[first] * w + py) / (w + 1)
+        mx = mean_x[first] = (mean_x[first] * w + px) / (w + 1)
+        mean_u[first] = (mean_u[first] * w + pu) / (w + 1)
+        weight[first] = w + 1
+        filed = cluster_cells[first]
+        for j, (size, base) in enumerate(grids):
+            cell = base + int(my // size) * span + int(mx // size)
+            if cell != filed[j]:
+                cells[filed[j]].remove(first)
+                cells.setdefault(cell, []).append(first)
+                filed[j] = cell
+    return [{"y": cy, "x": cx, "unit": cu, "weight": w}
+            for cy, cx, cu, w in zip(mean_y, mean_x, mean_u, weight)]
+
+
 def _nearest_hit(hits, line: int, target: float, radius: float):
     """(center, unit) of the hit on line `line` closest to `target`, among
     those within `radius`; None when there is none. `hits` comes from
-    `_ratio_hits`: sorted by line, each line's hits found on their own."""
-    lines, centers, units = hits
-    lo, hi = np.searchsorted(lines, (line, line + 1))
+    `_ratio_hits`: a line has the hits of the run of equal lines it is in."""
+    first, reps, run, centers, units = hits
+    if not 0 <= line < first[-1] + reps[-1]:
+        return None
+    j = np.searchsorted(first, line, "right") - 1
+    lo, hi = np.searchsorted(run, (j, j + 1))
     offsets = np.abs(centers[lo:hi] - target)
     near = np.flatnonzero(offsets <= radius)
     if not len(near):
@@ -294,32 +321,38 @@ def _refine_center(row_hits, col_hits, y: float, x: float, unit: float):
     return y, x, unit
 
 
+@functools.cache
+def _triples(n: int) -> np.ndarray:
+    """Indices of every ordered triple of n clusters, as three rows, in the
+    order `itertools.combinations` then `itertools.permutations` gives.
+    Built without a list of tuples and kept as bytes (n is at most 12), so
+    the cache for every n stays a few kilobytes."""
+    triples = itertools.chain.from_iterable(
+        p for c in itertools.combinations(range(n), 3) for p in itertools.permutations(c))
+    return np.fromiter(triples, dtype=np.uint8).reshape(-1, 3).T
+
+
 def _select_finders(clusters: list[dict]):
     """Pick the (top-left, top-right, bottom-left) triple: the heaviest
-    cluster triple forming an upright L with equal arms."""
-    import itertools
-
-    best = None
-    for combo in itertools.combinations(clusters, 3):
-        for tl, tr, bl in itertools.permutations(combo, 3):
-            v1x = tr["x"] - tl["x"]
-            v1y = tr["y"] - tl["y"]
-            v2x = bl["x"] - tl["x"]
-            v2y = bl["y"] - tl["y"]
-            if v1x <= 0 or v2y <= 0:
-                continue
-            if abs(v1y) > 0.15 * v1x or abs(v2x) > 0.15 * v2y:
-                continue
-            if abs(v1x - v2y) > 0.15 * max(v1x, v2y):
-                continue
-            weight = tl["weight"] + tr["weight"] + bl["weight"]
-            asym = abs(v1y) + abs(v2x) + abs(v1x - v2y)
-            key = (weight, -asym)
-            if best is None or key > best[0]:
-                best = (key, tl, tr, bl)
-    if best is None:
+    cluster triple forming an upright L with equal arms, the least
+    asymmetric among equally heavy ones, the first in triple order among
+    equal ones. All triples are scored at once."""
+    tl, tr, bl = _triples(len(clusters)).astype(np.intp)
+    y, x = np.array([(c["y"], c["x"]) for c in clusters]).reshape(-1, 2).T
+    weight = np.array([c["weight"] for c in clusters], dtype=np.int64)
+    v1x, v1y = x[tr] - x[tl], y[tr] - y[tl]
+    v2x, v2y = x[bl] - x[tl], y[bl] - y[tl]
+    arms = np.abs(v1x - v2y)
+    ok = (v1x > 0) & (v2y > 0) & (np.abs(v1y) <= 0.15 * v1x) & (np.abs(v2x) <= 0.15 * v2y)
+    ok &= arms <= 0.15 * np.maximum(v1x, v2y)
+    valid = np.flatnonzero(ok)
+    if not len(valid):
         raise NoFinderPatterns("no upright finder triple found")
-    _key, tl, tr, bl = best
+    total = weight[tl[valid]] + weight[tr[valid]] + weight[bl[valid]]
+    valid = valid[total == total.max()]
+    asym = np.abs(v1y[valid]) + np.abs(v2x[valid]) + arms[valid]
+    best = valid[np.argmin(asym)]
+    tl, tr, bl = (clusters[i[best]] for i in (tl, tr, bl))
     unit = (tl["unit"] + tr["unit"] + bl["unit"]) / 3.0
     return (tl["y"], tl["x"]), (tr["y"], tr["x"]), (bl["y"], bl["x"]), unit
 

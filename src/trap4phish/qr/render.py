@@ -33,11 +33,9 @@ def qr_render(matrix: QrMatrix, module_px: int = DEFAULT_MODULE_PX,
         raise ValueError("quiet_zone must be >= 0")
     total = (matrix.size + 2 * quiet_zone) * module_px
     pixels = np.full((total, total), 255, dtype=np.uint8)
-    dark = np.kron(matrix.modules, np.ones((module_px, module_px), dtype=bool))
-    offset = quiet_zone * module_px
-    span = matrix.size * module_px
-    region = pixels[offset:offset + span, offset:offset + span]
-    region[dark] = 0
+    grid = np.where(matrix.modules, np.uint8(0), np.uint8(255))
+    inner = slice(quiet_zone * module_px, total - quiet_zone * module_px)
+    pixels[inner, inner] = grid.repeat(module_px, 0).repeat(module_px, 1)
     return QrBitmap(total, total, pixels, module_px, quiet_zone)
 
 
@@ -48,8 +46,9 @@ def to_pgm(bitmap: QrBitmap) -> bytes:
 
 def from_pgm(data: bytes) -> QrBitmap:
     """Parse binary PGM (P5). Comments and arbitrary whitespace allowed in
-    the header; module_px/quiet_zone are unknown and set to 0."""
-    if not data.startswith(b"P5"):
+    the header, whose fields are unsigned decimal numbers;
+    module_px/quiet_zone are unknown and set to 0."""
+    if not data.startswith(b"P5") or not data[2:3].isspace():
         raise ValueError("not a binary PGM (P5) file")
     pos = 2
     fields = []
@@ -67,15 +66,14 @@ def from_pgm(data: bytes) -> QrBitmap:
         if start == pos:
             raise ValueError("truncated PGM header")
         fields.append(data[start:pos])
-    try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise ValueError("malformed PGM header") from None
+    # bytes.isdigit accepts ASCII digits only: no sign, underscore or space
+    if not all(field.isdigit() for field in fields):
+        raise ValueError("malformed PGM header")
+    width, height, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise ValueError("only 8-bit PGM supported")
     pos += 1  # single whitespace byte after maxval
-    raw = data[pos:pos + width * height]
-    if len(raw) != width * height:
+    if len(data) - pos < width * height:
         raise ValueError("truncated PGM pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
+    pixels = np.frombuffer(data, np.uint8, width * height, pos).reshape(height, width)
     return QrBitmap(width, height, pixels.copy(), 0, 0)

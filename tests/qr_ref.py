@@ -2,11 +2,14 @@
 
 The finder search scans each row and each column on its own for 1:1:3:1:1
 run windows, checks every row hit against every column hit, and clusters the
-survivors by comparing each one with every cluster in creation order.
+survivors by comparing each one with every cluster in creation order
+(`cluster_points`).
 Quadratic, but written the plain way, and shares no code with the
 whole-bitmap scanner in `trap4phish.qr.decode`. `has_perpendicular` is the
 per-row-hit cell lookup that the sorted-key join in `decode._perpendicular`
-replaced.
+replaced, with the scalar `level`, `cell` and `near` it files and looks up
+hits by. `select_finders` tries the ordered cluster triples one at a time.
+`render_pixels` paints a symbol with `np.kron` and a boolean-mask store.
 
 The encoder builds one masked symbol at a time with per-module loops and
 scores it with sliding-window reductions (`penalty_score`), computes
@@ -14,11 +17,13 @@ Reed-Solomon parity by long polynomial division and syndromes by Horner
 evaluation, and packs the data codewords from a list of bits.
 """
 
+import itertools
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from trap4phish.qr import NoFinderPatterns, QrMatrix
-from trap4phish.qr.decode import _cell, _level, _near
 from trap4phish.qr.encode import PAD_BYTES
 from trap4phish.qr.gf256 import generator_poly, gf_pow, poly_divmod, poly_eval
 from trap4phish.qr.matrix import (
@@ -91,6 +96,16 @@ def find_finder_centers(binary: np.ndarray):
     if not points:
         raise NoFinderPatterns("row and column patterns never intersect")
 
+    clusters = cluster_points(points)
+    if len(clusters) < 3:
+        raise NoFinderPatterns(f"found {len(clusters)} finder pattern(s), need 3")
+    clusters.sort(key=lambda c: -c["weight"])
+    return clusters[:12]
+
+
+def cluster_points(points) -> list[dict]:
+    """Running-mean clusters in creation order: each (y, x, unit) point
+    joins the first cluster whose mean lies within 1.5 * unit of it."""
     clusters: list[dict] = []
     for y, x, unit in points:
         for cluster in clusters:
@@ -103,10 +118,7 @@ def find_finder_centers(binary: np.ndarray):
                 break
         else:
             clusters.append({"y": y, "x": x, "unit": unit, "weight": 1})
-    if len(clusters) < 3:
-        raise NoFinderPatterns(f"found {len(clusters)} finder pattern(s), need 3")
-    clusters.sort(key=lambda c: -c["weight"])
-    return clusters[:12]
+    return clusters
 
 
 def refine_center(binary: np.ndarray, y: float, x: float, unit: float):
@@ -133,6 +145,23 @@ def refine_center(binary: np.ndarray, y: float, x: float, unit: float):
     return y, x, unit
 
 
+def level(unit: float) -> int:
+    """Scale level of a hit unit (>= 1): the smallest L with unit <= 2**L."""
+    return (math.ceil(unit) - 1).bit_length()
+
+
+def cell(lvl: int, y: float, x: float) -> tuple[int, int, int]:
+    """Grid cell of a point at a scale level; cells are 1.5 * 2**lvl + 1 wide."""
+    size = 1.5 * (1 << lvl) + 1.0
+    return lvl, int(y // size), int(x // size)
+
+
+def near(cells: dict, lvl: int, y: float, x: float) -> list:
+    """Items filed at `lvl` in the 3x3 cells around (y, x)."""
+    _, gy, gx = cell(lvl, y, x)
+    return [item for dy in (-1, 0, 1) for dx in (-1, 0, 1) for item in cells.get((lvl, gy + dy, gx + dx), ())]
+
+
 def has_perpendicular(row_hits, col_hits) -> list[bool]:
     """Per row hit: whether a column hit lies within `unit` of it on both
     axes with a unit at most 1.5 times larger or smaller, looked up in the
@@ -140,15 +169,55 @@ def has_perpendicular(row_hits, col_hits) -> list[bool]:
     unit * 1.5, with column hits filed at their own level."""
     col_cells: dict = {}
     for y, x, u in zip(*(np.asarray(a, dtype=np.float64).tolist() for a in col_hits)):
-        col_cells.setdefault(_cell(_level(u), y, x), []).append((y, x, u))
+        col_cells.setdefault(cell(level(u), y, x), []).append((y, x, u))
     found = []
     for y, x, unit in zip(*(np.asarray(a, dtype=np.float64).tolist() for a in row_hits)):
         found.append(any(
             abs(cy - y) <= unit and abs(cx - x) <= unit and max(cu, unit) / min(cu, unit) <= 1.5
-            for level in range(_level(unit / 1.5), _level(unit * 1.5) + 1)
-            for cy, cx, cu in _near(col_cells, level, y, x)
+            for lvl in range(level(unit / 1.5), level(unit * 1.5) + 1)
+            for cy, cx, cu in near(col_cells, lvl, y, x)
         ))
     return found
+
+
+def select_finders(clusters: list[dict]):
+    """Pick the (top-left, top-right, bottom-left) triple: the heaviest
+    cluster triple forming an upright L with equal arms."""
+    best = None
+    for combo in itertools.combinations(clusters, 3):
+        for tl, tr, bl in itertools.permutations(combo, 3):
+            v1x = tr["x"] - tl["x"]
+            v1y = tr["y"] - tl["y"]
+            v2x = bl["x"] - tl["x"]
+            v2y = bl["y"] - tl["y"]
+            if v1x <= 0 or v2y <= 0:
+                continue
+            if abs(v1y) > 0.15 * v1x or abs(v2x) > 0.15 * v2y:
+                continue
+            if abs(v1x - v2y) > 0.15 * max(v1x, v2y):
+                continue
+            weight = tl["weight"] + tr["weight"] + bl["weight"]
+            asym = abs(v1y) + abs(v2x) + abs(v1x - v2y)
+            key = (weight, -asym)
+            if best is None or key > best[0]:
+                best = (key, tl, tr, bl)
+    if best is None:
+        raise NoFinderPatterns("no upright finder triple found")
+    _key, tl, tr, bl = best
+    unit = (tl["unit"] + tr["unit"] + bl["unit"]) / 3.0
+    return (tl["y"], tl["x"]), (tr["y"], tr["x"]), (bl["y"], bl["x"]), unit
+
+
+def render_pixels(matrix: QrMatrix, module_px: int, quiet_zone: int) -> np.ndarray:
+    """Grayscale pixels of a symbol: a light canvas, the module grid scaled
+    by `np.kron` and its dark modules stored through a boolean mask."""
+    total = (matrix.size + 2 * quiet_zone) * module_px
+    pixels = np.full((total, total), 255, dtype=np.uint8)
+    dark = np.kron(matrix.modules, np.ones((module_px, module_px), dtype=bool))
+    offset = quiet_zone * module_px
+    span = matrix.size * module_px
+    pixels[offset:offset + span, offset:offset + span][dark] = 0
+    return pixels
 
 
 _PATTERN_A = np.array([1, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0], dtype=np.int8)

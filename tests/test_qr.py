@@ -1,5 +1,6 @@
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,11 +137,46 @@ class TestRenderPgm:
         with pytest.raises(ValueError):
             qr_render(qr_encode(b"x", "M"), 0)
 
+    def test_negative_quiet_zone_rejected(self):
+        with pytest.raises(ValueError, match="quiet_zone"):
+            qr_render(qr_encode(b"x", "M"), 4, -1)
+
     def test_pgm_bad_input(self):
         with pytest.raises(ValueError):
             from_pgm(b"P6\n1 1\n255\n\x00")
         with pytest.raises(ValueError):
             from_pgm(b"P5\n4 4\n255\nshort")
+
+    def test_pgm_underscore_in_field_rejected(self):
+        # int() reads "1_0" as 10
+        with pytest.raises(ValueError, match="malformed PGM header"):
+            from_pgm(b"P5\n1_0 1\n255\n" + bytes(10))
+
+    def test_pgm_negative_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="malformed PGM header"):
+            from_pgm(b"P5\n-1 -4\n255\n" + bytes(4))
+
+    def test_pgm_plus_sign_rejected(self):
+        with pytest.raises(ValueError, match="malformed PGM header"):
+            from_pgm(b"P5\n+2 1\n255\n" + bytes(2))
+
+    def test_pgm_magic_needs_whitespace(self):
+        # without it, "P51 1 255" reads as a 1x1 image
+        with pytest.raises(ValueError, match="not a binary PGM"):
+            from_pgm(b"P51 1 255\n\x00")
+
+    def test_pgm_pixels_copied_once(self):
+        side = 1024
+        data = b"P5\n%d %d\n255\n" % (side, side) + bytes(range(256)) * (side * side // 256)
+        tracemalloc.start()
+        try:
+            bitmap = from_pgm(data)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * side * side
+        assert bitmap.pixels.flags.owndata and bitmap.pixels.flags.writeable
+        assert bitmap.pixels.tobytes() == data[-side * side:]
 
 
 class TestDecode:

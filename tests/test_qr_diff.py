@@ -1,10 +1,11 @@
 """Differential and property tests of the QR encoder and Reed-Solomon code.
 
 The stacked mask scorer, the log-table Reed-Solomon parity and syndromes,
-the integer bitstream packer and the whole encoder are compared with the
-one-symbol-at-a-time versions kept in `qr_ref.py`. The round trip then
-checks that any payload at any version and level survives encode, render
-and decode with up to floor(ec / 2) damaged codewords in every block.
+the integer bitstream packer, the whole encoder and the renderer are
+compared with the one-symbol-at-a-time versions kept in `qr_ref.py`. The
+round trip then checks that any payload at any version and level survives
+encode, render and decode with up to floor(ec / 2) damaged codewords in
+every block.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import qr_ref
 from test_qr import interleaved_block_ids
-from trap4phish.qr import byte_mode_capacity, qr_decode, qr_encode, qr_render
+from trap4phish.qr import QrBitmap, byte_mode_capacity, qr_decode, qr_encode, qr_render, to_pgm
 from trap4phish.qr.encode import build_data_codewords, interleave, mask_candidates
 from trap4phish.qr.gf256 import _syndromes, rs_decode, rs_encode
 from trap4phish.qr.matrix import QrMatrix, data_positions, penalty_scores
@@ -77,6 +78,19 @@ def test_encoder_matches_per_mask_encoder(case):
     assert got.modules.tobytes() == want.modules.tobytes()
     assert build_data_codewords(payload, got.version, level) == qr_ref.build_data_codewords(
         payload, got.version, level)
+
+
+@pytest.mark.parametrize("version", range(1, 11))
+def test_render_matches_kron_renderer(version):
+    matrix = qr_encode(bytes(range(version)), "L", version=version)
+    for module_px in range(1, 9):
+        for quiet_zone in range(5):
+            bitmap = qr_render(matrix, module_px, quiet_zone)
+            expected = qr_ref.render_pixels(matrix, module_px, quiet_zone)
+            assert bitmap.pixels.dtype == np.uint8
+            assert np.array_equal(bitmap.pixels, expected), (module_px, quiet_zone)
+            reference = QrBitmap(len(expected), len(expected), expected, module_px, quiet_zone)
+            assert to_pgm(bitmap) == to_pgm(reference)
 
 
 @pytest.mark.parametrize("level, n, salt, mask_id", [
