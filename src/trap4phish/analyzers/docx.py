@@ -1,9 +1,10 @@
 """Word document analyzer: 43 features over macro, DDE, OLE and XML-structure
 signals, plus the top-10 projection used by the detectors.
 
-The 36 structure counters come from one regex pass per XML part, run over
-windows of about 64 KiB so that a part inflating to megabytes never holds
-more than one window's matches at a time.
+The 36 structure counters come from two regex passes per XML part, one for
+element names and one for attribute names. Both run over the same windows of
+about 64 KiB, so that a part inflating to megabytes never holds more than one
+window's matches at a time.
 """
 
 from __future__ import annotations
@@ -67,15 +68,23 @@ SELECTED = SCHEMA.project((
     "struct_pos",
 ))
 
-# One pass counts all 36 names. No two matches can overlap: an attribute
-# match holds no "<" and ends at its first "=", an element match holds no
-# whitespace or "=" and its only "<" is its first byte, and at most one name
-# fits at any offset. So each count equals that of the name's own pattern.
-_STRUCT_RE = re.compile(
-    rb"\s(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ATTRIBUTES) + rb")\s*="
-    rb"|<(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ELEMENTS) + rb")(?=[\s/>])"
-)
-# the two name sets are disjoint, so a match's one nonempty group names its column
+# Two passes count the 36 names, one per name set. In either pattern no two
+# matches overlap and at most one name fits at any offset, so each count
+# equals that of the name's own pattern:
+# - An element match is "<" and a name, and no name holds a "<", so no match
+#   starts inside another. The name must be followed by whitespace, "/" or
+#   ">", which no name holds.
+# - An attribute match is a whitespace byte, a name, whitespace and its first
+#   "=". Past its first byte it holds whitespace only after the name, where
+#   only whitespace or "=" follows and no name starts. The name must be
+#   followed by whitespace or "=", which no name holds.
+# Each pattern starts with one literal or one class, so `re` skips ahead to
+# each "<" or whitespace byte instead of trying a match at every offset.
+_ELEMENT_RE = re.compile(
+    rb"<(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ELEMENTS) + rb")(?=[\s/>])")
+_ATTRIBUTE_RE = re.compile(
+    rb"\s(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ATTRIBUTES) + rb")\s*=")
+# the two name sets are disjoint, so a name alone names its column
 _STRUCT_COLUMN_OF = {n.encode(): _struct_column(n) for n in STRUCT_ATTRIBUTES + STRUCT_ELEMENTS}
 # A part is searched in windows. Each ends just before a "<" or just after a
 # "=", whichever comes first at least _WINDOW bytes past its start; no match
@@ -148,7 +157,7 @@ def _extract_from_archive(archive, values, warnings) -> None:
 def _struct_counts(parts) -> dict[str, int]:
     """The struct_* columns' counts over the XML parts, where nonzero. Each
     part is searched one window of about `_WINDOW` bytes at a time."""
-    tally: Counter = Counter()  # (attribute, element) name pairs
+    tally: Counter = Counter()  # name -> matches
     for content in parts:
         start = 0
         while start < len(content):
@@ -157,9 +166,10 @@ def _struct_counts(parts) -> dict[str, int]:
                 end = len(content)
             else:  # before "<", after "="
                 end = cut.start() if content[cut.start()] == 0x3C else cut.end()
-            tally.update(_STRUCT_RE.findall(content, start, end))
+            tally.update(_ELEMENT_RE.findall(content, start, end))
+            tally.update(_ATTRIBUTE_RE.findall(content, start, end))
             start = end
-    return {_STRUCT_COLUMN_OF[attribute or element]: n for (attribute, element), n in tally.items()}
+    return {_STRUCT_COLUMN_OF[name]: n for name, n in tally.items()}
 
 
 def _instr_text(content: bytes) -> bytes:

@@ -17,6 +17,13 @@ Every scan takes time linear in the file size, also on hostile input:
   backslashes, whichever `(` a scan starts from. `_Literals` finds those
   ends once per buffer and memoizes the text-operand totals, so the scans
   from every nested region share one pass.
+
+Every whole-file pattern begins with its literal or with one character
+class, and any lookbehind comes after that start (`stream(?<![A-Za-z]stream)`,
+not `(?<![A-Za-z])stream`). `re` skips ahead to each occurrence of that
+literal or class and tries a match only there. A pattern that opens with a
+lookbehind or a counted repeat gives it nothing to skip to, so a match is
+tried at every byte: about 40 ns a byte against under 1 ns.
 """
 
 from __future__ import annotations
@@ -78,14 +85,14 @@ SELECTED = SCHEMA.project((
 ))
 
 _HEADER_RE = re.compile(rb"%PDF-\d")
-_OBJ_RE = re.compile(rb"(?<![0-9])(\d{1,10})\s+(\d{1,5})\s+obj(?![A-Za-z0-9])")
-_STREAM_RE = re.compile(rb"(?<![A-Za-z])stream(?![A-Za-z])")
+_OBJ_RE = re.compile(rb"(\d(?<![0-9]\d)\d{0,9})\s+(\d{1,5})\s+obj(?![A-Za-z0-9])")
+_STREAM_RE = re.compile(rb"stream(?<![A-Za-z]stream)(?![A-Za-z])")
 _ENDSTREAM_RE = re.compile(rb"endstream")
 _ENDOBJ_RE = re.compile(rb"endobj")
 _OBJ_KEYWORD_RE = re.compile(rb"obj")
-_XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![A-Za-z])")
+_XREF_RE = re.compile(rb"xref(?<![A-Za-z]xref)(?![A-Za-z])")
 _STARTXREF_RE = re.compile(rb"startxref")
-_XREF_ENTRY_RE = re.compile(rb"\d{10}\s\d{5}\s[nf]")
+_XREF_ENTRY_RE = re.compile(rb"\d\d{9}\s\d{5}\s[nf]")
 _TRAILER_RE = re.compile(rb"trailer")
 _NAME_OBFUSCATION_RE = re.compile(rb"/[#A-Za-z0-9.+_-]*#[0-9A-Fa-f]{2}[#A-Za-z0-9.+_-]*")
 _FILTER_OPEN_RE = re.compile(rb"/Filter\s*")

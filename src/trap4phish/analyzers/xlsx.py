@@ -92,17 +92,23 @@ SELECTED = SCHEMA.project((
     "avg_cell_length",
 ))
 
+
+# The keyword and number patterns start with their word, a digit or a
+# lookahead of one class, and any lookbehind comes after that, so a match
+# attempt where no match can start fails at its first test.
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_.$]+|[^\sA-Za-z0-9_.$]")
-_CHR_RE = re.compile(r"(?<![A-Za-z0-9_])chr(?:w|\$)?\s*\(", re.IGNORECASE)
+_CHR_RE = re.compile(r"chr(?<![A-Za-z0-9_]chr)(?:w|\$)?\s*\(", re.IGNORECASE)
 _STRING_RE = re.compile(r'"[^"\n]*"')
 _SUB_RE = re.compile(r"^\s*(?:public\s+|private\s+|friend\s+)?sub\s+\w", re.IGNORECASE | re.MULTILINE)
 _FUNC_RE = re.compile(r"^\s*(?:public\s+|private\s+|friend\s+)?function\s+\w", re.IGNORECASE | re.MULTILINE)
-_IF_RE = re.compile(r"(?<![A-Za-z0-9_])if(?![A-Za-z0-9_])", re.IGNORECASE)
-_LOOP_RE = re.compile(r"(?<![A-Za-z0-9_])(?:for|while|do)(?![A-Za-z0-9_])", re.IGNORECASE)
-_DECLARE_RE = re.compile(r"(?<![A-Za-z0-9_])declare(?![A-Za-z0-9_])", re.IGNORECASE)
-_MOD_RE = re.compile(r"(?<![A-Za-z0-9_])mod(?![A-Za-z0-9_])", re.IGNORECASE)
+_IF_RE = re.compile(r"if(?<![A-Za-z0-9_]if)(?![A-Za-z0-9_])", re.IGNORECASE)
+# the first letters as a lookahead: with a lookbehind after each word instead,
+# the alternation is tried at every character and is no faster than before
+_LOOP_RE = re.compile(r"(?=[dfw])(?<![A-Za-z0-9_])(?:for|while|do)(?![A-Za-z0-9_])", re.IGNORECASE)
+_DECLARE_RE = re.compile(r"declare(?<![A-Za-z0-9_]declare)(?![A-Za-z0-9_])", re.IGNORECASE)
+_MOD_RE = re.compile(r"mod(?<![A-Za-z0-9_]mod)(?![A-Za-z0-9_])", re.IGNORECASE)
 _HEX_RE = re.compile(r"&H[0-9A-Fa-f]+", re.IGNORECASE)
-_NUM_RE = re.compile(r"(?<![A-Za-z0-9_.$])\d+(?:\.\d+)?(?![A-Za-z0-9_.$])")
+_NUM_RE = re.compile(r"\d(?<![A-Za-z0-9_.$]\d)\d*(?:\.\d+)?(?![A-Za-z0-9_.$])")
 _ARITH_CHARS = set("+-*/\\^")
 
 LONG_LINE_THRESHOLD = 200
@@ -311,6 +317,18 @@ def _cells(content: bytes):
         pos = close + 4
 
 
+def _index(digits: bytes) -> int | None:
+    """A shared-string index or row number, which is ASCII digits alone.
+    int() would also take a sign, `_` between digits and whitespace around
+    them, so `-1` would index from the end and `1_0` read as 10."""
+    if not digits.isdigit():  # bytes.isdigit is ASCII-only
+        return None
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
     numeric = 0
     populated = 0
@@ -319,12 +337,8 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
     row_ordinal = 0
     for rm in _ROW_RE.finditer(content):
         row_ordinal += 1
-        attrs = dict(ATTR_RE.findall(rm.group(1)))
-        try:
-            row_idx = int(attrs.get(b"r", row_ordinal))
-        except ValueError:
-            row_idx = row_ordinal
-        max_row = max(max_row, row_idx)
+        row_idx = _index(dict(ATTR_RE.findall(rm.group(1))).get(b"r", b""))
+        max_row = max(max_row, row_ordinal if row_idx is None else row_idx)
     col_ordinal = 0
     for attr_bytes, body_start, body_end in _cells(content):
         col_ordinal += 1
@@ -341,10 +355,8 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
         if ctype == b"s":
             if value is not None:
                 populated += 1
-                try:
-                    strings.append(shared[int(value)])
-                except (ValueError, IndexError):
-                    strings.append("")
+                index = _index(value)
+                strings.append(shared[index] if index is not None and index < len(shared) else "")
         elif ctype == b"str":
             if value is not None:
                 populated += 1
@@ -357,7 +369,8 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
             populated += 1
             try:
                 float(value)
-                numeric += 1
+                if b"_" not in value:  # float() takes "1_0"
+                    numeric += 1
             except ValueError:
                 pass
     return {"numeric": numeric, "populated": populated, "max_row": max_row, "max_col": max_col}

@@ -16,9 +16,19 @@ Two patterns are here as they were before they became linear:
 attributes. Each backtracks in quadratic time on a long name run with no
 `=`, or on many `url(` that never close.
 
-One difference from the old code is deliberate: there, `\\8` or `\\9` in a
-PDF string made `_unescape_string` raise ValueError (`int(b"8", 8)`), which
-aborted the whole scan. The tests skip inputs on which these oracles raise.
+The whole-file patterns that began with a lookbehind or a counted repeat
+are here as they were: the four PDF ones (`_OBJ_RE`, `_STREAM_RE`,
+`_XREF_RE`, `_XREF_ENTRY_RE`), the joined docx structure pattern
+`STRUCT_RE` and the six VBA metric patterns in `VBA_PATTERNS`. `re` tries
+a full match at every offset of each; the live ones begin with their
+literal, one class or a lookahead of one class.
+
+Two differences from the old code are deliberate. `_scan_cells` reads
+shared-string indexes and row numbers only as ASCII digits, and counts no
+value holding `_` as numeric; there, `-1` took the last shared string and
+`1_0` read as 10. And there, `\\8` or `\\9` in a PDF string made
+`_unescape_string` raise ValueError (`int(b"8", 8)`), which aborted the
+whole scan. The tests skip inputs on which these oracles raise.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from trap4phish.analyzers.html import (
 from trap4phish.analyzers.pdf import (
     PDF_COLUMNS, SCHEMA as PDF_SCHEMA, _EMBEDDED_FILE_SUBTYPE_RE, _ENCRYPT_RE, _ACROFORM_RE,
     _ENDSTREAM_RE, _FILTER_NAME_RE, _FONT_RE, _HEADER_RE, _IMAGE_RE,
-    _NAME_OBFUSCATION_RE, _OBJ_RE, _PAGE_RE, _PORT_RE, _STARTXREF_RE, _STREAM_RE, _TITLE_HEX_RE,
-    _TOKEN_COUNTERS, _TRAILER_RE, _XFA_RE, _XREF_ENTRY_RE, _XREF_RE, _name_token,
+    _NAME_OBFUSCATION_RE, _PAGE_RE, _PORT_RE, _STARTXREF_RE, _TITLE_HEX_RE,
+    _TOKEN_COUNTERS, _TRAILER_RE, _XFA_RE, _name_token,
 )
 from trap4phish.analyzers.docx import STRUCT_ATTRIBUTES, STRUCT_ELEMENTS, _struct_column
 from trap4phish.analyzers.xlsx import _CELL_REF_RE, _ROW_RE, _col_number
@@ -49,6 +59,10 @@ STYLE_URL_RE = re.compile(r"url\(\s*['\"]?([^)'\"]+)['\"]?\s*\)", re.IGNORECASE)
 
 # --- pdf ---------------------------------------------------------------------
 
+_OBJ_RE = re.compile(rb"(?<![0-9])(\d{1,10})\s+(\d{1,5})\s+obj(?![A-Za-z0-9])")
+_STREAM_RE = re.compile(rb"(?<![A-Za-z])stream(?![A-Za-z])")
+_XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![A-Za-z])")
+_XREF_ENTRY_RE = re.compile(rb"\d{10}\s\d{5}\s[nf]")
 _FILTER_ENTRY_RE = re.compile(rb"/Filter\s*(\[[^\]]*\]|/[A-Za-z0-9#]+)")
 _TYPE_METADATA_RE = re.compile(rb"/Type\s*/Metadata(?![A-Za-z])")
 _TITLE_LITERAL_RE = re.compile(rb"/Title\s*\(((?:\\.|[^\\)])*)\)", re.DOTALL)
@@ -258,16 +272,37 @@ def _struct_counts(parts) -> dict[str, int]:
     return counts
 
 
+# the 36 patterns joined, as one pass counted them; a match's one nonempty
+# group is its name
+STRUCT_RE = re.compile(
+    rb"\s(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ATTRIBUTES) + rb")\s*="
+    rb"|<(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ELEMENTS) + rb")(?=[\s/>])"
+)
+
 # tried at every offset: the lookbehind comes first
 DDE_TOKEN_RE = re.compile(rb"DDEAUTO|(?<![A-Za-z])DDE(?![A-Za-z])")
 
 
 # --- xlsx --------------------------------------------------------------------
 
+# the VBA metric patterns that began with a lookbehind, by their name in
+# trap4phish.analyzers.xlsx
+VBA_PATTERNS = {
+    "_CHR_RE": re.compile(r"(?<![A-Za-z0-9_])chr(?:w|\$)?\s*\(", re.IGNORECASE),
+    "_IF_RE": re.compile(r"(?<![A-Za-z0-9_])if(?![A-Za-z0-9_])", re.IGNORECASE),
+    "_LOOP_RE": re.compile(r"(?<![A-Za-z0-9_])(?:for|while|do)(?![A-Za-z0-9_])", re.IGNORECASE),
+    "_DECLARE_RE": re.compile(r"(?<![A-Za-z0-9_])declare(?![A-Za-z0-9_])", re.IGNORECASE),
+    "_MOD_RE": re.compile(r"(?<![A-Za-z0-9_])mod(?![A-Za-z0-9_])", re.IGNORECASE),
+    "_NUM_RE": re.compile(r"(?<![A-Za-z0-9_.$])\d+(?:\.\d+)?(?![A-Za-z0-9_.$])"),
+}
+
 _CELL_RE = re.compile(rb"<c\b([^>]*?)(?:/>|>(.*?)</c>)", re.DOTALL)
 _V_RE = re.compile(rb"<v[^>]*>(.*?)</v>", re.DOTALL)
 _IS_T_RE = re.compile(rb"<t[^>]*>(.*?)</t>", re.DOTALL)
 _SI_RE = re.compile(rb"<si>(.*?)</si>", re.DOTALL)
+# shared-string indexes and row numbers: int() alone would also take a sign,
+# `_` and whitespace
+_DIGITS_RE = re.compile(rb"[0-9]+")
 
 
 def _shared_strings(content: bytes) -> list[str]:
@@ -288,7 +323,7 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
         row_ordinal += 1
         attrs = dict(ATTR_RE.findall(rm.group(1)))
         try:
-            row_idx = int(attrs.get(b"r", row_ordinal))
+            row_idx = int(attrs[b"r"]) if _DIGITS_RE.fullmatch(attrs.get(b"r", b"")) else row_ordinal
         except ValueError:
             row_idx = row_ordinal
         max_row = max(max_row, row_idx)
@@ -310,6 +345,8 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
             if vm is not None:
                 populated += 1
                 try:
+                    if not _DIGITS_RE.fullmatch(vm.group(1)):
+                        raise ValueError
                     strings.append(shared[int(vm.group(1))])
                 except (ValueError, IndexError):
                     strings.append("")
@@ -324,6 +361,8 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
         elif vm is not None:
             populated += 1
             try:
+                if b"_" in vm.group(1):
+                    raise ValueError
                 float(vm.group(1))
                 numeric += 1
             except ValueError:

@@ -4,20 +4,25 @@ Each family repeats one pattern that the rescanning scanners handled in
 quadratic time: an opener whose closer never comes, so every later opener
 rescanned to the end of the file. The first five are the shapes of the
 benchmark's hostile workload; the rest are the other lazy patterns the
-analyzers had, and two backtracking regexes: an attribute-name run with no
-`=`, and `url(` openers that never close. Timing is process CPU time, with
+analyzers had, two backtracking regexes (an attribute-name run with no
+`=`, and `url(` openers that never close), and digit runs for the PDF
+patterns that start with a digit class. Timing is process CPU time, with
 the n and 4n inputs run back to back in pairs and the median pair ratio
 deciding, so a slow spell of a shared machine does not. Linear is 4 and
 quadratic 16.
 """
 
+import importlib
+import pkgutil
 import random
+import re
 import statistics
 import time
 
 import pytest
 
-from trap4phish.analyzers import analyze_docx, analyze_html, analyze_pdf, analyze_xlsx
+from trap4phish import analyzers
+from trap4phish.analyzers import analyze_docx, analyze_html, analyze_pdf, analyze_xlsx, ooxml, pdf
 
 from conftest import make_docx, make_xlsx
 
@@ -113,6 +118,17 @@ def _html_style_urls(n):
     return analyze_html, b"<html><head><style>" + b"url(" * n + b"</style></head><body></body></html>"
 
 
+def _pdf_digit_runs(n):
+    # digit runs of 11 or more, and digits between long whitespace runs: the
+    # object-header pattern is tried at every run start and backtracks over
+    # the whitespace after it, the xref-entry pattern at every digit
+    rng = random.Random(6)
+    pad = " \n\t" * 20
+    body = "".join(f"{rng.randrange(10**10, 10**16)}{pad}{i % 10}{pad}{i % 7}{pad}{i:010d} {i % 99999:05d} x\n"
+                   for i in range(n))
+    return analyze_pdf, ("%PDF-1.4\n" + body + "%%EOF\n").encode()
+
+
 FAMILIES = {
     "pdf_streams": (_pdf_streams, 1000),
     "pdf_objects": (_pdf_objects, 2000),
@@ -130,6 +146,7 @@ FAMILIES = {
     "pdf_parens": (_pdf_parens, 8000),
     "xlsx_attr_run": (_xlsx_attr_run, 10000),
     "html_style_urls": (_html_style_urls, 2000),
+    "pdf_digit_runs": (_pdf_digit_runs, 2000),
 }
 
 
@@ -162,3 +179,24 @@ WORST_CASES = {
 def test_worst_case_takes_under_3_s(family):
     build, _n = FAMILIES[family]
     assert _cpu_time(*build(WORST_CASES[family])) < 3.0
+
+
+# Patterns that may start with a lookbehind, because neither runs over a
+# whole buffer.
+_LOOKBEHIND_FIRST = {
+    pdf._PAREN_END_RE: "searched from one string opener to the first closing parenthesis",
+    ooxml.ATTR_RE: "runs over the attribute text of one start tag",
+}
+
+
+def test_whole_buffer_patterns_do_not_start_with_a_lookbehind():
+    # `re` skips ahead to a pattern's literal or first class; with a
+    # lookbehind first it tries a full match at every offset
+    found = []
+    for info in pkgutil.iter_modules(analyzers.__path__):
+        module = importlib.import_module(f"{analyzers.__name__}.{info.name}")
+        for name, value in vars(module).items():
+            if (isinstance(value, re.Pattern) and value.pattern[:3] in ("(?<", b"(?<")
+                    and value not in _LOOKBEHIND_FIRST):
+                found.append(f"{info.name}.{name}")
+    assert found == []

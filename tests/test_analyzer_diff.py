@@ -13,7 +13,8 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 import analyzer_ref as ref
 from trap4phish.analyzers import (
-    analyze_docx, analyze_html, analyze_pdf, analyze_xlsx, docx, html, ooxml, pdf, xlsx,
+    analyze_docx, analyze_html, analyze_pdf, analyze_xlsx, compute_macro_metrics, docx, html, ooxml, pdf,
+    xlsx,
 )
 from trap4phish.core import shannon_entropy
 
@@ -108,6 +109,32 @@ def test_suffix_entropies_equal_shannon_entropy(data, starts):
     assert got == [shannon_entropy(data[s:]) for s in starts]
 
 
+def _matches(pattern, text, pos=0):
+    return [(m.span(), m.groups()) for m in pattern.finditer(text, pos)]
+
+
+# the keywords, digit runs and the bytes that end them or sit beside them
+_PDF_PATTERN_TOKENS = [
+    b"stream", b"xref", b"obj", b"endstream", b"startxref", b"xrefs", b"objx", b"0", b"1", b"9", b"12",
+    b"0000000000", b"00000", b"12345678901", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"a", b"Z",
+    b"n", b"f", b"$", b".", b"_", b"(", b"&",
+]
+# (old, new): the new ones start with their literal or one class
+_PDF_PATTERN_PAIRS = [
+    (ref._OBJ_RE, pdf._OBJ_RE), (ref._STREAM_RE, pdf._STREAM_RE),
+    (ref._XREF_RE, pdf._XREF_RE), (ref._XREF_ENTRY_RE, pdf._XREF_ENTRY_RE),
+]
+
+
+@_SETTINGS
+@given(_join(_PDF_PATTERN_TOKENS), st.integers(0, 12))
+@example(b"stream", 0)  # a lookbehind with no byte before the match
+@example(b"12345678901 0 obj 1234567890 0 obj", 0)
+def test_pdf_patterns_match_lookbehind_first_ones(data, pos):
+    for old, new in _PDF_PATTERN_PAIRS:
+        assert _matches(new, data, pos) == _matches(old, data, pos), old.pattern
+
+
 # --- docx --------------------------------------------------------------------
 
 _DOCX_TOKENS = [
@@ -152,6 +179,17 @@ def test_struct_counts_match_across_full_size_windows():
     content = b"".join(rng.choice(_STRUCT_TOKENS) for _ in range(120_000))  # about 7 windows
     expected = {column: n for column, n in ref._struct_counts([content]).items() if n}
     assert docx._struct_counts([content]) == expected
+
+
+@_SETTINGS
+@given(_join(_STRUCT_TOKENS), st.integers(0, 20), st.integers(0, 400))
+@example(b" w=<w:p>", 0, 8)
+def test_split_struct_patterns_find_the_joined_matches(content, start, end):
+    # windows search with pos and endpos, so these do too
+    old = [(m.span(), m.group(1) or m.group(2)) for m in ref.STRUCT_RE.finditer(content, start, end)]
+    new = sorted((m.span(), m.group(1)) for pattern in (docx._ELEMENT_RE, docx._ATTRIBUTE_RE)
+                 for m in pattern.finditer(content, start, end))
+    assert new == old
 
 
 @_SETTINGS
@@ -207,6 +245,34 @@ def test_xlsx_matches_rescanning_analyzer(sheet, shared_xml):
     with _patched(xlsx, _shared_strings=ref._shared_strings, _scan_cells=ref._scan_cells):
         old = analyze_xlsx(data)
     assert analyze_xlsx(data).features.values == old.features.values
+
+
+# the VBA keywords in several cases, number shapes, the characters that end
+# a word or a number, and characters that IGNORECASE folds into ASCII
+# letters: the Kelvin sign, long s, dotted capital I and dotless i
+_VBA_TOKENS = [
+    "chr", "Chr", "ChrW", "chrw", "chr$", "CHR$", "if", "If", "IF", "for", "For", "while", "WHILE", "do", "Do",
+    "declare", "Declare", "mod", "MOD", "0", "7", "12", "3.5", "1.", "\u0661", "x1", "a", "Z", "w", "$", ".",
+    "_", "(", ")", "&", "&H1F", '"', "'", "+", "*", " ", "\t", "\n", "\u00a0", "\u212a", "\u017f", "\u0130",
+    "\u0131", "Sub ", "Function ", "rem ",
+]
+
+
+@_SETTINGS
+@given(_join(_VBA_TOKENS), st.integers(0, 8))
+@example("if", 0)  # a lookbehind with no character before the match
+@example("\u0130f \u0131f K\u212amod \u017fif 1\u0661 \u0661", 0)
+def test_vba_patterns_match_lookbehind_first_ones(source, pos):
+    for name, old in ref.VBA_PATTERNS.items():
+        assert _matches(getattr(xlsx, name), source, pos) == _matches(old, source, pos), name
+
+
+@_SETTINGS
+@given(_join(_VBA_TOKENS))
+def test_macro_metrics_match_lookbehind_first_patterns(source):
+    with _patched(xlsx, **ref.VBA_PATTERNS):
+        old = compute_macro_metrics(source)
+    assert compute_macro_metrics(source) == old
 
 
 # --- html --------------------------------------------------------------------

@@ -87,6 +87,37 @@ class TestAnalyzeXlsx:
         assert d["avg_cell_length"] == 3.0
         assert d["max_rows"] == 1 and d["max_cols"] == 3
 
+    @pytest.mark.parametrize("index", ["-1", "+0", " 0", "0_0", "\u0660", ""])
+    def test_shared_index_is_ascii_digits_only(self, index):
+        # int() takes each of these; a sign would index from the end
+        data = make_xlsx(
+            '<worksheet><sheetData><row r="1">'
+            f'<c r="A1" t="s"><v>{index}</v></c><c r="B1" t="s"><v>5</v></c>'
+            "</row></sheetData></worksheet>",
+            shared=["first", "last"],
+        )
+        d = analyze_xlsx(data).features.as_dict()
+        assert d["string_cell_count"] == 2  # both empty
+        assert d["avg_cell_length"] == 0
+
+    def test_value_with_underscore_is_not_numeric(self):
+        data = make_xlsx(
+            '<worksheet><sheetData><row r="1">'
+            '<c r="A1"><v>1_0</v></c><c r="B1"><v>1e3</v></c><c r="C1"><v>_1</v></c>'
+            "</row></sheetData></worksheet>"
+        )
+        d = analyze_xlsx(data).features.as_dict()
+        assert d["numeric_cell_count"] == 1
+
+    @pytest.mark.parametrize("row", ["1_0", "-10", " 10", "+10", "\u0661\u0660"])
+    def test_row_number_is_ascii_digits_only(self, row):
+        # a row read as no number counts by its position, here 2
+        data = make_xlsx(
+            f'<worksheet><sheetData><row r="1"></row><row r="{row}"><c><v>1</v></c></row>'
+            "</sheetData></worksheet>"
+        )
+        assert analyze_xlsx(data).features.as_dict()["max_rows"] == 2
+
     def test_no_macro_zero_metrics(self):
         data = make_xlsx("<worksheet/>")
         d = analyze_xlsx(data).features.as_dict()
