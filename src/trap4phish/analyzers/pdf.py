@@ -23,7 +23,8 @@ class, and any lookbehind comes after that start (`stream(?<![A-Za-z]stream)`,
 not `(?<![A-Za-z])stream`). `re` skips ahead to each occurrence of that
 literal or class and tries a match only there. A pattern that opens with a
 lookbehind or a counted repeat gives it nothing to skip to, so a match is
-tried at every byte: about 40 ns a byte against under 1 ns.
+tried at every byte: about 40 ns a byte against under 1 ns on a 2-vCPU
+Xeon host.
 """
 
 from __future__ import annotations

@@ -92,7 +92,6 @@ SELECTED = SCHEMA.project((
     "avg_cell_length",
 ))
 
-
 # The keyword and number patterns start with their word, a digit or a
 # lookahead of one class, and any lookbehind comes after that, so a match
 # attempt where no match can start fails at its first test.
@@ -102,8 +101,9 @@ _STRING_RE = re.compile(r'"[^"\n]*"')
 _SUB_RE = re.compile(r"^\s*(?:public\s+|private\s+|friend\s+)?sub\s+\w", re.IGNORECASE | re.MULTILINE)
 _FUNC_RE = re.compile(r"^\s*(?:public\s+|private\s+|friend\s+)?function\s+\w", re.IGNORECASE | re.MULTILINE)
 _IF_RE = re.compile(r"if(?<![A-Za-z0-9_]if)(?![A-Za-z0-9_])", re.IGNORECASE)
-# the first letters as a lookahead: with a lookbehind after each word instead,
-# the alternation is tried at every character and is no faster than before
+# the first letters as a lookahead: with a lookbehind after each word, the
+# alternation is still entered at every character, about as slowly as with
+# the lookbehind first
 _LOOP_RE = re.compile(r"(?=[dfw])(?<![A-Za-z0-9_])(?:for|while|do)(?![A-Za-z0-9_])", re.IGNORECASE)
 _DECLARE_RE = re.compile(r"declare(?<![A-Za-z0-9_]declare)(?![A-Za-z0-9_])", re.IGNORECASE)
 _MOD_RE = re.compile(r"mod(?<![A-Za-z0-9_]mod)(?![A-Za-z0-9_])", re.IGNORECASE)

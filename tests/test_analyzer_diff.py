@@ -117,7 +117,8 @@ def _matches(pattern, text, pos=0):
 _PDF_PATTERN_TOKENS = [
     b"stream", b"xref", b"obj", b"endstream", b"startxref", b"xrefs", b"objx", b"0", b"1", b"9", b"12",
     b"0000000000", b"00000", b"12345678901", b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"a", b"Z",
-    b"n", b"f", b"$", b".", b"_", b"(", b"&",
+    b"n", b"f", b"$", b".", b"_", b"(", b"&", b"Zxref", b"astream", b"9 0 obj", b"0000000000 65535 f",
+    b"0000000017 00000 n\r\n",
 ]
 # (old, new): the new ones start with their literal or one class
 _PDF_PATTERN_PAIRS = [
@@ -130,6 +131,7 @@ _PDF_PATTERN_PAIRS = [
 @given(_join(_PDF_PATTERN_TOKENS), st.integers(0, 12))
 @example(b"stream", 0)  # a lookbehind with no byte before the match
 @example(b"12345678901 0 obj 1234567890 0 obj", 0)
+@example(b"Zxref Zstream 00000000017 00000 n", 0)
 def test_pdf_patterns_match_lookbehind_first_ones(data, pos):
     for old, new in _PDF_PATTERN_PAIRS:
         assert _matches(new, data, pos) == _matches(old, data, pos), old.pattern
@@ -254,7 +256,7 @@ _VBA_TOKENS = [
     "chr", "Chr", "ChrW", "chrw", "chr$", "CHR$", "if", "If", "IF", "for", "For", "while", "WHILE", "do", "Do",
     "declare", "Declare", "mod", "MOD", "0", "7", "12", "3.5", "1.", "\u0661", "x1", "a", "Z", "w", "$", ".",
     "_", "(", ")", "&", "&H1F", '"', "'", "+", "*", " ", "\t", "\n", "\u00a0", "\u212a", "\u017f", "\u0130",
-    "\u0131", "Sub ", "Function ", "rem ",
+    "\u0131", "Sub ", "Function ", "rem ", "Zif", "1chr(", "_mod", "Kdo", "9declare", "$1", "x.5",
 ]
 
 
@@ -262,6 +264,7 @@ _VBA_TOKENS = [
 @given(_join(_VBA_TOKENS), st.integers(0, 8))
 @example("if", 0)  # a lookbehind with no character before the match
 @example("\u0130f \u0131f K\u212amod \u017fif 1\u0661 \u0661", 0)
+@example("Zif 1chr( Zchr( _mod Kdo 9declare $1 x.5", 0)
 def test_vba_patterns_match_lookbehind_first_ones(source, pos):
     for name, old in ref.VBA_PATTERNS.items():
         assert _matches(getattr(xlsx, name), source, pos) == _matches(old, source, pos), name
