@@ -89,7 +89,7 @@ class TestAnalyzeXlsx:
 
     @pytest.mark.parametrize("index", ["-1", "+0", " 0", "0_0", "\u0660", ""])
     def test_shared_index_is_ascii_digits_only(self, index):
-        # int() takes each of these; a sign would index from the end
+        # int() takes the first four; the sign of -1 would index from the end
         data = make_xlsx(
             '<worksheet><sheetData><row r="1">'
             f'<c r="A1" t="s"><v>{index}</v></c><c r="B1" t="s"><v>5</v></c>'
