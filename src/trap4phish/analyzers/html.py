@@ -71,7 +71,7 @@ _VOID_ELEMENTS = {
 }
 
 _URL_ATTRS = ("href", "src", "action", "formaction")
-_URL_PUNCT = set("/-=?&:._")
+_URL_PUNCT = "/-=?&:._"
 
 _ATTR_RE = re.compile(
     r"([a-zA-Z_:][-a-zA-Z0-9_:.]*)(?:\s*=\s*(\"[^\"]*\"|'[^']*'|[^\s>]*))?"
@@ -375,10 +375,9 @@ def _url_features(stream: _TokenStream, values: dict, page_host: str | None) -> 
         values["min_link_length"] = float(min(lengths))
         values["max_link_length"] = float(max(lengths))
         values["avg_link_length"] = sum(lengths) / len(lengths)
-        values["url_digit_count"] = float(sum(ch.isdigit() for u in all_urls for ch in u))
-        values["url_punct_char_count"] = float(
-            sum(ch in _URL_PUNCT for u in all_urls for ch in u)
-        )
+        joined = "".join(all_urls)
+        values["url_digit_count"] = float(sum(map(str.isdigit, joined)))
+        values["url_punct_char_count"] = float(sum(map(joined.count, _URL_PUNCT)))
 
     hosts = []
     for url in all_urls:

@@ -19,11 +19,11 @@ WORD_BYTES = frozenset(b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012
 
 
 def element_spans(data: bytes, opener: bytes, closer: bytes, start: int = 0, end: int | None = None,
-                  *, boundary: bool = False, tag: bool = True):
+                  *, boundary: bool = False):
     r"""(start, end) of the group of each match that `re.finditer` finds in
     data[start:end] for the DOTALL pattern
         opener \b [^>]*> (.*?) closer
-    where `boundary` keeps the `\b` and `tag` keeps the `[^>]*>`.
+    where `boundary` keeps the `\b`.
 
     One forward pass: the next `>` and the next closer are carried from
     opener to opener instead of searched for again, so a run of unclosed
@@ -37,12 +37,11 @@ def element_spans(data: bytes, opener: bytes, closer: bytes, start: int = 0, end
         if boundary and body < end and data[body] in WORD_BYTES:
             pos = o + 1
             continue
-        if tag:
-            if gt < body:
-                gt = data.find(b">", body, end)
-                if gt < 0:
-                    return
-            body = gt + 1
+        if gt < body:
+            gt = data.find(b">", body, end)
+            if gt < 0:
+                return
+        body = gt + 1
         if close < body:
             close = data.find(closer, body, end)
             if close < 0:

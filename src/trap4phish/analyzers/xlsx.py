@@ -2,25 +2,38 @@ r"""Excel workbook analyzer: 48 features over cell content, VBA macro code
 metrics, behavioral indicators, sheet properties and embedded media, plus the
 top-10 projection.
 
-Cells, values and shared strings are read by forward scanners (`_cells`,
-`_first_value`, `ooxml.element_spans`) that find exactly what `re.finditer`
-finds for the DOTALL patterns
-    <c\b([^>]*?)(?:/>|>(.*?)</c>)    <v[^>]*>(.*?)</v>
+Worksheet rows and cells and the shared-string table are read by one
+`re.split` per window of a part (`_elements`). Its pattern reads each element
+in the shapes writers produce and yields the reference, type, first value and
+inline text as groups, so the counts come from whole columns of groups: one
+int() per distinct row number, one `_col_number` per distinct column, the
+numeric cells in a batch. A window is about 64 KiB, so the groups held at
+once stay bounded however large the part. An element of any other shape is read by the
+forward scanners (`_read_cell`, `_read_row`, `_read_si`, `_first_value`,
+`ooxml.element_spans`), which find exactly what `re.finditer` finds for the
+DOTALL patterns
+    <c\b([^>]*?)(?:/>|>(.*?)</c>)    <v[^>]*>(.*?)</v>    <row\b([^>]*)>
     <t[^>]*>(.*?)</t>                <si>(.*?)</si>
-Each carries the next `>` and the next closer forward from opener to
-opener, so a part full of unclosed openers is read in linear time.
+Neither way runs past the next opener when an element is unclosed, so a
+part is read in linear time whatever its mix of shapes.
+
+A reference past Excel's sheet limits, column XFD (16,384) or row
+1,048,576, names no cell and counts as no reference, like a malformed one:
+the row or cell then counts by its position in the part.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from itertools import compress, filterfalse
+from operator import not_
 
 from ..config import AUTO_EXEC_NAMES, BASE64_MIN_LENGTH, XLSX_API_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from ..containers import ContainerError
 from .ooxml import (
-    ATTR_RE, WORD_BYTES, element_spans, extract_vba_sources, open_archive, parse_relationships,
+    ATTR_RE, element_spans, extract_vba_sources, open_archive, parse_relationships,
     read_xml_parts,
 )
 
@@ -147,13 +160,42 @@ def compute_macro_metrics(source: str) -> MacroMetrics:
 
 
 _SHEET_RE = re.compile(rb"<sheet\b([^>]*)>")
-_ROW_RE = re.compile(rb"<row\b([^>]*)>")
 _F_RE = re.compile(rb"<f[\s/>]")
 _HYPERLINK_RE = re.compile(rb"<hyperlink[\s/>]")
 _SHEETPROT_RE = re.compile(rb"<sheetProtection[\s/>]")
 _EXTREF_RE = re.compile(rb"<externalReference[\s/>]")
 _DEFINED_NAME_RE = re.compile(rb"<definedName\b([^>]*)>")
-_CELL_REF_RE = re.compile(rb"([A-Z]+)(\d+)")
+# Excel's sheet limits, column XFD (16,384) and row 1,048,576: a reference
+# past either names no cell and counts as none.
+_COLUMN = rb"([A-Z]{1,2}|[A-W][A-Z]{2}|X[A-E][A-Z]|XF[A-D])"
+_ROW_NUMBER = (rb"0*(0|[1-9][0-9]{0,5}|10[0-3][0-9]{4}|104[0-7][0-9]{3}|1048[0-4][0-9]{2}"
+               rb"|10485[0-6][0-9]|104857[0-6])")
+# `([A-Z]+)(\d+)` matched at the start of a cell's r, and a row's r whole
+_CELL_REF_RE = re.compile(_COLUMN + _ROW_NUMBER + rb"(?![0-9])")
+_ROW_REF_RE = re.compile(_ROW_NUMBER)
+
+# Each pass pattern is an opener, then optionally the element in the shapes
+# writers produce: name="value" attributes in any order with an r within the
+# limits, a cell body of <f>, <v> and <is><t> in schema order, an <si> of one
+# <t>. Its last group, a `>`, takes part exactly when that shape matched.
+# Nothing in a fast shape crosses a `<` but its own tags, so no match attempt
+# runs past the next opener.
+# name="value", the name not r
+_OTHER_ATTRIBUTE = rb'(?:[A-Za-qs-z:_]|r[\w:.-])[\w:.-]*\s*=\s*"[^"<>]*"'
+# groups: column, row, t, first <v> value, inline text, ">"
+_CELL_RE = re.compile(
+    rb'<c\b(?:(?:\s+(?:r\s*=\s*"' + _COLUMN + _ROW_NUMBER + rb'"|t\s*=\s*"([^"<>]*)"|' + _OTHER_ATTRIBUTE
+    + rb"))*\s*(?:/|>(?:<f(?:\s[^<>]*)?(?:/>|>[^<]*</f>))?(?:<v>([^<]*)</v>)?"
+    rb"(?:<is><t(?:\s[^<>]*)?>([^<]*)</t></is>)?</c)(>))?"
+)
+# groups: row, ">"
+_ROW_RE = re.compile(rb'<row\b(?:(?:\s+(?:r\s*=\s*"' + _ROW_NUMBER + rb'"|' + _OTHER_ATTRIBUTE + rb"))*\s*/?(>))?")
+# groups: text, ">"
+_SI_RE = re.compile(rb"<si>(?:(?:<t(?:\s[^<>]*)?>([^<]*)</t>)?</si(>))?")
+_STRING_KINDS = frozenset((b"s", b"str", b"inlineStr"))
+# bytes of a part one split reads at a time: the pieces it keeps stay
+# under a MiB however large the part
+_WINDOW = 1 << 16
 _WORKSHEET_PART_RE = re.compile(r"^xl/worksheets/[^/]+\.xml$")
 _IMAGE_EXTENSIONS = {"png", "jpg", "jpeg", "gif", "bmp", "tif", "tiff", "emf", "wmf", "svg"}
 _BASE64_CELL_RE = re.compile(r"^[A-Za-z0-9+/]{%d,}={0,2}$" % BASE64_MIN_LENGTH)
@@ -243,12 +285,13 @@ def _extract_from_archive(archive, values, warnings) -> None:
     values["protected_sheet_count"] = float(protection_count)
     values["empty_cell_ratio"] = max(0.0, 1.0 - populated / grid) if grid else 0.0
     if strings:
-        values["avg_cell_length"] = sum(len(s) for s in strings) / len(strings)
-        values["max_cell_length"] = float(max(len(s) for s in strings))
+        lengths = list(map(len, strings))
+        values["avg_cell_length"] = sum(lengths) / len(strings)
+        values["max_cell_length"] = float(max(lengths))
         values["entropy_of_text"] = shannon_entropy("".join(strings).encode("utf-8"))
-        values["base64_cell_count"] = float(sum(1 for s in strings if _BASE64_CELL_RE.match(s)))
+        values["base64_cell_count"] = float(len(list(filter(_BASE64_CELL_RE.match, strings))))
         values["url_in_cell_count"] = float(
-            sum(1 for s in strings if "http://" in s.lower() or "https://" in s.lower())
+            sum(1 for s in map(str.lower, strings) if "http://" in s or "https://" in s)
         )
 
     values["chart_sheet_count"] = float(
@@ -277,50 +320,101 @@ def _text_runs(content: bytes, start: int, end: int) -> bytes:
     return b"".join(content[s:e] for s, e in element_spans(content, b"<t", b"</t>", start, end))
 
 
-def _shared_strings(content: bytes) -> list[str]:
-    return [
-        _text_runs(content, start, end).decode("utf-8", errors="replace")
-        for start, end in element_spans(content, b"<si>", b"</si>", tag=False)
-    ]
+def _elements(pattern: re.Pattern, content: bytes, opener: bytes, closer: bytes, read_other):
+    """Yield the groups of the elements `pattern` finds in `content`, window
+    by window: one sequence per group, in element order, with None where a
+    group took no part.
+
+    A window ends at the first `opener` after `_WINDOW` bytes; no fast shape
+    holds one, so no fast match runs across the cut. When the fast shape
+    matched at every opener of a window, one `split` reads it. Otherwise the
+    window is read from opener to opener: a fast match as it is, and any
+    other opener by `read_other(content, start, last)`, where `last` is the
+    offset of the part's last `closer`. That returns the element's groups
+    (None when no element starts there) and the offset before which later
+    openers are inside the element or cannot start one either."""
+    step = pattern.groups + 1
+    last = content.rfind(closer)
+    start = 0
+    while start < len(content):
+        end = content.find(opener, start + _WINDOW)
+        if end < 0:
+            end = len(content)
+        pieces = pattern.split(content[start:end])
+        columns = [pieces[group::step] for group in range(1, step)]
+        if None not in columns[-1]:
+            yield columns
+            start = end
+            continue
+        found = []
+        resume = start
+        for m in pattern.finditer(content, start, end):
+            if m.start() < resume:
+                continue
+            if m.group(pattern.groups):
+                found.append(m.groups())
+                continue
+            element, resume = read_other(content, m.start(), last)
+            if element is not None:
+                found.append(element)
+        yield list(zip(*found)) or [()] * pattern.groups
+        start = max(end, resume)
 
 
-def _cells(content: bytes):
-    r"""(attributes, body start, body end) of each <c> element; the body of a
-    self-closing one is empty. In `<c\b([^>]*?)(?:/>|>(.*?)</c>)` the
+def _read_cell(content: bytes, start: int, last: int) -> tuple[tuple | None, int]:
+    r"""The cell that `<c\b([^>]*?)(?:/>|>(.*?)</c>)` matches at `start`.
     `[^>]*?` runs to the first `>`, which closes the cell when a `/` precedes
-    it and otherwise opens a body that runs to the first `</c>`."""
-    size = len(content)
-    gt = close = -1
-    pos = 0
-    while (o := content.find(b"<c", pos)) >= 0:
-        attrs = o + 2
-        if attrs < size and content[attrs] in WORD_BYTES:
-            pos = o + 1
-            continue
-        if gt < attrs:
-            gt = content.find(b">", attrs)
-            if gt < 0:
-                return
-        if content[gt - 1] == 0x2F:  # "/>"
-            yield content[attrs:gt - 1], gt, gt
-            pos = gt + 1
-            continue
-        if close <= gt:
-            close = content.find(b"</c>", gt + 1)
-            if close < 0:
-                close = size
-        if close == size:
-            # no `</c>` left: only self-closing cells can still match
-            pos = o + 1
-            continue
-        yield content[attrs:gt], gt + 1, close
-        pos = close + 4
+    it and otherwise opens a body that runs to the first `</c>`. When that
+    body has no `</c>`, no opener before the `>` starts a cell either."""
+    attrs = start + 2
+    gt = content.find(b">", attrs)
+    if gt < 0:
+        return None, len(content)
+    if content[gt - 1] == 0x2F:  # "/>"
+        return _cell_groups(content, content[attrs:gt - 1], gt, gt), gt + 1
+    if last <= gt:
+        return None, gt
+    close = content.find(b"</c>", gt + 1)
+    return _cell_groups(content, content[attrs:gt], gt + 1, close), close + 4
+
+
+def _cell_groups(content: bytes, attr_bytes: bytes, start: int, end: int) -> tuple:
+    """The groups of `_CELL_RE` for a cell with these attributes and body."""
+    attrs = dict(ATTR_RE.findall(attr_bytes))
+    ref = _CELL_REF_RE.match(attrs.get(b"r", b""))
+    kind = attrs.get(b"t")
+    text = _text_runs(content, start, end) if kind == b"inlineStr" else None
+    return (*(ref.groups() if ref else (None, None)), kind, _first_value(content, start, end), text, b">")
+
+
+def _read_row(content: bytes, start: int, last: int) -> tuple[tuple | None, int]:
+    r"""The row that `<row\b([^>]*)>` matches at `start`."""
+    attrs = start + 4
+    if last < attrs:
+        return None, len(content)
+    gt = content.find(b">", attrs)
+    ref = _ROW_REF_RE.fullmatch(dict(ATTR_RE.findall(content[attrs:gt])).get(b"r", b""))
+    return (ref and ref.group(1), b">"), gt + 1
+
+
+def _read_si(content: bytes, start: int, last: int) -> tuple[tuple | None, int]:
+    """The shared string that `<si>(.*?)</si>` matches at `start`."""
+    body = start + 4
+    if last < body:
+        return None, len(content)
+    close = content.find(b"</si>", body)
+    return (_text_runs(content, body, close), b">"), close + 5
+
+
+def _shared_strings(content: bytes) -> list[str]:
+    return [text.decode("utf-8", errors="replace") if text else ""
+            for texts, _ in _elements(_SI_RE, content, b"<si>", b"</si>", _read_si) for text in texts]
 
 
 def _index(digits: bytes) -> int | None:
-    """A shared-string index or row number, which is ASCII digits alone.
-    int() would also take a sign, `_` between digits and whitespace around
-    them, so `-1` would index from the end and `1_0` read as 10."""
+    """A shared-string index, which is ASCII digits alone. int() would also
+    take a sign, `_` between digits and whitespace around them, so `-1`
+    would index from the end and `1_0` read as 10."""
     if not digits.isdigit():  # bytes.isdigit is ASCII-only
         return None
     try:
@@ -329,50 +423,54 @@ def _index(digits: bytes) -> int | None:
         return None
 
 
+def _last_position(items, item, before: int) -> int:
+    """The 1-based position of the last `item` in `items`, counting `before`
+    items ahead of them; 0 when absent."""
+    return before + len(items) - items[::-1].index(item) if item in items else 0
+
+
+def _max_number(digits) -> int:
+    """The largest of these row numbers, one int() per distinct one; 0 for none."""
+    return max(map(int, set(digits).difference((None,))), default=0)
+
+
 def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
-    numeric = 0
-    populated = 0
-    max_row = 0
-    max_col = 0
-    row_ordinal = 0
-    for rm in _ROW_RE.finditer(content):
-        row_ordinal += 1
-        row_idx = _index(dict(ATTR_RE.findall(rm.group(1))).get(b"r", b""))
-        max_row = max(max_row, row_ordinal if row_idx is None else row_idx)
-    col_ordinal = 0
-    for attr_bytes, body_start, body_end in _cells(content):
-        col_ordinal += 1
-        attrs = dict(ATTR_RE.findall(attr_bytes))
-        ref = attrs.get(b"r", b"")
-        ref_m = _CELL_REF_RE.match(ref)
-        if ref_m:
-            max_col = max(max_col, _col_number(ref_m.group(1)))
-            max_row = max(max_row, int(ref_m.group(2)))
-        else:
-            max_col = max(max_col, col_ordinal)
-        ctype = attrs.get(b"t", b"")
-        value = _first_value(content, body_start, body_end)
-        if ctype == b"s":
-            if value is not None:
-                populated += 1
-                index = _index(value)
-                strings.append(shared[index] if index is not None and index < len(shared) else "")
-        elif ctype == b"str":
-            if value is not None:
-                populated += 1
-                strings.append(value.decode("utf-8", errors="replace"))
-        elif ctype == b"inlineStr":
-            text = _text_runs(content, body_start, body_end)
-            populated += 1
-            strings.append(text.decode("utf-8", errors="replace"))
-        elif value is not None:
-            populated += 1
+    # a row or cell with no reference within the sheet limits counts by its
+    # position among the part's rows or cells
+    max_row = seen = 0
+    for rows, _ in _elements(_ROW_RE, content, b"<row", b">", _read_row):
+        max_row = max(max_row, _max_number(rows), _last_position(rows, None, seen))
+        seen += len(rows)
+    max_col = numeric = populated = seen = 0
+    for columns, rows, kinds, values, texts, _ in _elements(_CELL_RE, content, b"<c", b"</c>", _read_cell):
+        max_row = max(max_row, _max_number(rows))
+        max_col = max(max_col, max(map(_col_number, set(columns).difference((None,))), default=0),
+                      _last_position(columns, None, seen))
+        seen += len(columns)
+
+        # a cell of any other type counts when it has a value, and as numeric
+        # when float() reads that value
+        others = list(compress(values, map(not_, map(_STRING_KINDS.__contains__, kinds))))
+        populated += len(others) - others.count(None)
+        numeric += sum(map(bytes.isdigit, filter(None, others)))
+        for value in filterfalse(bytes.isdigit, filter(None, others)):
             try:
                 float(value)
-                if b"_" not in value:  # float() takes "1_0"
-                    numeric += 1
             except ValueError:
-                pass
+                continue
+            if b"_" not in value:  # float() takes "1_0"
+                numeric += 1
+        for kind, value, text in compress(zip(kinds, values, texts), map(_STRING_KINDS.__contains__, kinds)):
+            if kind == b"inlineStr":
+                strings.append(text.decode("utf-8", errors="replace") if text else "")
+            elif value is None:
+                continue
+            elif kind == b"s":
+                index = _index(value)
+                strings.append(shared[index] if index is not None and index < len(shared) else "")
+            else:
+                strings.append(value.decode("utf-8", errors="replace"))
+            populated += 1
     return {"numeric": numeric, "populated": populated, "max_row": max_row, "max_col": max_col}
 
 

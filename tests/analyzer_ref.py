@@ -23,12 +23,15 @@ are here as they were: the four PDF ones (`_OBJ_RE`, `_STREAM_RE`,
 a full match at every offset of each; the live ones begin with their
 literal, one class or a lookahead of one class.
 
-Two differences from the old code are deliberate. `_scan_cells` reads
+Three differences from the old code are deliberate. `_scan_cells` reads
 shared-string indexes and row numbers only as ASCII digits, and counts no
 value holding `_` as numeric; there, `-1` took the last shared string and
-`1_0` read as 10. And there, `\\8` or `\\9` in a PDF string made
-`_unescape_string` raise ValueError (`int(b"8", 8)`), which aborted the
-whole scan. The tests skip inputs on which these oracles raise.
+`1_0` read as 10. It takes a row number past 1,048,576 or a column past
+XFD (16,384), Excel's sheet limits, as no reference; there, such a number
+raised OverflowError or ValueError out of the analyzer. And there, `\\8`
+or `\\9` in a PDF string made `_unescape_string` raise ValueError
+(`int(b"8", 8)`), which aborted the whole scan. The tests skip inputs on
+which these oracles raise.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from trap4phish.analyzers.pdf import (
     _TOKEN_COUNTERS, _TRAILER_RE, _XFA_RE, _name_token,
 )
 from trap4phish.analyzers.docx import STRUCT_ATTRIBUTES, STRUCT_ELEMENTS, _struct_column
-from trap4phish.analyzers.xlsx import _CELL_REF_RE, _ROW_RE, _col_number
 from trap4phish.config import HTML_SUSPICIOUS_KEYWORDS
 from trap4phish.core import AnalysisReport, FeatureVector, shannon_entropy
 
@@ -300,9 +302,25 @@ _CELL_RE = re.compile(rb"<c\b([^>]*?)(?:/>|>(.*?)</c>)", re.DOTALL)
 _V_RE = re.compile(rb"<v[^>]*>(.*?)</v>", re.DOTALL)
 _IS_T_RE = re.compile(rb"<t[^>]*>(.*?)</t>", re.DOTALL)
 _SI_RE = re.compile(rb"<si>(.*?)</si>", re.DOTALL)
+_ROW_RE = re.compile(rb"<row\b([^>]*)>")
+_CELL_REF_RE = re.compile(rb"([A-Z]+)(\d+)")
 # shared-string indexes and row numbers: int() alone would also take a sign,
 # `_` and whitespace
 _DIGITS_RE = re.compile(rb"[0-9]+")
+MAX_ROW, MAX_COL = 1_048_576, 16_384
+
+
+def _col_number(letters: bytes) -> int:
+    n = 0
+    for ch in letters:
+        n = n * 26 + (ch - ord("A") + 1)
+    return n
+
+
+def _row_number(digits: bytes) -> int | None:
+    """ASCII digits as a row number, None past the sheet's last row."""
+    digits = digits.lstrip(b"0") or b"0"
+    return int(digits) if len(digits) <= 7 and int(digits) <= MAX_ROW else None
 
 
 def _shared_strings(content: bytes) -> list[str]:
@@ -322,11 +340,8 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
     for rm in _ROW_RE.finditer(content):
         row_ordinal += 1
         attrs = dict(ATTR_RE.findall(rm.group(1)))
-        try:
-            row_idx = int(attrs[b"r"]) if _DIGITS_RE.fullmatch(attrs.get(b"r", b"")) else row_ordinal
-        except ValueError:
-            row_idx = row_ordinal
-        max_row = max(max_row, row_idx)
+        row_idx = _row_number(attrs[b"r"]) if _DIGITS_RE.fullmatch(attrs.get(b"r", b"")) else None
+        max_row = max(max_row, row_ordinal if row_idx is None else row_idx)
     col_ordinal = 0
     for m in _CELL_RE.finditer(content):
         col_ordinal += 1
@@ -334,9 +349,11 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
         body = m.group(2) or b""
         ref = attrs.get(b"r", b"")
         ref_m = _CELL_REF_RE.match(ref)
-        if ref_m:
-            max_col = max(max_col, _col_number(ref_m.group(1)))
-            max_row = max(max_row, int(ref_m.group(2)))
+        col = _col_number(ref_m.group(1)) if ref_m else None
+        row = _row_number(ref_m.group(2)) if ref_m else None
+        if col is not None and col <= MAX_COL and row is not None:
+            max_col = max(max_col, col)
+            max_row = max(max_row, row)
         else:
             max_col = max(max_col, col_ordinal)
         ctype = attrs.get(b"t", b"")

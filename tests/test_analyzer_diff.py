@@ -223,6 +223,11 @@ def test_attr_pairs_match_backtracking_pattern(tag):
 
 # --- xlsx --------------------------------------------------------------------
 
+# The shapes the fast cell, row and shared-string patterns read, pieces of
+# them, and the shapes they hand to the forward scanners: attributes in any
+# order, duplicated, single-quoted or with spaces around `=`; references
+# past Excel's sheet limits or not in upper case; <f> before <v>, values
+# that float() reads or not; and openers that are not a cell
 _XLSX_TOKENS = [
     "<c", "<c ", '<c r="A1"', '<c r="C7" t="s"', '<c t="str"', '<c t="inlineStr"', "<col>", "<c/>",
     "/>", ">", "/", "</c>", "<v>", "<v x>", "</v>", "<t>", '<t xml:space="preserve">', "</t>", "<t",
@@ -230,11 +235,38 @@ _XLSX_TOKENS = [
     " ", "\n", "QUJDREVGR0hJSktMTU5PUFFSU1RVVldY",
     '<c r="B1"><v>1</v></c>', '<c t="s"><v>0</v></c>', '<c t="str"><v>abc</v></c>',
     '<c t="inlineStr"><is><t>x</t></is></c>', "<si><t>a</t></si>",
+    # attributes
+    '<c t="s" r="B2"', ' r="D4"', ' t="s"', ' t="str"', ' s="3"', " r='A1'", " t='s'", ' r = "E5"',
+    ' t ="s"', '<c r="A1" r="B2"', '<c t="s" t="n"', '<c s="3" r="A2" t="s"', ' rr="A1"', ' r:x="1"',
+    '<row r="2" spans="1:3"', ' r="7"', '<row r="7" r="x"',
+    # references
+    ' r="A1x"', ' r="a1"', ' r="A01"', ' r="A0"', ' r="XFD1048576"', ' r="XFE1"', ' r="AAAA1"',
+    ' r="A1048577"', ' r="A' + "9" * 12 + '"', '<row r="1048576">', '<row r="1048577">', '<row r="007">',
+    '<row r="0">',
+    # types
+    ' t="n"', ' t="b"', ' t="e"', ' t=""',
+    # bodies
+    "<f>SUM(A1:A2)</f>", '<f t="shared" ref="A1:A2" si="0"/>', "<f>", "</f>", "<v/>", "<v> 1 </v>",
+    "<v>nan</v>", "<v>1e5</v>", "<v>1_0</v>", "<v>\u0661</v>", "<v>-1</v>", "<v></v>",
+    '<c r="A3"><f>1+1</f><v>2</v></c>', "<is><t>a</t><t>b</t></is>", "<r><t>c</t></r>", "<rPh><t>d</t></rPh>",
+    # openers that are no cell
+    "<cols>", "<cfRule", "<c\t", "<c\n", "<c\t/>",
 ]
 
 
 @_SETTINGS
 @given(_join(_XLSX_TOKENS), _join(_XLSX_TOKENS))
+# numbers past the sheet limits that once raised out of the analyzer
+@example('<row r="' + "9" * 400 + '"><c r="A1"><v>1</v></c></row>', "")
+@example('<c r="A' + "1" * 5000 + '"><v>1</v></c>', "")
+@example('<c r="' + "A" * 20000 + '1"><v>1</v></c>', "")
+# where the fast shapes end: a repeated r whose last is no reference, an
+# unclosed cell followed only by self-closing ones, row 0, and t followed
+# by other attributes
+@example('<c r="C1" r="a1"/><row r="5" r="x"/>', "")
+@example('<c r="A1"><v>1</v><c r="C1"/>', "")
+@example('<row r="0"/><c r="C0"/>', "")
+@example('<c t="s" s="3"><v>0</v></c><c t="str" r="B1"><v>x</v></c>', "<si><t>a</t></si>")
 def test_xlsx_matches_rescanning_analyzer(sheet, shared_xml):
     content, shared_bytes = sheet.encode(), shared_xml.encode()
     assert xlsx._shared_strings(shared_bytes) == ref._shared_strings(shared_bytes)
@@ -247,6 +279,21 @@ def test_xlsx_matches_rescanning_analyzer(sheet, shared_xml):
     with _patched(xlsx, _shared_strings=ref._shared_strings, _scan_cells=ref._scan_cells):
         old = analyze_xlsx(data)
     assert analyze_xlsx(data).features.values == old.features.values
+
+
+@_SETTINGS
+@given(_join(_XLSX_TOKENS), _join(_XLSX_TOKENS), st.integers(1, 40))
+@example('<c r="A1"><v>1</v></c><c r="B1">' + "<v>2</v>" * 9 + '</c><c r="C1"/>', "<si><t>a</t></si>" * 9, 12)
+def test_xlsx_windows_match_rescanning_scanners(sheet, shared_xml, window):
+    # windows of a few bytes, so that cuts fall next to elements of every
+    # shape and inside the slow ones
+    content, shared_bytes = sheet.encode(), shared_xml.encode()
+    shared = ref._shared_strings(shared_bytes)
+    old_strings, new_strings = [], []
+    with mock.patch.object(xlsx, "_WINDOW", window):
+        assert xlsx._shared_strings(shared_bytes) == shared
+        assert xlsx._scan_cells(content, shared, new_strings) == ref._scan_cells(content, shared, old_strings)
+    assert new_strings == old_strings
 
 
 # the VBA keywords in several cases, number shapes, the characters that end

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from trap4phish.analyzers.xlsx import XLSX_COLUMNS
 from trap4phish.cli import main
 from trap4phish.qr import from_pgm, qr_decode
+
+from conftest import make_xlsx
 
 
 def run(args):
@@ -116,6 +119,25 @@ class TestScan:
                     "--out", tmp_path / "x.csv"]) == 0
         # both documents from the walk, plus labels.csv because it is named
         assert "scanned 3 file(s); parse_failed 1" in capsys.readouterr().out
+
+    def test_references_past_the_sheet_limits_scan_to_full_rows(self, tmp_path):
+        sheets = {
+            "long_row": '<row r="' + "9" * 400 + '"><c r="A1"><v>1</v></c></row>',
+            "long_row_number": '<row r="1"><c r="A' + "1" * 5000 + '"><v>1</v></c></row>',
+            "long_column": '<row r="1"><c r="' + "A" * 20000 + '1"><v>1</v></c></row>',
+        }
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        for name, sheet in sheets.items():
+            (inputs / f"{name}.xlsx").write_bytes(
+                make_xlsx(f"<worksheet><sheetData>{sheet}</sheetData></worksheet>"))
+        out = tmp_path / "x.csv"
+        assert run(["scan", inputs, "--format", "xlsx", "--out", out]) == 0
+        with open(out) as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == len(sheets)
+        assert set(XLSX_COLUMNS) <= set(header)
+        assert all(len(row) == len(header) for row in rows)
 
     def test_keyword_lists_ignore_environment(self, tmp_path, monkeypatch):
         corpus = tmp_path / "c"

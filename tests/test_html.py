@@ -101,6 +101,15 @@ def test_url_char_counters():
     assert d["url_punct_char_count"] == 7  # : / / . / ? =
 
 
+def test_url_char_counters_count_per_character_over_every_url():
+    # str.isdigit also takes non-ASCII digits such as the superscript two
+    urls = ["http://x.test/\u00b2\u0661?a=1&b_c-d", "/i-9.png"]
+    page = f'<a href="{urls[0]}">l</a><img src="{urls[1]}">'.encode()
+    d = analyze_html(page).features.as_dict()
+    assert d["url_digit_count"] == sum(ch.isdigit() for u in urls for ch in u) == 4
+    assert d["url_punct_char_count"] == sum(ch in "/-=?&:._" for u in urls for ch in u) == 13
+
+
 def test_url_digit_increment():
     base = analyze_html(b'<a href="/pg">l</a>').features["url_digit_count"]
     more = analyze_html(b'<a href="/pg1">l</a>').features["url_digit_count"]

@@ -118,6 +118,20 @@ class TestAnalyzeXlsx:
         )
         assert analyze_xlsx(data).features.as_dict()["max_rows"] == 2
 
+    @pytest.mark.parametrize("sheet, max_rows, max_cols", [
+        ('<row r="' + "9" * 400 + '"><c r="A1"><v>1</v></c></row>', 1, 1),
+        ('<row r="1"><c r="A1"/><c r="A' + "1" * 5000 + '"><v>1</v></c></row>', 1, 2),
+        ('<row r="1"><c r="A1"/><c r="' + "A" * 20000 + '1"><v>1</v></c></row>', 1, 2),
+        ('<row r="1048577"/><c r="A1"/><c r="A1048577"/><c r="XFE1"/>', 1, 3),
+        ('<row r="1048576"/><c r="XFD1048576"/>', 1048576, 16384),
+    ], ids=["row_of_400_digits", "cell_row_of_5000_digits", "column_of_20000_letters", "one_past", "at_limits"])
+    def test_references_past_the_sheet_limits_count_as_none(self, sheet, max_rows, max_cols):
+        # a row number past 1,048,576 or a column past XFD names no cell: the
+        # row counts by its position among rows, the cell by its position
+        # among cells, and neither raises
+        d = analyze_xlsx(make_xlsx(f"<worksheet><sheetData>{sheet}</sheetData></worksheet>")).features.as_dict()
+        assert (d["max_rows"], d["max_cols"]) == (max_rows, max_cols)
+
     def test_no_macro_zero_metrics(self):
         data = make_xlsx("<worksheet/>")
         d = analyze_xlsx(data).features.as_dict()
