@@ -2,20 +2,21 @@ r"""Excel workbook analyzer: 48 features over cell content, VBA macro code
 metrics, behavioral indicators, sheet properties and embedded media, plus the
 top-10 projection.
 
-Worksheet rows and cells and the shared-string table are read by one
-`re.split` per window of a part (`_elements`). Its pattern reads each element
-in the shapes writers produce and yields the reference, type, first value and
-inline text as groups, so the counts come from whole columns of groups: one
-int() per distinct row number, one `_col_number` per distinct column, the
-numeric cells in a batch. A window is about 64 KiB, so the groups held at
-once stay bounded however large the part. An element of any other shape is read by the
+Worksheet rows and cells and the shared-string table are each read by one
+`finditer` pass over the part (`_elements`). Its pattern reads an element in
+the shapes writers produce, attributes in any order, `<f>` before `<v>`, and
+gives the reference, type, first value and inline text as groups, so a cell
+costs one match and a few comparisons. Any other opener is read by the
 forward scanners (`_read_cell`, `_read_row`, `_read_si`, `_first_value`,
 `ooxml.element_spans`), which find exactly what `re.finditer` finds for the
 DOTALL patterns
     <c\b([^>]*?)(?:/>|>(.*?)</c>)    <v[^>]*>(.*?)</v>    <row\b([^>]*)>
     <t[^>]*>(.*?)</t>                <si>(.*?)</si>
-Neither way runs past the next opener when an element is unclosed, so a
-part is read in linear time whatever its mix of shapes.
+Each element is read once, one way or the other, and neither way runs past
+the next opener when an element is unclosed. A cell left open with no `</c>`
+after it can be followed only by self-closing cells, and
+`_self_closing_cells` reads the rest of the part for those. So a part is
+read in linear time whatever its mix of shapes.
 
 A reference past Excel's sheet limits, column XFD (16,384) or row
 1,048,576, names no cell and counts as no reference, like a malformed one:
@@ -26,8 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from itertools import compress, filterfalse
-from operator import not_
 
 from ..config import AUTO_EXEC_NAMES, BASE64_MIN_LENGTH, XLSX_API_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
@@ -192,10 +191,9 @@ _CELL_RE = re.compile(
 _ROW_RE = re.compile(rb'<row\b(?:(?:\s+(?:r\s*=\s*"' + _ROW_NUMBER + rb'"|' + _OTHER_ATTRIBUTE + rb"))*\s*/?(>))?")
 # groups: text, ">"
 _SI_RE = re.compile(rb"<si>(?:(?:<t(?:\s[^<>]*)?>([^<]*)</t>)?</si(>))?")
+# a cell's start tag, for `_self_closing_cells`
+_CELL_TAG_RE = re.compile(rb"<c\b([^>]*)>")
 _STRING_KINDS = frozenset((b"s", b"str", b"inlineStr"))
-# bytes of a part one split reads at a time: the pieces it keeps stay
-# under a MiB however large the part
-_WINDOW = 1 << 16
 _WORKSHEET_PART_RE = re.compile(r"^xl/worksheets/[^/]+\.xml$")
 _IMAGE_EXTENSIONS = {"png", "jpg", "jpeg", "gif", "bmp", "tif", "tiff", "emf", "wmf", "svg"}
 _BASE64_CELL_RE = re.compile(r"^[A-Za-z0-9+/]{%d,}={0,2}$" % BASE64_MIN_LENGTH)
@@ -285,11 +283,10 @@ def _extract_from_archive(archive, values, warnings) -> None:
     values["protected_sheet_count"] = float(protection_count)
     values["empty_cell_ratio"] = max(0.0, 1.0 - populated / grid) if grid else 0.0
     if strings:
-        lengths = list(map(len, strings))
-        values["avg_cell_length"] = sum(lengths) / len(strings)
-        values["max_cell_length"] = float(max(lengths))
+        values["avg_cell_length"] = sum(len(s) for s in strings) / len(strings)
+        values["max_cell_length"] = float(max(len(s) for s in strings))
         values["entropy_of_text"] = shannon_entropy("".join(strings).encode("utf-8"))
-        values["base64_cell_count"] = float(len(list(filter(_BASE64_CELL_RE.match, strings))))
+        values["base64_cell_count"] = float(sum(1 for s in strings if _BASE64_CELL_RE.match(s)))
         values["url_in_cell_count"] = float(
             sum(1 for s in map(str.lower, strings) if "http://" in s or "https://" in s)
         )
@@ -320,95 +317,89 @@ def _text_runs(content: bytes, start: int, end: int) -> bytes:
     return b"".join(content[s:e] for s, e in element_spans(content, b"<t", b"</t>", start, end))
 
 
-def _elements(pattern: re.Pattern, content: bytes, opener: bytes, closer: bytes, read_other):
-    """Yield the groups of the elements `pattern` finds in `content`, window
-    by window: one sequence per group, in element order, with None where a
-    group took no part.
-
-    A window ends at the first `opener` after `_WINDOW` bytes; no fast shape
-    holds one, so no fast match runs across the cut. When the fast shape
-    matched at every opener of a window, one `split` reads it. Otherwise the
-    window is read from opener to opener: a fast match as it is, and any
-    other opener by `read_other(content, start, last)`, where `last` is the
-    offset of the part's last `closer`. That returns the element's groups
-    (None when no element starts there) and the offset before which later
-    openers are inside the element or cannot start one either."""
-    step = pattern.groups + 1
+def _elements(pattern: re.Pattern, content: bytes, closer: bytes, read_other):
+    """The groups of each element in `content`, in order. Where `pattern`
+    matched its fast shape they are the match's groups. At any other opener
+    `read_other(content, start, last)` reads on from there, where `last` is
+    the offset of the part's last `closer`: it returns the groups of the
+    elements it read and the offset before which later openers are inside
+    those elements or cannot start one."""
     last = content.rfind(closer)
-    start = 0
-    while start < len(content):
-        end = content.find(opener, start + _WINDOW)
-        if end < 0:
-            end = len(content)
-        pieces = pattern.split(content[start:end])
-        columns = [pieces[group::step] for group in range(1, step)]
-        if None not in columns[-1]:
-            yield columns
-            start = end
-            continue
-        found = []
-        resume = start
-        for m in pattern.finditer(content, start, end):
+    resume = 0
+    for m in pattern.finditer(content):
+        if resume:
             if m.start() < resume:
                 continue
-            if m.group(pattern.groups):
-                found.append(m.groups())
-                continue
-            element, resume = read_other(content, m.start(), last)
-            if element is not None:
-                found.append(element)
-        yield list(zip(*found)) or [()] * pattern.groups
-        start = max(end, resume)
+            resume = 0
+        groups = m.groups()
+        if groups[-1] is not None:
+            yield groups
+            continue
+        elements, resume = read_other(content, m.start(), last)
+        yield from elements
+        if resume == len(content):
+            return
 
 
-def _read_cell(content: bytes, start: int, last: int) -> tuple[tuple | None, int]:
-    r"""The cell that `<c\b([^>]*?)(?:/>|>(.*?)</c>)` matches at `start`.
-    `[^>]*?` runs to the first `>`, which closes the cell when a `/` precedes
-    it and otherwise opens a body that runs to the first `</c>`. When that
-    body has no `</c>`, no opener before the `>` starts a cell either."""
+def _read_cell(content: bytes, start: int, last: int):
+    r"""The cells that `<c\b([^>]*?)(?:/>|>(.*?)</c>)` matches from `start`
+    on. `[^>]*?` runs to the first `>`, which closes the cell when a `/`
+    precedes it and otherwise opens a body that runs to the first `</c>`.
+    When that body has no `</c>`, neither has any later one."""
     attrs = start + 2
     gt = content.find(b">", attrs)
     if gt < 0:
-        return None, len(content)
+        return (), len(content)
     if content[gt - 1] == 0x2F:  # "/>"
-        return _cell_groups(content, content[attrs:gt - 1], gt, gt), gt + 1
+        return (_cell_groups(content, content[attrs:gt - 1], gt, gt),), gt + 1
     if last <= gt:
-        return None, gt
+        return _self_closing_cells(content, gt + 1), len(content)
     close = content.find(b"</c>", gt + 1)
-    return _cell_groups(content, content[attrs:gt], gt + 1, close), close + 4
+    return (_cell_groups(content, content[attrs:gt], gt + 1, close),), close + 4
+
+
+def _self_closing_cells(content: bytes, start: int):
+    """The cells from `start` on where no `</c>` follows: the openers whose
+    first `>` has a `/` before it. The search ends at the last `>`, so each
+    attempt ends at a `>` and takes in the openers before it."""
+    for m in _CELL_TAG_RE.finditer(content, start, content.rfind(b">") + 1):
+        attrs = m.group(1)
+        if attrs.endswith(b"/"):
+            yield _cell_groups(content, attrs[:-1], m.end() - 1, m.end() - 1)
 
 
 def _cell_groups(content: bytes, attr_bytes: bytes, start: int, end: int) -> tuple:
     """The groups of `_CELL_RE` for a cell with these attributes and body."""
     attrs = dict(ATTR_RE.findall(attr_bytes))
     ref = _CELL_REF_RE.match(attrs.get(b"r", b""))
+    column, number = ref.groups() if ref else (None, None)
     kind = attrs.get(b"t")
     text = _text_runs(content, start, end) if kind == b"inlineStr" else None
-    return (*(ref.groups() if ref else (None, None)), kind, _first_value(content, start, end), text, b">")
+    return column, number, kind, _first_value(content, start, end), text, b">"
 
 
-def _read_row(content: bytes, start: int, last: int) -> tuple[tuple | None, int]:
+def _read_row(content: bytes, start: int, last: int):
     r"""The row that `<row\b([^>]*)>` matches at `start`."""
     attrs = start + 4
     if last < attrs:
-        return None, len(content)
+        return (), len(content)
     gt = content.find(b">", attrs)
     ref = _ROW_REF_RE.fullmatch(dict(ATTR_RE.findall(content[attrs:gt])).get(b"r", b""))
-    return (ref and ref.group(1), b">"), gt + 1
+    return ((ref and ref.group(1), b">"),), gt + 1
 
 
-def _read_si(content: bytes, start: int, last: int) -> tuple[tuple | None, int]:
+def _read_si(content: bytes, start: int, last: int):
     """The shared string that `<si>(.*?)</si>` matches at `start`."""
     body = start + 4
     if last < body:
-        return None, len(content)
+        return (), len(content)
     close = content.find(b"</si>", body)
-    return (_text_runs(content, body, close), b">"), close + 5
+    return ((_text_runs(content, body, close), b">"),), close + 5
 
 
 def _shared_strings(content: bytes) -> list[str]:
     return [text.decode("utf-8", errors="replace") if text else ""
-            for texts, _ in _elements(_SI_RE, content, b"<si>", b"</si>", _read_si) for text in texts]
+            for text, _ in _elements(_SI_RE, content, b"</si>", _read_si)]
 
 
 def _index(digits: bytes) -> int | None:
@@ -423,54 +414,52 @@ def _index(digits: bytes) -> int | None:
         return None
 
 
-def _last_position(items, item, before: int) -> int:
-    """The 1-based position of the last `item` in `items`, counting `before`
-    items ahead of them; 0 when absent."""
-    return before + len(items) - items[::-1].index(item) if item in items else 0
-
-
-def _max_number(digits) -> int:
-    """The largest of these row numbers, one int() per distinct one; 0 for none."""
-    return max(map(int, set(digits).difference((None,))), default=0)
-
-
 def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
     # a row or cell with no reference within the sheet limits counts by its
-    # position among the part's rows or cells
-    max_row = seen = 0
-    for rows, _ in _elements(_ROW_RE, content, b"<row", b">", _read_row):
-        max_row = max(max_row, _max_number(rows), _last_position(rows, None, seen))
-        seen += len(rows)
-    max_col = numeric = populated = seen = 0
-    for columns, rows, kinds, values, texts, _ in _elements(_CELL_RE, content, b"<c", b"</c>", _read_cell):
-        max_row = max(max_row, _max_number(rows))
-        max_col = max(max_col, max(map(_col_number, set(columns).difference((None,))), default=0),
-                      _last_position(columns, None, seen))
-        seen += len(columns)
-
-        # a cell of any other type counts when it has a value, and as numeric
-        # when float() reads that value
-        others = list(compress(values, map(not_, map(_STRING_KINDS.__contains__, kinds))))
-        populated += len(others) - others.count(None)
-        numeric += sum(map(bytes.isdigit, filter(None, others)))
-        for value in filterfalse(bytes.isdigit, filter(None, others)):
-            try:
-                float(value)
-            except ValueError:
-                continue
-            if b"_" not in value:  # float() takes "1_0"
-                numeric += 1
-        for kind, value, text in compress(zip(kinds, values, texts), map(_STRING_KINDS.__contains__, kinds)):
-            if kind == b"inlineStr":
-                strings.append(text.decode("utf-8", errors="replace") if text else "")
-            elif value is None:
-                continue
-            elif kind == b"s":
+    # position among the part's rows or cells. A row's cells share its
+    # number, so int() runs once per run of cells with the same number, and
+    # `_col_number` once per distinct column, of which there are at most
+    # 16,384.
+    max_row = max_col = 0
+    for position, (number, _) in enumerate(_elements(_ROW_RE, content, b">", _read_row), 1):
+        max_row = max(max_row, position if number is None else int(number))
+    columns = set()
+    row = None
+    numeric = populated = 0
+    for position, (column, number, kind, value, text, _) in enumerate(
+            _elements(_CELL_RE, content, b"</c>", _read_cell), 1):
+        if column is None:
+            max_col = position
+        else:
+            columns.add(column)
+            if number != row:
+                row = number
+                max_row = max(max_row, int(number))
+        if kind not in _STRING_KINDS:
+            # a cell of any other type counts when it has a value, and as
+            # numeric when float() reads that value
+            if value is not None:
+                populated += 1
+                if value.isdigit():  # ASCII digits, which float() reads
+                    numeric += 1
+                else:
+                    try:
+                        float(value)
+                        if b"_" not in value:  # float() takes "1_0"
+                            numeric += 1
+                    except ValueError:
+                        pass
+        elif kind == b"inlineStr":
+            populated += 1
+            strings.append(text.decode("utf-8", errors="replace") if text else "")
+        elif value is not None:
+            populated += 1
+            if kind == b"s":
                 index = _index(value)
                 strings.append(shared[index] if index is not None and index < len(shared) else "")
             else:
                 strings.append(value.decode("utf-8", errors="replace"))
-            populated += 1
+    max_col = max(max_col, max(map(_col_number, columns), default=0))
     return {"numeric": numeric, "populated": populated, "max_row": max_row, "max_col": max_col}
 
 

@@ -104,6 +104,11 @@ def _xlsx_mixed_cells(n):
                                    shared=["x"])
 
 
+def _xlsx_tail_openers(n):
+    # a cell never closed, then cell openers with no `>` after them
+    return analyze_xlsx, make_xlsx('<worksheet><sheetData><row r="1"><c r="A1">' + "<c " * n)
+
+
 def _pdf_uri(n):
     return analyze_pdf, b"%PDF-1.4\n" + b"<< /URI (http >>\n" * n
 
@@ -152,6 +157,7 @@ FAMILIES = {
     "xlsx_v": (_xlsx_v, 32000),
     "xlsx_t": (_xlsx_t, 32000),
     "xlsx_mixed_cells": (_xlsx_mixed_cells, 2000),
+    "xlsx_tail_openers": (_xlsx_tail_openers, 8000),
     "pdf_uri": (_pdf_uri, 4000),
     "pdf_title": (_pdf_title, 4000),
     "pdf_parens": (_pdf_parens, 8000),

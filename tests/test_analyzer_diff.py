@@ -281,21 +281,6 @@ def test_xlsx_matches_rescanning_analyzer(sheet, shared_xml):
     assert analyze_xlsx(data).features.values == old.features.values
 
 
-@_SETTINGS
-@given(_join(_XLSX_TOKENS), _join(_XLSX_TOKENS), st.integers(1, 40))
-@example('<c r="A1"><v>1</v></c><c r="B1">' + "<v>2</v>" * 9 + '</c><c r="C1"/>', "<si><t>a</t></si>" * 9, 12)
-def test_xlsx_windows_match_rescanning_scanners(sheet, shared_xml, window):
-    # windows of a few bytes, so that cuts fall next to elements of every
-    # shape and inside the slow ones
-    content, shared_bytes = sheet.encode(), shared_xml.encode()
-    shared = ref._shared_strings(shared_bytes)
-    old_strings, new_strings = [], []
-    with mock.patch.object(xlsx, "_WINDOW", window):
-        assert xlsx._shared_strings(shared_bytes) == shared
-        assert xlsx._scan_cells(content, shared, new_strings) == ref._scan_cells(content, shared, old_strings)
-    assert new_strings == old_strings
-
-
 # the VBA keywords in several cases, number shapes, the characters that end
 # a word or a number, and characters that IGNORECASE folds into ASCII
 # letters: the Kelvin sign, long s, dotted capital I and dotless i
