@@ -15,8 +15,8 @@ from collections import Counter
 from ..config import VBA_SUSPICIOUS_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from .ooxml import (
-    ATTR_RE, element_spans, extract_vba_sources, open_archive, parse_relationships, read_xml_parts,
-    resolve_target,
+    element_spans, extract_vba_sources, open_archive, parse_relationships, read_xml_parts,
+    resolve_target, tag_attributes,
 )
 
 SCHEMA_VERSION = 1
@@ -183,20 +183,9 @@ def _count_ole_objects(archive, parts: dict[str, bytes], values) -> None:
         e.name for e in archive.entries
         if e.name.startswith("word/embeddings/") and not e.name.endswith("/")
     }
-    rel_targets = {}
-    for rel in parse_relationships(parts):
-        rel_id = rel.get("Id")
-        if rel_id:
-            rel_targets[rel_id] = resolve_target(rel)
+    rel_targets = {rel["Id"]: resolve_target(rel) for rel in parse_relationships(parts) if rel.get("Id")}
 
-    elements = []
-    for content in parts.values():
-        for m in _OLE_ELEMENT_RE.finditer(content):
-            attrs = {
-                k.decode("ascii", "replace"): v.decode("utf-8", "replace")
-                for k, v in ATTR_RE.findall(m.group(1))
-            }
-            elements.append(attrs)
+    elements = [attrs for content in parts.values() for attrs in tag_attributes(_OLE_ELEMENT_RE, content)]
 
     # Objects = embedded entries, plus elements not resolving to one of those
     # entries (deduplicated by relationship id).

@@ -1,4 +1,10 @@
-"""Helpers shared by the OOXML analyzers (docx, xlsx)."""
+r"""Helpers shared by the OOXML analyzers (docx, xlsx).
+
+Every start tag read whole, `<name\b([^>]*)>`, is found by `start_tags`,
+whose search ends at the part's last `>`. Each opener it tries then has a
+`>` after it and matches, so a run of openers with no `>` costs linear
+time, not a run of `[^>]*` to the end of the part per opener.
+"""
 
 from __future__ import annotations
 
@@ -91,6 +97,17 @@ def read_xml_parts(archive: ZipArchive, warnings: list[str]) -> dict[str, bytes]
 _REL_RE = re.compile(rb"<Relationship\b([^>]*)>")
 
 
+def start_tags(pattern: re.Pattern, data: bytes, start: int = 0):
+    """`pattern.finditer(data, start)` for a start-tag pattern, bounded as above."""
+    return pattern.finditer(data, start, data.rfind(b">") + 1)
+
+
+def tag_attributes(pattern: re.Pattern, data: bytes) -> list[dict[str, str]]:
+    """The group-1 attributes of each start tag, an ASCII name to its UTF-8 value."""
+    return [{k.decode("ascii"): v.decode("utf-8", "replace") for k, v in ATTR_RE.findall(m.group(1))}
+            for m in start_tags(pattern, data)]
+
+
 def parse_relationships(parts: dict[str, bytes]) -> list[dict[str, str]]:
     """Flat list of relationship records from every .rels part."""
     rels = []
@@ -98,14 +115,7 @@ def parse_relationships(parts: dict[str, bytes]) -> list[dict[str, str]]:
         if not name.lower().endswith(".rels"):
             continue
         base = posixpath.dirname(posixpath.dirname(name))  # word/_rels/x.rels -> word
-        for m in _REL_RE.finditer(content):
-            attrs = {
-                k.decode("ascii", "replace"): v.decode("utf-8", "replace")
-                for k, v in ATTR_RE.findall(m.group(1))
-            }
-            attrs["_part"] = name
-            attrs["_base"] = base
-            rels.append(attrs)
+        rels.extend({**attrs, "_part": name, "_base": base} for attrs in tag_attributes(_REL_RE, content))
     return rels
 
 

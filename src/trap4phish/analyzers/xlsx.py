@@ -15,8 +15,9 @@ DOTALL patterns
 Each element is read once, one way or the other, and neither way runs past
 the next opener when an element is unclosed. A cell left open with no `</c>`
 after it can be followed only by self-closing cells, and
-`_self_closing_cells` reads the rest of the part for those. So a part is
-read in linear time whatever its mix of shapes.
+`_self_closing_cells` reads the rest of the part for those, by the bounded
+start-tag search in `ooxml` that the sheet and defined-name reads use too.
+So a part is read in linear time whatever its mix of shapes.
 
 A reference past Excel's sheet limits, column XFD (16,384) or row
 1,048,576, names no cell and counts as no reference, like a malformed one:
@@ -33,7 +34,7 @@ from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from ..containers import ContainerError
 from .ooxml import (
     ATTR_RE, element_spans, extract_vba_sources, open_archive, parse_relationships,
-    read_xml_parts,
+    read_xml_parts, start_tags, tag_attributes,
 )
 
 SCHEMA_VERSION = 1
@@ -227,19 +228,16 @@ def _extract_from_archive(archive, values, warnings) -> None:
     parts = read_xml_parts(archive, warnings)
     workbook = parts.get("xl/workbook.xml", b"")
 
-    sheet_states = []
-    for m in _SHEET_RE.finditer(workbook):
-        attrs = dict(ATTR_RE.findall(m.group(1)))
-        sheet_states.append(attrs.get(b"state", b"visible"))
+    sheet_states = [attrs.get("state", "visible") for attrs in tag_attributes(_SHEET_RE, workbook)]
     values["sheet_count"] = float(len(sheet_states))
-    values["hidden_sheet_count"] = float(sum(1 for s in sheet_states if s == b"hidden"))
-    values["very_hidden_sheet_count"] = float(sum(1 for s in sheet_states if s == b"veryHidden"))
+    values["hidden_sheet_count"] = float(sum(1 for s in sheet_states if s == "hidden"))
+    values["very_hidden_sheet_count"] = float(sum(1 for s in sheet_states if s == "veryHidden"))
 
-    defined_names = [dict(ATTR_RE.findall(m.group(1))) for m in _DEFINED_NAME_RE.finditer(workbook)]
+    defined_names = tag_attributes(_DEFINED_NAME_RE, workbook)
     values["defined_name_count"] = float(len(defined_names))
     suspicious_names = 0
     for attrs in defined_names:
-        name = attrs.get(b"name", b"").decode("utf-8", "replace").lower()
+        name = attrs.get("name", "").lower()
         if name in AUTO_EXEC_NAMES or name.startswith("auto_"):
             suspicious_names += 1
     values["suspicious_defined_name_count"] = float(suspicious_names)
@@ -360,9 +358,8 @@ def _read_cell(content: bytes, start: int, last: int):
 
 def _self_closing_cells(content: bytes, start: int):
     """The cells from `start` on where no `</c>` follows: the openers whose
-    first `>` has a `/` before it. The search ends at the last `>`, so each
-    attempt ends at a `>` and takes in the openers before it."""
-    for m in _CELL_TAG_RE.finditer(content, start, content.rfind(b">") + 1):
+    first `>` has a `/` before it."""
+    for m in start_tags(_CELL_TAG_RE, content, start):
         attrs = m.group(1)
         if attrs.endswith(b"/"):
             yield _cell_groups(content, attrs[:-1], m.end() - 1, m.end() - 1)

@@ -55,11 +55,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return integer
+
+
+_positive_int, _non_negative_int = _int_at_least(1), _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,14 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="output CSV (explicit format) or directory (auto)")
     p.add_argument("--host", help="page host for HTML internal/external links")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     p.add_argument("--report-dir", help="write one AnalysisReport JSON per input")
     p.add_argument("--labels", help="labels CSV (path,label) to emit labeled datasets")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--format", choices=list(_FORMATS), required=True)
-    p.add_argument("--count", type=int, required=True, help="files per class")
+    p.add_argument("--count", type=_positive_int, required=True, help="files per class")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out", required=True, help="output directory")
     for toggle in ("macros", "dde", "ole", "js-actions", "hidden-iframes", "remote-templates"):
@@ -130,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="input", required=True, help="one URL per line")
     q.add_argument("--out-dir", required=True)
     q.add_argument("--ec-level", choices=["L", "M", "Q", "H"], default="M")
-    q.add_argument("--module-px", type=int, default=8)
-    q.add_argument("--quiet-zone", type=int, default=4)
+    q.add_argument("--module-px", type=_positive_int, default=8)
+    q.add_argument("--quiet-zone", type=_non_negative_int, default=4)
     q.set_defaults(func=cmd_qr_encode)
     q = qr_sub.add_parser("decode", help="decode one PGM image")
     q.add_argument("--in", dest="input", required=True)

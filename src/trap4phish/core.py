@@ -202,14 +202,11 @@ def sniff_file_kind(data: bytes) -> FileKind:
 
 
 def _sniff_ooxml(data: bytes) -> FileKind:
-    from .containers.errors import ContainerError
     from .containers.ziparc import zip_open
 
     try:
         archive = zip_open(data)
         names = {entry.name for entry in archive.entries}
-    except ContainerError:
-        return FileKind.UNKNOWN
     except Exception:
         return FileKind.UNKNOWN
     if "word/document.xml" in names:

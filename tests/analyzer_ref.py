@@ -10,6 +10,11 @@ The docx structure counters are here as the 36 patterns that counted them,
 one `findall` pass each per XML part, and the DDE pattern as it was before
 it began with its literal.
 
+The five OOXML start-tag patterns (`SHEET_RE`, `DEFINED_NAME_RE`,
+`CELL_TAG_RE`, `REL_RE`, `OLE_ELEMENT_RE`) are here to be searched as they
+were, with no end bound: each rescans to the end of the part from every
+opener with no `>` after it.
+
 Two patterns are here as they were before they became linear:
 `ATTR_RE`, which the OOXML analyzers use on start tags, and
 `STYLE_URL_RE`, which the HTML analyzer used on style bodies and
@@ -58,6 +63,14 @@ from trap4phish.core import AnalysisReport, FeatureVector, shannon_entropy
 ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
 # the target of a CSS url(...)
 STYLE_URL_RE = re.compile(r"url\(\s*['\"]?([^)'\"]+)['\"]?\s*\)", re.IGNORECASE)
+
+# The five OOXML start-tag patterns, searched to the end of the part: from
+# each opener with no `>` after it `[^>]*` runs to the end and fails.
+SHEET_RE = re.compile(rb"<sheet\b([^>]*)>")
+DEFINED_NAME_RE = re.compile(rb"<definedName\b([^>]*)>")
+CELL_TAG_RE = re.compile(rb"<c\b([^>]*)>")
+REL_RE = re.compile(rb"<Relationship\b([^>]*)>")
+OLE_ELEMENT_RE = re.compile(rb"<(?:o:OLEObject|oleObject)\b([^>]*)>")
 
 # --- pdf ---------------------------------------------------------------------
 

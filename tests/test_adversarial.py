@@ -5,8 +5,9 @@ quadratic time: an opener whose closer never comes, so every later opener
 rescanned to the end of the file. The first five are the shapes of the
 benchmark's hostile workload; the rest are the other lazy patterns the
 analyzers had, two backtracking regexes (an attribute-name run with no
-`=`, and `url(` openers that never close), and digit runs for the PDF
-patterns that start with a digit class. Timing is process CPU time, with
+`=`, and `url(` openers that never close), digit runs for the PDF
+patterns that start with a digit class, and start-tag openers with no
+`>` after them. Timing is process CPU time, with
 the n and 4n inputs run back to back in pairs and the median pair ratio
 deciding, so a slow spell of a shared machine does not. Linear is 4 and
 quadratic 16.
@@ -109,6 +110,23 @@ def _xlsx_tail_openers(n):
     return analyze_xlsx, make_xlsx('<worksheet><sheetData><row r="1"><c r="A1">' + "<c " * n)
 
 
+def _xlsx_sheet_openers(n):
+    # start tags that the workbook reads whole, with no `>` after them
+    return analyze_xlsx, make_xlsx("<worksheet/>", workbook_xml="<workbook><sheets>" + '<sheet state="hidden" ' * n)
+
+
+def _xlsx_defined_name_openers(n):
+    return analyze_xlsx, make_xlsx("<worksheet/>", workbook_xml="<workbook><definedNames>" + "<definedName " * n)
+
+
+def _rels_openers(n):
+    return analyze_docx, make_docx({"word/_rels/document.xml.rels": "<Relationships>" + '<Relationship Id="r" ' * n})
+
+
+def _docx_ole_openers(n):
+    return analyze_docx, make_docx(document_xml="<w:document><w:body><w:p>" + "<o:OLEObject <oleObject " * (n // 2))
+
+
 def _pdf_uri(n):
     return analyze_pdf, b"%PDF-1.4\n" + b"<< /URI (http >>\n" * n
 
@@ -158,6 +176,10 @@ FAMILIES = {
     "xlsx_t": (_xlsx_t, 32000),
     "xlsx_mixed_cells": (_xlsx_mixed_cells, 2000),
     "xlsx_tail_openers": (_xlsx_tail_openers, 8000),
+    "xlsx_sheet_openers": (_xlsx_sheet_openers, 2000),
+    "xlsx_defined_name_openers": (_xlsx_defined_name_openers, 2000),
+    "rels_openers": (_rels_openers, 2000),
+    "docx_ole_openers": (_docx_ole_openers, 2000),
     "pdf_uri": (_pdf_uri, 4000),
     "pdf_title": (_pdf_title, 4000),
     "pdf_parens": (_pdf_parens, 8000),

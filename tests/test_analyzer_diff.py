@@ -221,6 +221,51 @@ def test_attr_pairs_match_backtracking_pattern(tag):
     assert ooxml.ATTR_RE.findall(tag) == ref.ATTR_RE.findall(tag)
 
 
+# (old, new): the live patterns run through `ooxml.start_tags`
+_START_TAG_PAIRS = [
+    (ref.SHEET_RE, xlsx._SHEET_RE), (ref.DEFINED_NAME_RE, xlsx._DEFINED_NAME_RE),
+    (ref.CELL_TAG_RE, xlsx._CELL_TAG_RE), (ref.REL_RE, ooxml._REL_RE), (ref.OLE_ELEMENT_RE, docx._OLE_ELEMENT_RE),
+]
+# openers with and without `>` after them, near-miss names, and attributes:
+# repeated, with non-ASCII or invalid UTF-8 values, across tabs and newlines
+_START_TAG_TOKENS = [
+    b"<sheet", b"<sheet ", b"<sheets", b"<sheetView", b"<definedName", b"<definedName ", b"<definedNames",
+    b"<Relationship", b"<Relationship ", b"<Relationships", b"<oleObject", b"<oleObject ", b"<oleObjects",
+    b"<o:OLEObject", b"<o:OLEObject ", b"<o:OLEObjectX", b"<c", b"<c ", b"<col", b"<", b">", b"/>", b"/",
+    b" ", b"\t", b"\n", b"\r\n", b"=", b'"', b"x", b'state="hidden"', b' state="veryHidden"', b' state="visible"',
+    b' state="hidd\xc3\xa9n"', b' state="hidden\xff"', b'name="auto_open"', b' name="Auto_Open"',
+    b' name="\xe2\x84\xaauto_x"', b' Id="rId1"', b' Id="rId2" Id="rId3"', b' r:id="r1"', b' v="\xc3\xa9"',
+    b' v="\xff\xfe"', b' ProgID="Word.Document"', b' Target="a/b.bin"', b'\tstate\n=\t"hidden"', b' \xc3\xa9d="1"',
+]
+
+
+def _old_attributes(pattern, data):
+    return [dict(ooxml.ATTR_RE.findall(m.group(1))) for m in pattern.finditer(data)]
+
+
+@_SETTINGS
+@given(_join(_START_TAG_TOKENS), st.integers(0, 40))
+@example(b'<sheet state="hidden"<sheet >', 0)
+@example(b'<definedName name="x" name="auto_open"/><definedNames>', 0)
+@example(b'<sheet \t state="hidd\xc3\xa9n">', 0)
+def test_start_tags_match_unbounded_search(data, start):
+    for old, new in _START_TAG_PAIRS:
+        found = [(m.span(), m.groups()) for m in ooxml.start_tags(new, data, start)]
+        assert found == _matches(old, data, start), old.pattern
+        assert ooxml.tag_attributes(new, data) == [
+            {k.decode("ascii", "replace"): v.decode("utf-8", "replace") for k, v in attrs.items()}
+            for attrs in _old_attributes(old, data)
+        ], old.pattern
+    # the workbook reads that compared bytes
+    states = [a.get("state", "visible") for a in ooxml.tag_attributes(xlsx._SHEET_RE, data)]
+    old_states = [a.get(b"state", b"visible") for a in _old_attributes(ref.SHEET_RE, data)]
+    assert ([(s == "hidden", s == "veryHidden") for s in states]
+            == [(s == b"hidden", s == b"veryHidden") for s in old_states])
+    names = [a.get("name", "").lower() for a in ooxml.tag_attributes(xlsx._DEFINED_NAME_RE, data)]
+    assert names == [a.get(b"name", b"").decode("utf-8", "replace").lower()
+                     for a in _old_attributes(ref.DEFINED_NAME_RE, data)]
+
+
 # --- xlsx --------------------------------------------------------------------
 
 # The shapes the fast cell, row and shared-string patterns read, pieces of

@@ -326,3 +326,27 @@ class TestUrlCli:
             rows = {r["feature"]: r for r in csv.DictReader(fh)}
         assert float(rows["digit_ratio"]["cohens_d"]) > 0
         assert float(rows["https_start"]["cohens_d"]) < 0
+
+
+@pytest.mark.parametrize("args,message", [
+    (["qr", "encode", "--in", "u.txt", "--out-dir", "q", "--module-px", "0"], "--module-px: must be >= 1"),
+    (["qr", "encode", "--in", "u.txt", "--out-dir", "q", "--quiet-zone", "-1"], "--quiet-zone: must be >= 0"),
+    (["synth", "--format", "docx", "--count", "0", "--out", "c"], "--count: must be >= 1"),
+    (["scan", "in", "--out", "x.csv", "--jobs", "0"], "--jobs: must be >= 1"),
+])
+def test_out_of_range_options_are_usage_errors(tmp_path, monkeypatch, capsys, args, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_encode_without_quiet_zone(tmp_path):
+    url_file = tmp_path / "u.txt"
+    url_file.write_text("https://zone.test/0\n")
+    for zone in (0, 4):
+        assert run(["qr", "encode", "--in", url_file, "--out-dir", tmp_path / str(zone), "--quiet-zone", zone]) == 0
+    widths = [from_pgm((tmp_path / zone / "00000.pgm").read_bytes()).width for zone in ("0", "4")]
+    assert widths[0] == widths[1] - 2 * 4 * 8
