@@ -64,8 +64,7 @@ ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
 # the target of a CSS url(...)
 STYLE_URL_RE = re.compile(r"url\(\s*['\"]?([^)'\"]+)['\"]?\s*\)", re.IGNORECASE)
 
-# The five OOXML start-tag patterns, searched to the end of the part: from
-# each opener with no `>` after it `[^>]*` runs to the end and fails.
+# the five OOXML start-tag patterns
 SHEET_RE = re.compile(rb"<sheet\b([^>]*)>")
 DEFINED_NAME_RE = re.compile(rb"<definedName\b([^>]*)>")
 CELL_TAG_RE = re.compile(rb"<c\b([^>]*)>")

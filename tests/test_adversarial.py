@@ -6,11 +6,10 @@ rescanned to the end of the file. The first five are the shapes of the
 benchmark's hostile workload; the rest are the other lazy patterns the
 analyzers had, two backtracking regexes (an attribute-name run with no
 `=`, and `url(` openers that never close), digit runs for the PDF
-patterns that start with a digit class, and start-tag openers with no
-`>` after them. Timing is process CPU time, with
-the n and 4n inputs run back to back in pairs and the median pair ratio
-deciding, so a slow spell of a shared machine does not. Linear is 4 and
-quadratic 16.
+patterns that start with a digit class, and start-tag openers with no `>`
+after them. Timing is process CPU time, with the n and 4n inputs run back
+to back in pairs and the median pair ratio deciding, so a slow spell of a
+shared machine does not. Linear is 4 and quadratic 16.
 """
 
 import importlib
