@@ -3,7 +3,19 @@ plus the top-13 projection.
 
 The tokenizer is a regular-grammar scanner (tags, attributes, text, comments,
 script/style raw text), not a tree builder; it recovers from any malformed
-input and never raises.
+input and never raises. It reads the document in one `finditer` pass of
+`_TOKEN_RE`, which finds every comment, declaration, end tag and start tag
+at its `<`; what lies between them is the visible text. A tag ends at the
+first `>` after its name, and reading stops at a tag with no `>` after it.
+The pass breaks off only after a script or style start tag, to skip the
+body to its `</script` or `</style` in any ASCII case, and goes on there.
+
+Attributes are parsed only for start tags whose attribute text can hold one
+that a feature reads (`_ATTR_HINT`, `_TAG_ATTR_HINTS`): an `on*` handler,
+`href`, `src`, `action`, `formaction` or `style` on any tag, `width` or
+`height` on an iframe, `http-equiv` on a meta tag. Every other start tag
+is an event and nothing more. Base64 runs, words and the spaces of ASCII
+text are counted over the whole document with byte translations.
 """
 
 from __future__ import annotations
@@ -76,100 +88,141 @@ _URL_PUNCT = "/-=?&:._"
 _ATTR_RE = re.compile(
     r"([a-zA-Z_:][-a-zA-Z0-9_:.]*)(?:\s*=\s*(\"[^\"]*\"|'[^']*'|[^\s>]*))?"
 )
-_TAG_NAME_RE = re.compile(r"[a-zA-Z][-a-zA-Z0-9:]*")
+# One piece of markup at a `<`: a comment (group 1) to its `-->` or the end;
+# a declaration or processing instruction to its `>` or the end; an end tag
+# (name 2, `>` 3); a start tag (name 4, attribute text 5, `>` 6). A tag with
+# no `>` after it runs to the end with an empty last group, and reading stops
+# there. A `<` that starts none of these is text.
+_TOKEN_RE = re.compile(
+    r"<(?:(!--)(?:.*?-->|.*)"
+    r"|[!?][^>]*>?"
+    r"|/([a-zA-Z][-a-zA-Z0-9:]*)?[^>]*(>?)"
+    r"|([a-zA-Z][-a-zA-Z0-9:]*)([^>]*)(>?))",
+    re.DOTALL,
+)
+# where a script or style body ends: `</` and its name in any ASCII case
+_RAW_TEXT_END = {name: re.compile(f"</{name}", re.ASCII | re.IGNORECASE) for name in ("script", "style")}
+
+
+def _attr_hint(*names: str) -> re.Pattern:
+    return re.compile("|".join(("on[a-z]", "href", "src", "action", "style") + names),
+                      re.ASCII | re.IGNORECASE)
+
+
+# attribute text that can hold an attribute a feature reads: `on*` and the
+# URL and style attributes on every tag, an iframe's size, a meta tag's
+# `http-equiv`
+_ATTR_HINT = _attr_hint()
+_TAG_ATTR_HINTS = {"iframe": _attr_hint("width", "height"), "meta": _attr_hint("http-equiv")}
 _EVENT_ATTR_RE = re.compile(r"^on[a-z]+$")
 _URL_OPEN_RE = re.compile(r"url\(", re.IGNORECASE)
 _URL_END_RE = re.compile(r"[)'\"]")
 _SPACES_RE = re.compile(r"\s*")
 _HEX_ESCAPE_RE = re.compile(r"\\x[0-9A-Fa-f]{2}")
 _JS_ESCAPE_RE = re.compile(r"\\u[0-9A-Fa-f]{4}|%u[0-9A-Fa-f]{4}")
-_WORD_RE = re.compile(r"[A-Za-z0-9]+")
-_BASE64_RE = re.compile(rb"[A-Za-z0-9+/]{%d,}={0,2}" % BASE64_MIN_LENGTH)
-_WS_BYTES = tuple(bytes([b]) for b in b" \t\r\n\x0b\x0c")
+
+
+def _marks(members: bytes) -> bytes:
+    """A `bytes.translate` table that maps `members` to `a`, all else to a space."""
+    return bytes(ord("a") if b in members else ord(" ") for b in range(256))
+
+
+_ALNUM = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+_WORD_MARKS = _marks(_ALNUM)
+_BASE64_MARKS = _marks(_ALNUM + b"+/")
+_HTML_SPACES = b" \t\r\n\x0b\x0c"
+_ASCII_SPACES = _HTML_SPACES + b"\x1c\x1d\x1e\x1f"  # what str.isspace() accepts below 128
+
+
+def _runs(data: bytes, marks: bytes, length: int = 1) -> int:
+    """The number of maximal runs of at least `length` bytes that `marks`
+    maps to `a`: each one starts either the data or a space followed by
+    `length` marks."""
+    marked = data.translate(marks)
+    run = b"a" * length
+    return marked.count(b" " + run) + marked.startswith(run)
+
+
+def _count_bytes(data: bytes, members: bytes) -> int:
+    return len(data) - len(data.translate(None, members))
 
 
 @dataclass
 class _Tag:
     name: str
     attrs: dict[str, str]
-    self_closing: bool
 
 
 @dataclass
 class _TokenStream:
-    tags: list[_Tag] = field(default_factory=list)
     events: list[tuple[str, str, bool]] = field(default_factory=list)  # (kind, name, self_closing)
+    tags: list[_Tag] = field(default_factory=list)  # start tags whose attributes were parsed
     text_chunks: list[str] = field(default_factory=list)
     comments: int = 0
-    scripts: list[tuple[_Tag, str]] = field(default_factory=list)  # (tag, body)
+    scripts: list[tuple[bool, str]] = field(default_factory=list)  # (has src, body)
     styles: list[str] = field(default_factory=list)
+
+
+def _attributes(inner: str) -> dict[str, str]:
+    attrs: dict[str, str] = {}
+    for key, raw in _ATTR_RE.findall(inner):
+        if raw[:1] in ("'", '"'):
+            raw = raw[1:-1] if raw[-1:] == raw[:1] else raw[1:]
+        attrs.setdefault(key.lower(), raw)
+    return attrs
 
 
 def _tokenize(text: str) -> _TokenStream:
     out = _TokenStream()
-    i = 0
+    events, chunks = out.events, out.text_chunks
     n = len(text)
-    # lowered once, at the first script or style; its indices are used on
-    # `text` even where lower() changes the length (as for "İ")
-    lowered = None
-    while i < n:
-        lt = text.find("<", i)
-        if lt < 0:
-            out.text_chunks.append(text[i:])
-            break
-        if lt > i:
-            out.text_chunks.append(text[i:lt])
-        if text.startswith("<!--", lt):
-            end = text.find("-->", lt + 4)
-            out.comments += 1
-            i = n if end < 0 else end + 3
-            continue
-        if text.startswith("<!", lt) or text.startswith("<?", lt):
-            end = text.find(">", lt)
-            i = n if end < 0 else end + 1
-            continue
-        if text.startswith("</", lt):
-            end = text.find(">", lt)
-            if end < 0:
-                break
-            m = _TAG_NAME_RE.match(text, lt + 2)
-            if m:
-                out.events.append(("end", m.group().lower(), False))
-            i = end + 1
-            continue
-        m = _TAG_NAME_RE.match(text, lt + 1)
-        if not m:
-            # stray "<": treat as text and continue after it
-            out.text_chunks.append("<")
-            i = lt + 1
-            continue
-        name = m.group().lower()
-        end = text.find(">", m.end())
-        if end < 0:
-            break
-        inner = text[m.end():end]
-        self_closing = inner.rstrip().endswith("/")
-        attrs = {}
-        for am in _ATTR_RE.finditer(inner):
-            key = am.group(1).lower()
-            raw = am.group(2) or ""
-            if raw[:1] in ("'", '"'):
-                raw = raw[1:-1] if raw[-1:] == raw[:1] else raw[1:]
-            attrs.setdefault(key, raw)
-        tag = _Tag(name, attrs, self_closing)
-        out.tags.append(tag)
-        out.events.append(("start", name, self_closing))
-        i = end + 1
-        if name in ("script", "style") and not self_closing:
-            if lowered is None:
-                lowered = text.lower()
-            close = lowered.find(f"</{name}", i)
-            body = text[i:] if close < 0 else text[i:close]
-            if name == "script":
-                out.scripts.append((tag, body))
-            else:
-                out.styles.append(body)
-            i = n if close < 0 else close
+    # lower() lengthens only U+0130 ("İ"); where it occurs, a body ends
+    # where a search of the lowered text finds its end tag, that index
+    # applied to `text`, as the reader always did
+    lowered = text.lower() if "\u0130" in text else None
+    pos = 0
+    while pos < n:
+        for m in _TOKEN_RE.finditer(text, pos):
+            start, end = m.span()
+            if start != pos:
+                chunks.append(text[pos:start])
+            pos = end
+            comment, end_name, end_close, name, inner, close = m.groups()
+            if name is not None:
+                if not close:
+                    return out
+                name = name.lower()
+                self_closing = inner.rstrip().endswith("/")
+                events.append(("start", name, self_closing))
+                src = False
+                if inner and _TAG_ATTR_HINTS.get(name, _ATTR_HINT).search(inner):
+                    attrs = _attributes(inner)
+                    out.tags.append(_Tag(name, attrs))
+                    src = "src" in attrs
+                if name in _RAW_TEXT_END and not self_closing:
+                    if lowered is None:
+                        hit = _RAW_TEXT_END[name].search(text, pos)
+                        body_end = hit.start() if hit else n
+                    else:
+                        body_end = lowered.find(f"</{name}", pos)
+                        body_end = n if body_end < 0 else body_end
+                    if name == "script":
+                        out.scripts.append((src, text[pos:body_end]))
+                    else:
+                        out.styles.append(text[pos:body_end])
+                    pos = body_end
+                    break  # read on from the body's end
+            elif end_close is not None:
+                if not end_close:
+                    return out
+                if end_name:
+                    events.append(("end", end_name.lower(), False))
+            elif comment:
+                out.comments += 1
+        else:
+            if pos < n:
+                chunks.append(text[pos:])
+            return out
     return out
 
 
@@ -192,37 +245,39 @@ def analyze_html(
     values["line_count"] = float(len(data.splitlines()))
     values["entropy"] = shannon_entropy(data)
     if data:
-        ws = sum(data.count(b) for b in _WS_BYTES)
-        values["html_whitespace_ratio"] = ws / len(data)
+        values["html_whitespace_ratio"] = _count_bytes(data, _HTML_SPACES) / len(data)
 
     stream = _tokenize(text)
 
     # tag structure
-    values["tag_count"] = float(len(stream.tags))
-    values["unique_tag_count"] = float(len({t.name for t in stream.tags}))
+    counts: Counter[str] = Counter()
+    for (kind, name, _self_closing), count in Counter(stream.events).items():
+        if kind == "start":
+            counts[name] += count
+    values["tag_count"] = float(counts.total())
+    values["unique_tag_count"] = float(len(counts))
     values["max_nesting_depth"] = float(_max_depth(stream))
     values["comment_count"] = float(stream.comments)
-    values["noscript_count"] = float(sum(1 for t in stream.tags if t.name == "noscript"))
-    values["object_tag_count"] = float(sum(1 for t in stream.tags if t.name == "object"))
-    values["form_count"] = float(sum(1 for t in stream.tags if t.name == "form"))
-    values["img_tag_count"] = float(sum(1 for t in stream.tags if t.name == "img"))
+    values["noscript_count"] = float(counts["noscript"])
+    values["object_tag_count"] = float(counts["object"])
+    values["form_count"] = float(counts["form"])
+    values["img_tag_count"] = float(counts["img"])
     values["event_handler_count"] = float(
         sum(1 for t in stream.tags for a in t.attrs if _EVENT_ATTR_RE.match(a))
     )
 
     # iframes
-    iframes = [t for t in stream.tags if t.name == "iframe"]
-    values["iframe_count"] = float(len(iframes))
-    values["hidden_iframe_count"] = float(sum(1 for t in iframes if _iframe_hidden(t)))
+    values["iframe_count"] = float(counts["iframe"])
+    values["hidden_iframe_count"] = float(
+        sum(1 for t in stream.tags if t.name == "iframe" and _iframe_hidden(t))
+    )
 
     # scripts
-    script_tags = [t for t in stream.tags if t.name == "script"]
-    embedded = [body for tag, body in stream.scripts if "src" not in tag.attrs]
-    values["script_block_count"] = float(len(script_tags))
-    values["external_script_count"] = float(sum(1 for t in script_tags if "src" in t.attrs))
-    values["embedded_js_count"] = float(
-        sum(1 for t in script_tags if "src" not in t.attrs)
-    )
+    external = sum(1 for t in stream.tags if t.name == "script" and "src" in t.attrs)
+    embedded = [body for src, body in stream.scripts if not src]
+    values["script_block_count"] = float(counts["script"])
+    values["external_script_count"] = float(external)
+    values["embedded_js_count"] = float(counts["script"] - external)
     values["total_script_characters"] = float(sum(len(b) for b in embedded))
     if embedded:
         values["script_entropy"] = sum(
@@ -242,20 +297,26 @@ def analyze_html(
     )
 
     # obfuscation
-    values["base64_occurrence_count"] = float(len(_BASE64_RE.findall(data)))
+    values["base64_occurrence_count"] = float(_runs(data, _BASE64_MARKS, BASE64_MIN_LENGTH))
     values["hex_escape_count"] = float(len(_HEX_ESCAPE_RE.findall(text)))
     values["js_escape_count"] = float(len(_JS_ESCAPE_RE.findall(text)))
 
     # visible text and suspicious keywords
     visible = "".join(stream.text_chunks)
+    encoded = visible.encode()
     if visible:
-        # str.split() splits at exactly the characters str.isspace() accepts
-        spaces = len(visible) - sum(map(len, visible.split()))
+        if visible.isascii():
+            spaces = _count_bytes(encoded, _ASCII_SPACES)
+        else:
+            # str.split() splits at exactly the characters str.isspace() accepts
+            spaces = len(visible) - sum(map(len, visible.split()))
         values["whitespace_ratio"] = spaces / len(visible)
     lowered = visible.lower()
     keyword_hits = sum(lowered.count(k) for k in HTML_SUSPICIOUS_KEYWORDS)
     values["suspicious_keyword_count"] = float(keyword_hits)
-    words = len(_WORD_RE.findall(visible))
+    # a word is a run of ASCII letters and digits; every other character,
+    # each byte of a non-ASCII one included, separates words
+    words = _runs(encoded, _WORD_MARKS)
     values["keyword_text_ratio"] = keyword_hits / words if words else 0.0
 
     _url_features(stream, values, page_host)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import glob
 import json
 import sys
@@ -40,8 +41,7 @@ EXIT_DOMAIN = 4
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, SchemaMismatchError) as exc:
@@ -155,6 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
     u.set_defaults(func=cmd_url_effects)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: building costs about thirty parses
+    return build_parser()
 
 
 def _expand_inputs(patterns: list[str], suffix: str | None = None) -> list[Path]:

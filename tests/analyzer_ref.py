@@ -6,6 +6,12 @@ takes quadratic time on hostile input; run them on small inputs only. The
 PDF and HTML analyzers are here whole. For docx and xlsx only the scanners
 are, and the tests swap them into the current analyzer.
 
+The HTML reader here is the per-`<` loop. Its token stream holds every
+start tag with all its attributes; the live reader keeps the attributes of
+only the tags where a feature can read one, so the tests compare the two
+streams through what both hold. Its base64 and word patterns are here too:
+the live analyzer counts both with byte translations.
+
 The docx structure counters are here as the 36 patterns that counted them,
 one `findall` pass each per XML part, and the DDE pattern as it was before
 it began with its literal.
@@ -43,11 +49,11 @@ from __future__ import annotations
 
 import re
 import zlib
+from dataclasses import dataclass, field
 
 from trap4phish.analyzers.html import (
-    HTML_COLUMNS, SCHEMA as HTML_SCHEMA, _ATTR_RE, _BASE64_RE, _EVENT_ATTR_RE, _HEX_ESCAPE_RE,
-    _JS_ESCAPE_RE, _TAG_NAME_RE, _VOID_ELEMENTS, _WORD_RE, _Tag, _TokenStream, _iframe_hidden,
-    _url_features,
+    HTML_COLUMNS, SCHEMA as HTML_SCHEMA, _ATTR_RE, _EVENT_ATTR_RE, _HEX_ESCAPE_RE, _JS_ESCAPE_RE,
+    _VOID_ELEMENTS, _iframe_hidden, _url_features,
 )
 from trap4phish.analyzers.pdf import (
     PDF_COLUMNS, SCHEMA as PDF_SCHEMA, _EMBEDDED_FILE_SUBTYPE_RE, _ENCRYPT_RE, _ACROFORM_RE,
@@ -56,7 +62,7 @@ from trap4phish.analyzers.pdf import (
     _TOKEN_COUNTERS, _TRAILER_RE, _XFA_RE, _name_token,
 )
 from trap4phish.analyzers.docx import STRUCT_ATTRIBUTES, STRUCT_ELEMENTS, _struct_column
-from trap4phish.config import HTML_SUSPICIOUS_KEYWORDS
+from trap4phish.config import BASE64_MIN_LENGTH, HTML_SUSPICIOUS_KEYWORDS
 from trap4phish.core import AnalysisReport, FeatureVector, shannon_entropy
 
 # one name="value" attribute pair inside a start tag
@@ -402,6 +408,26 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
 # --- html --------------------------------------------------------------------
 
 _WS_BYTES = frozenset(b" \t\r\n\x0b\x0c")
+_TAG_NAME_RE = re.compile(r"[a-zA-Z][-a-zA-Z0-9:]*")
+_WORD_RE = re.compile(r"[A-Za-z0-9]+")
+_BASE64_RE = re.compile(rb"[A-Za-z0-9+/]{%d,}={0,2}" % BASE64_MIN_LENGTH)
+
+
+@dataclass
+class _Tag:
+    name: str
+    attrs: dict[str, str]
+    self_closing: bool
+
+
+@dataclass
+class _TokenStream:
+    tags: list[_Tag] = field(default_factory=list)
+    events: list[tuple[str, str, bool]] = field(default_factory=list)  # (kind, name, self_closing)
+    text_chunks: list[str] = field(default_factory=list)
+    comments: int = 0
+    scripts: list[tuple[_Tag, str]] = field(default_factory=list)  # (tag, body)
+    styles: list[str] = field(default_factory=list)
 
 
 def _tokenize(text: str) -> _TokenStream:

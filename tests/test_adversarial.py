@@ -6,10 +6,11 @@ rescanned to the end of the file. The first five are the shapes of the
 benchmark's hostile workload; the rest are the other lazy patterns the
 analyzers had, two backtracking regexes (an attribute-name run with no
 `=`, and `url(` openers that never close), digit runs for the PDF
-patterns that start with a digit class, and start-tag openers with no `>`
-after them. Timing is process CPU time, with the n and 4n inputs run back
-to back in pairs and the median pair ratio deciding, so a slow spell of a
-shared machine does not. Linear is 4 and quadratic 16.
+patterns that start with a digit class, start-tag openers with no `>`
+after them, and HTML `<` that start no tag. Timing is process CPU time,
+with the n and 4n inputs run back to back in pairs and the median pair
+ratio deciding, so a slow spell of a shared machine does not. Linear is 4
+and quadratic 16.
 """
 
 import importlib
@@ -150,6 +151,16 @@ def _html_style_urls(n):
     return analyze_html, b"<html><head><style>" + b"url(" * n + b"</style></head><body></body></html>"
 
 
+def _html_unclosed_openers(n):
+    # start tags with no `>` after them: reading stops at the first one
+    return analyze_html, b"<html><body>" + b'<a href="x" ' * n
+
+
+def _html_stray_lt(n):
+    # `<` that starts no tag, each one text
+    return analyze_html, b"<html><body>" + b"<1 " * n + b"</body></html>"
+
+
 def _pdf_digit_runs(n):
     # digit runs of 11 or more, and digits between long whitespace runs: the
     # object-header pattern is tried at every run start and backtracks over
@@ -184,6 +195,8 @@ FAMILIES = {
     "pdf_parens": (_pdf_parens, 8000),
     "xlsx_attr_run": (_xlsx_attr_run, 10000),
     "html_style_urls": (_html_style_urls, 2000),
+    "html_unclosed_openers": (_html_unclosed_openers, 8000),
+    "html_stray_lt": (_html_stray_lt, 16000),
     "pdf_digit_runs": (_pdf_digit_runs, 2000),
 }
 

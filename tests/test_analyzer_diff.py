@@ -359,10 +359,18 @@ def test_macro_metrics_match_lookbehind_first_patterns(source):
 
 _HTML_TOKENS = [
     "<script>", "</script>", "<SCRIPT>", "</SCRIPT >", "<script src='x.js'>", "<style>", "</style>",
-    "İ", "<", ">", "/", "a", "login", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0",
-    "\u2028", "\u3000", "<p>", "</p>", "<li>", "</li>", "<div>", "</div>", "</span>", "<!--", "-->",
-    "<!x>", "<br/>", "<b>", "</b>", "<div><b>", "</div></b>",
-    "<a href='http://x.test/1'>", "</a>", "url(http://y.test/)", "=", '"',
+    "İ", "İ</script", "<", ">", "/", "a", "login", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+    "\xa0", "\u2028", "\u3000", "<p>", "</p>", "<li>", "</li>", "<div>", "</div>", "</span>", "<!--", "-->",
+    "<!x>", "<br/>", "<b>", "</b>", "<div><b>", "</div></b>", "<a href='http://x.test/1'>", "</a>",
+    "url(http://y.test/)", "=", '"',
+    # attributes that decide whether a tag's attributes are read
+    "<b onclick=", "ONLOAD=x", " on=", " onx1=", "<iframe width=1 ", ' style="display:none"',
+    "<meta http-equiv=refresh>", "<base href=", "<form action=", " formaction=", "<script src=",
+    "<a href=x href='y'>",
+    # escapes and a base64 run
+    "\\x41", "\\u0041", "%u0041", "QUJDREVGR0hJSktMTU5PUFFS==",
+    # openers with no `>` after them
+    "<?", "<!", "</",
 ]
 
 
@@ -377,17 +385,42 @@ def html_inputs(draw):
     return data
 
 
+# attributes a feature reads: on every tag, and on iframe and meta tags
+_READ_ATTRIBUTES = {"href", "src", "action", "formaction", "style"}
+_TAG_READ_ATTRIBUTES = {"iframe": {"width", "height"}, "meta": {"http-equiv"}}
+
+
+def _projection(stream, scripts):
+    """What the two readers' streams both hold: tag events, comments, bodies,
+    visible text, and the attributes a feature reads, per start tag that
+    has any."""
+    read = []
+    for tag in stream.tags:
+        keys = _READ_ATTRIBUTES | _TAG_READ_ATTRIBUTES.get(tag.name, set())
+        attrs = {k: v for k, v in tag.attrs.items() if k in keys or html._EVENT_ATTR_RE.match(k)}
+        if attrs:
+            read.append((tag.name, attrs))
+    return stream.events, stream.comments, scripts, stream.styles, "".join(stream.text_chunks), read
+
+
 @_SETTINGS
 @given(html_inputs())
 @example(b"<div><p>x</div></p><b>")  # an end tag closes what it skipped over
 @example(b"<p>a<p>b</p></p><li><li></li></li>")  # implied closes
+@example(b"<a onclick=x ONLOAD=y on=z onx1=w href=u href='v' style=\"url(q)\">")
+@example(b"<iframe width=1 style=\"display:none\"></iframe><meta http-equiv=Refresh>")
+@example("İ<script>a</script>b<style>İ</style>c</script>".encode())  # lower() shifts indices
+@example("<script>a</ſcript>b</SCRIPT>".encode())  # "ſ" matches "s" only case-folded
+@example(b"QUJDREVGR0hJSktMTU5PUFFS== QUJDREVGR0hJSktMTU5PUFFSU==QUJDREVGR0hJSktMTU5PUFF")
+@example(b"x<1 <= <<a href='x' ")  # stray `<` as text, then a start tag with no `>`
+@example(b"<?x <!y </z")
 def test_html_matches_rescanning_analyzer(data):
     text = data.decode("utf-8", errors="replace")
-    stream = ref._tokenize(text)
-    assert html._tokenize(text) == stream
-    assert html._max_depth(stream) == ref._max_depth(stream)
-    new, old = analyze_html(data), ref.analyze_html(data)
-    assert new.features.values == old.features.values
+    new, old = html._tokenize(text), ref._tokenize(text)
+    old_scripts = [("src" in tag.attrs, body) for tag, body in old.scripts]
+    assert _projection(new, new.scripts) == _projection(old, old_scripts)
+    assert html._max_depth(new) == ref._max_depth(old)
+    assert analyze_html(data).features.values == ref.analyze_html(data).features.values
 
 
 def test_html_whitespace_counts_match_on_every_code_point():

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trap4phish
 from trap4phish.analyzers.xlsx import XLSX_COLUMNS
 from trap4phish.cli import main
 from trap4phish.qr import from_pgm, qr_decode
@@ -350,3 +355,42 @@ def test_encode_without_quiet_zone(tmp_path):
         assert run(["qr", "encode", "--in", url_file, "--out-dir", tmp_path / str(zone), "--quiet-zone", zone]) == 0
     widths = [from_pgm((tmp_path / zone / "00000.pgm").read_bytes()).width for zone in ("0", "4")]
     assert widths[0] == widths[1] - 2 * 4 * 8
+
+
+def test_commands_in_one_process_act_as_in_their_own(tmp_path, monkeypatch):
+    # the parser is built once per process; a usage error, a scan and a
+    # train run one after another must exit and write as each does alone
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--format", "docx", "--count", "4", "--seed", "3", "--out", corpus]) == 0
+    commands = [
+        ["scan", "in", "--out", "x.csv", "--jobs", "0"],
+        ["scan", corpus, "--format", "docx", "--out", "docx.csv", "--labels", corpus / "labels.csv"],
+        ["train", "--in", "docx.csv", "--format", "docx", "--out-dir", "models", "--trees", "5"],
+    ]
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    together = tmp_path / "together"
+    together.mkdir()
+    monkeypatch.chdir(together)
+    codes = []
+    for args in commands:
+        try:
+            codes.append(run(args))
+        except SystemExit as exc:
+            codes.append(exc.code)
+
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    src = Path(trap4phish.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    alone_codes = [
+        subprocess.run([sys.executable, "-m", "trap4phish.cli", *map(str, args)], cwd=alone, env=env,
+                       capture_output=True).returncode
+        for args in commands
+    ]
+    assert codes == alone_codes == [2, 0, 0]
+    assert files(together) == files(alone)
+    assert {str(p) for p in files(alone)} == {
+        "docx.csv", "models/decision_tree.json", "models/random_forest.json", "models/metrics.json"}
