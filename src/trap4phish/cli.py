@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # built once per process: building costs about thirty parses
+    # built once per process: building costs more than thirty parses
     return build_parser()
 
 
