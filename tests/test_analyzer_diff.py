@@ -408,7 +408,7 @@ def _projection(stream, scripts):
 @example(b"<div><p>x</div></p><b>")  # an end tag closes what it skipped over
 @example(b"<p>a<p>b</p></p><li><li></li></li>")  # implied closes
 @example(b"<a onclick=x ONLOAD=y on=z onx1=w href=u href='v' style=\"url(q)\">")
-@example(b"<iframe width=1 style=\"display:none\"></iframe><meta http-equiv=Refresh>")
+@example(b"<iframe width=1 ></iframe><iframe style=\"display:none\"><meta http-equiv=Refresh>")
 @example("İ<script>a</script>b<style>İ</style>c</script>".encode())  # lower() shifts indices
 @example("<script>a</ſcript>b</SCRIPT>".encode())  # "ſ" matches "s" only case-folded
 @example(b"QUJDREVGR0hJSktMTU5PUFFS== QUJDREVGR0hJSktMTU5PUFFSU==QUJDREVGR0hJSktMTU5PUFF")
