@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..config import BASE64_MIN_LENGTH, HTML_SUSPICIOUS_KEYWORDS, URL_SHORTENER_HOSTS
-from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
+from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy, sum_in_order
 from ..urls import host_only, is_ipv4_like, split_url, subdomain_count
 
 SCHEMA_VERSION = 1
@@ -280,7 +280,7 @@ def analyze_html(
     values["embedded_js_count"] = float(counts["script"] - external)
     values["total_script_characters"] = float(sum(len(b) for b in embedded))
     if embedded:
-        values["script_entropy"] = sum(
+        values["script_entropy"] = sum_in_order(
             shannon_entropy(b.encode("utf-8", "replace")) for b in embedded
         ) / len(embedded)
         joined = "\n".join(embedded)
@@ -440,12 +440,9 @@ def _url_features(stream: _TokenStream, values: dict, page_host: str | None) -> 
         values["url_digit_count"] = float(sum(map(str.isdigit, joined)))
         values["url_punct_char_count"] = float(sum(map(joined.count, _URL_PUNCT)))
 
-    hosts = []
-    for url in all_urls:
-        _, raw_host, _, _ = split_url(url)
-        host = host_only(raw_host).lower() if "://" in url else ""
-        if host:
-            hosts.append(host)
+    # one split per absolute URL; link_urls is the head of all_urls
+    url_hosts = [host_only(split_url(url)[1]).lower() if "://" in url else "" for url in all_urls]
+    hosts = [host for host in url_hosts if host]
     if hosts:
         values["avg_subdomain_count"] = sum(subdomain_count(h) for h in hosts) / len(hosts)
         values["ip_url_count"] = float(sum(1 for h in hosts if is_ipv4_like(h)))
@@ -460,17 +457,7 @@ def _url_features(stream: _TokenStream, values: dict, page_host: str | None) -> 
     if effective_host is not None:
         effective_host = effective_host.lower()
 
-    internal = 0
-    external = 0
-    for url in link_urls:
-        if "://" in url:
-            _, raw_host, _, _ = split_url(url)
-            host = host_only(raw_host).lower()
-            if effective_host is not None and host == effective_host:
-                internal += 1
-            else:
-                external += 1
-        else:
-            internal += 1
+    internal = sum("://" not in url or host == effective_host
+                   for url, host in zip(link_urls, url_hosts))
     values["internal_link_count"] = float(internal)
-    values["external_link_count"] = float(external)
+    values["external_link_count"] = float(len(link_urls) - internal)

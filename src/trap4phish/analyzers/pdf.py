@@ -38,7 +38,7 @@ from heapq import heappop, heappush
 from itertools import groupby
 from typing import NamedTuple
 
-from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
+from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy, sum_in_order
 
 SCHEMA_VERSION = 1
 
@@ -227,7 +227,7 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
                 entropies.append(shannon_entropy(data[group[0].start:end]))
             else:
                 entropies += _suffix_entropies(data, [r.start for r in group], end)
-        values["entropy_of_streams"] = sum(entropies) / len(streams)
+        values["entropy_of_streams"] = sum_in_order(entropies) / len(streams)
 
     _object_statistics(data, values, streams, filters, warnings)
 

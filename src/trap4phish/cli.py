@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import glob
@@ -18,8 +19,9 @@ from pathlib import Path
 
 from . import __version__
 from .analyzers import FORMATS as _FORMATS
+# scan calls neither write_*_csv; they stay names here for bench/tracing.py
 from .core import (
-    FeatureSchema, FileKind, LabeledDataset, SchemaError, DatasetError,
+    CsvRowWriter, FeatureSchema, FileKind, LabeledDataset, SchemaError, DatasetError,
     read_dataset_csv, sniff_file_kind, write_dataset_csv, write_features_csv,
 )
 from .ml import (
@@ -75,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scan", help="extract feature CSVs from files")
+    p = sub.add_parser("scan", help="extract feature CSVs from files",
+                       description="Write each file's feature CSV row as soon as it is analyzed.")
     p.add_argument("inputs", nargs="+", help="files, directories or globs")
     p.add_argument("--format", choices=["auto"] + list(_FORMATS), default="auto",
                    help="with a format other than auto, a directory contributes only "
@@ -180,6 +183,10 @@ def _expand_inputs(patterns: list[str], suffix: str | None = None) -> list[Path]
 
 
 def cmd_scan(args) -> int:
+    """Analyze the inputs one at a time in sorted path order, writing each
+    file's CSV row and report JSON as soon as it is analyzed, so memory does
+    not grow with the file count. A malformed labels file fails before any
+    output; an interrupted scan leaves the rows already written."""
     inputs = _expand_inputs(args.inputs, None if args.format == "auto" else f".{args.format}")
     if args.labels:
         # the labels CSV often sits in the scanned directory; it is no sample
@@ -196,6 +203,9 @@ def cmd_scan(args) -> int:
                 print(f"error: {first} and {path} have the same file name; "
                       "--labels and --report-dir key files by name", file=sys.stderr)
                 return EXIT_IO
+    labels = _read_labels(args.labels) if args.labels else None
+    if args.report_dir:
+        Path(args.report_dir).mkdir(parents=True, exist_ok=True)
 
     def analyze_one(path: Path):
         try:
@@ -209,53 +219,50 @@ def cmd_scan(args) -> int:
                 return path, None, f"unsupported kind {sniffed.value}"
             kind = sniffed.value
         _schema, _sel, analyze = _FORMATS[kind]
-        if kind == "html":
-            report = analyze(data, page_host=args.host, source_path=str(path))
-        else:
-            report = analyze(data, source_path=str(path))
-        return path, report, None
+        extra = {"page_host": args.host} if kind == "html" else {}
+        return path, analyze(data, source_path=str(path), **extra), None
 
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(analyze_one, inputs))
-    else:
-        results = [analyze_one(p) for p in inputs]
-
-    io_failures = 0
-    skipped = 0
-    by_kind: dict[str, list] = {}
-    for path, report, problem in results:
-        if report is None:
-            if problem.startswith("read failed"):
-                io_failures += 1
-            else:
-                skipped += 1
-            print(f"warning: {path}: {problem}", file=sys.stderr)
-            continue
-        by_kind.setdefault(report.format_kind, []).append(report)
-
-    if args.report_dir:
-        report_dir = Path(args.report_dir)
-        report_dir.mkdir(parents=True, exist_ok=True)
-        for reports in by_kind.values():
-            for report in reports:
-                name = Path(report.source_path).name + ".json"
-                (report_dir / name).write_text(report.to_json(indent=2), encoding="utf-8")
-
-    labels = _read_labels(args.labels) if args.labels else None
     selected = args.features == "selected"
-    if args.format == "auto":
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for kind, reports in sorted(by_kind.items()):
-            _write_scan_csv(kind, reports, out_dir / f"{kind}.csv", selected, labels)
-    else:
-        reports = by_kind.get(args.format, [])
-        _write_scan_csv(args.format, reports, Path(args.out), selected, labels)
+    scanned = parse_failed = skipped = io_failures = 0
+    with contextlib.ExitStack() as stack:
+        writers: dict[str, CsvRowWriter] = {}
 
-    parse_failed = sum(1 for reports in by_kind.values() for r in reports if r.parse_failed)
-    total = sum(len(r) for r in by_kind.values())
-    print(f"scanned {total} file(s); parse_failed {parse_failed}; "
+        def writer_for(kind: str) -> CsvRowWriter:
+            if kind not in writers:
+                out_path = Path(args.out) / f"{kind}.csv" if args.format == "auto" else args.out
+                writers[kind] = CsvRowWriter(_schema(kind, selected), stack.enter_context(
+                    open(out_path, "wb")), labeled=labels is not None)
+            return writers[kind]
+
+        if args.format == "auto":
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        else:
+            writer_for(args.format)  # written even when no file is read
+        mapper = map if args.jobs == 1 else stack.enter_context(
+            concurrent.futures.ThreadPoolExecutor(args.jobs)).map
+        for path, report, problem in mapper(analyze_one, inputs):
+            if report is None:
+                if problem.startswith("read failed"):
+                    io_failures += 1
+                else:
+                    skipped += 1
+                print(f"warning: {path}: {problem}", file=sys.stderr)
+                continue
+            scanned += 1
+            parse_failed += report.parse_failed
+            if args.report_dir:
+                (Path(args.report_dir) / f"{path.name}.json").write_text(
+                    report.to_json(indent=2), encoding="utf-8")
+            writer = writer_for(report.format_kind)
+            vec = report.features.project(writer.schema) if selected else report.features
+            if labels is None:
+                writer.add(vec)
+            elif path.name in labels:
+                writer.add(vec, labels[path.name])
+            else:
+                print(f"warning: no label for {report.source_path}, skipped", file=sys.stderr)
+
+    print(f"scanned {scanned} file(s); parse_failed {parse_failed}; "
           f"skipped {skipped}; io_failures {io_failures}")
     return EXIT_IO if io_failures else EXIT_OK
 
@@ -278,23 +285,6 @@ def _schema(kind: str, selected: bool) -> FeatureSchema:
     # unpacked, not read by attribute: bench/tracing.py swaps in plain tuples
     full_schema, selected_schema, _analyze = _FORMATS[kind]
     return selected_schema if selected else full_schema
-
-
-def _write_scan_csv(kind: str, reports: list, out_path: Path, selected: bool,
-                    labels: dict[str, int] | None = None) -> None:
-    schema = _schema(kind, selected)
-    vectors = [r.features.project(schema) if selected else r.features for r in reports]
-    if labels is None:
-        write_features_csv(schema, vectors, out_path)
-        return
-    rows = []
-    for report, vec in zip(reports, vectors):
-        label = labels.get(Path(report.source_path).name)
-        if label is None:
-            print(f"warning: no label for {report.source_path}, skipped", file=sys.stderr)
-            continue
-        rows.append((vec, label))
-    write_dataset_csv(LabeledDataset(schema, rows), out_path)
 
 
 def cmd_synth(args) -> int:

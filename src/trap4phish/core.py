@@ -163,6 +163,15 @@ def shannon_entropy(data: bytes) -> float:
     return entropy
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """Floats added left to right, rounding each partial sum, as builtin sum()
+    did before Python 3.12 began to compensate; the same on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _byte_counts(data: bytes) -> list[int]:
     """The count of each byte value present in `data`, in order of first
     occurrence. First occurrences are looked for only until every value
@@ -226,39 +235,51 @@ def format_value(v: float) -> str:
 Destination = Union[str, Path, io.IOBase]
 
 
-def write_dataset_csv(ds: LabeledDataset, destination: Destination) -> int:
-    """Write a labeled dataset as UTF-8 CSV (header = columns + "label").
+class CsvRowWriter:
+    """Feature rows to a binary stream as UTF-8 CSV with "\\n" line ends: the
+    header (columns, plus "label" when `labeled`) on creation, then one line
+    of `format_value` cells per `add`. `write` is the csv module's sink."""
 
-    Returns the number of bytes written.
-    """
-    rows = ([format_value(v) for v in vec.values] + [str(label)] for vec, label in ds.rows)
-    return _write_csv(list(ds.schema.columns) + ["label"], rows, destination)
+    def __init__(self, schema: FeatureSchema, fh, labeled: bool = False):
+        self.schema = schema
+        self.fh = fh
+        self.nbytes = 0
+        self._csv = csv.writer(self, lineterminator="\n")
+        self._csv.writerow(list(schema.columns) + ["label"] * labeled)
+
+    def write(self, line: str) -> None:
+        data = line.encode("utf-8")
+        self.fh.write(data)
+        self.nbytes += len(data)
+
+    def add(self, vec: FeatureVector, label: int | None = None) -> None:
+        if vec.schema.columns != self.schema.columns:
+            raise SchemaError("vector schema mismatch in CSV row")
+        cells = [format_value(v) for v in vec.values]
+        self._csv.writerow(cells if label is None else cells + [str(label)])
+
+
+def _write_csv(schema: FeatureSchema, rows: Iterable[tuple[FeatureVector, int | None]],
+               destination: Destination, labeled: bool) -> int:
+    if not isinstance(destination, (str, Path)):
+        writer = CsvRowWriter(schema, destination, labeled)
+        for vec, label in rows:
+            writer.add(vec, label)
+        return writer.nbytes
+    with open(destination, "wb") as fh:
+        return _write_csv(schema, rows, fh, labeled)
+
+
+def write_dataset_csv(ds: LabeledDataset, destination: Destination) -> int:
+    """Write a labeled dataset as UTF-8 CSV (header = columns + "label");
+    returns the number of bytes written."""
+    return _write_csv(ds.schema, ds.rows, destination, labeled=True)
 
 
 def write_features_csv(schema: FeatureSchema, vectors: Iterable[FeatureVector],
                        destination: Destination) -> int:
     """Unlabeled variant of write_dataset_csv (header = columns only)."""
-    def rows():
-        for vec in vectors:
-            if vec.schema.columns != schema.columns:
-                raise SchemaError("vector schema mismatch in write_features_csv")
-            yield [format_value(v) for v in vec.values]
-
-    return _write_csv(list(schema.columns), rows(), destination)
-
-
-def _write_csv(header: list[str], rows: Iterable[list[str]], destination: Destination) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    payload = buf.getvalue().encode("utf-8")
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            fh.write(payload)
-    else:
-        destination.write(payload)
-    return len(payload)
+    return _write_csv(schema, ((vec, None) for vec in vectors), destination, labeled=False)
 
 
 def read_dataset_csv(source: Union[str, Path, bytes, io.IOBase], schema: FeatureSchema) -> LabeledDataset:

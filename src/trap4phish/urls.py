@@ -9,6 +9,7 @@ import re
 from dataclasses import dataclass, fields
 
 from .config import URL_SHORTENER_HOSTS
+from .core import sum_in_order
 
 PUNCT_CHARS = set("/-=?&:._")
 
@@ -132,10 +133,10 @@ def cohens_d(group_a: list[float], group_b: list[float]) -> EffectSize:
     n_a, n_b = len(group_a), len(group_b)
     if n_a < 2 or n_b < 2:
         raise InsufficientData(f"need at least 2 per group, got {n_a} and {n_b}")
-    mean_a = sum(group_a) / n_a
-    mean_b = sum(group_b) / n_b
-    var_a = sum((x - mean_a) ** 2 for x in group_a) / (n_a - 1)
-    var_b = sum((x - mean_b) ** 2 for x in group_b) / (n_b - 1)
+    mean_a = sum_in_order(group_a) / n_a
+    mean_b = sum_in_order(group_b) / n_b
+    var_a = sum_in_order((x - mean_a) ** 2 for x in group_a) / (n_a - 1)
+    var_b = sum_in_order((x - mean_b) ** 2 for x in group_b) / (n_b - 1)
     pooled = math.sqrt(((n_a - 1) * var_a + (n_b - 1) * var_b) / (n_a + n_b - 2))
     if pooled == 0.0:
         raise DegenerateGroups("pooled standard deviation is zero")

@@ -3,13 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import trap4phish
+from trap4phish.analyzers import FORMATS
 from trap4phish.analyzers.xlsx import XLSX_COLUMNS
 from trap4phish.cli import main
+from trap4phish.core import LabeledDataset, write_dataset_csv, write_features_csv
 from trap4phish.qr import from_pgm, qr_decode
 
 from conftest import make_xlsx
@@ -169,6 +172,90 @@ class TestScan:
         run(["scan", docx_corpus, "--format", "docx", "--out", a, "--jobs", "1"])
         run(["scan", docx_corpus, "--format", "docx", "--out", b, "--jobs", "4"])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestScanLoop:
+    """`scan` writes each file's outputs as soon as it is analyzed."""
+
+    def test_memory_does_not_grow_with_file_count(self, tmp_path):
+        peaks = {}
+        for count in (20, 80):  # 80 and 320 files, docx and html
+            root = tmp_path / str(count)
+            for fmt in ("docx", "html"):
+                run(["synth", "--format", fmt, "--count", count, "--seed", "3", "--out", root / fmt])
+            args = ["scan", root / "docx", root / "html", "--out", tmp_path / f"out{count}"]
+            assert run(args) == 0
+            tracemalloc.start()
+            try:
+                assert run(args) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # keeping every report until the end costs about 2 KB a file; what
+        # is left when each is dropped (the sorted path list) about 0.4 KB
+        assert (peaks[80] - peaks[20]) / 240 < 1024
+
+    def test_malformed_labels_fail_before_any_output(self, docx_corpus, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("path,label\nbenign_00000.docx,2\n")
+        code = run(["scan", docx_corpus, "--format", "docx", "--out", tmp_path / "x.csv",
+                    "--labels", labels, "--report-dir", tmp_path / "reports"])
+        assert code == 4
+        assert "bad labels row" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists() and not (tmp_path / "x.csv").exists()
+
+    def test_auto_mode_over_only_unsupported_files_writes_no_csv(self, tmp_path, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        (inputs / "notes.txt").write_text("plain text")
+        out = tmp_path / "out"
+        assert run(["scan", inputs, "--out", out]) == 0
+        assert out.is_dir() and list(out.iterdir()) == []
+        captured = capsys.readouterr()
+        assert "scanned 0 file(s); parse_failed 0; skipped 1; io_failures 0" in captured.out
+        assert f"{inputs / 'notes.txt'}: unsupported kind unknown" in captured.err
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_auto_mode_bytes_equal_core_writers_at_any_jobs(self, tmp_path, capsys, labeled):
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        labels = {}
+        for fmt in ("html", "pdf", "xlsx"):
+            run(["synth", "--format", fmt, "--count", "2", "--seed", "4", "--out", tmp_path / fmt])
+            for line in (tmp_path / fmt / "labels.csv").read_text().splitlines()[1:]:
+                name, label = line.split(",")
+                (mixed / name).write_bytes((tmp_path / fmt / name).read_bytes())
+                labels[name] = int(label)
+        (mixed / "notes.txt").write_text("plain text")
+        unlabeled = sorted(labels)[3]
+        del labels[unlabeled]
+        (tmp_path / "labels.csv").write_text(
+            "path,label\n" + "".join(f"{name},{label}\n" for name, label in labels.items()))
+        label_args = ["--labels", tmp_path / "labels.csv"] if labeled else []
+
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            assert run(["scan", mixed, "--out", out, "--jobs", jobs, *label_args]) == 0
+            err = capsys.readouterr().err
+            assert "notes.txt: unsupported kind unknown" in err
+            assert (f"no label for {mixed / unlabeled}" in err) is labeled
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+        expected = {}
+        for fmt in ("html", "pdf", "xlsx"):
+            spec = FORMATS[fmt]
+            paths = sorted(p for p in mixed.iterdir() if p.suffix == f".{fmt}")
+            vectors = [(p, spec.analyze(p.read_bytes(), source_path=str(p)).features) for p in paths]
+            dest = tmp_path / f"expected.{fmt}.csv"
+            if labeled:
+                write_dataset_csv(LabeledDataset(spec.schema, [(v, labels[p.name]) for p, v in vectors
+                                                               if p.name in labels]), dest)
+            else:
+                write_features_csv(spec.schema, [v for _p, v in vectors], dest)
+            expected[f"{fmt}.csv"] = dest.read_bytes()
+        assert outputs[0] == expected
 
 
 class TestTrainEvaluateRank:

@@ -217,3 +217,43 @@ def test_projection_order():
     projected = report.features.project(SELECTED)
     assert projected.schema.columns == SELECTED.columns
     assert len(projected.values) == 13
+
+
+def test_each_absolute_url_is_split_once(monkeypatch):
+    from trap4phish.analyzers import html
+
+    calls = []
+
+    def counting_split(url):
+        calls.append(url)
+        return real_split(url)
+
+    real_split = html.split_url
+    monkeypatch.setattr(html, "split_url", counting_split)
+    page = (b'<html><head><base href="http://base.test/">'
+            b'<style>body { background: url(http://d.test/bg.png) }</style></head>'
+            b'<body><a href="http://a.test/x">a</a><a href="http://base.test/in">b</a>'
+            b'<a href="/relative">c</a><img src="https://b.test/i.png">'
+            b'<script src="http://c.test/s.js"></script></body></html>')
+    d = analyze_html(page).features.as_dict()
+    absolute = ["http://a.test/x", "http://base.test/in", "https://b.test/i.png",
+                "http://c.test/s.js", "http://d.test/bg.png"]
+    assert sorted(calls) == sorted(absolute + ["http://base.test/"])
+    # links: the base host and the relative one are internal
+    assert (d["internal_link_count"], d["external_link_count"]) == (2, 2)
+    assert d["url_count"] == 6
+
+
+def test_script_entropy_is_a_left_to_right_mean(monkeypatch):
+    # [1e16, 1.0, -1e16] sums to 0.0 left to right and to 1.0 compensated
+    # (builtin sum() from Python 3.12 on)
+    from trap4phish.analyzers import html
+
+    fake = {b"s0": 1e16, b"s1": 1.0, b"s2": -1e16}
+    real_entropy = html.shannon_entropy
+    monkeypatch.setattr(html, "shannon_entropy", lambda data: fake.get(data) or real_entropy(data))
+    page = b"<html><script>s0</script><script>s1</script><script>s2</script></html>"
+    total = 0.0
+    for value in fake.values():
+        total += value
+    assert analyze_html(page).features["script_entropy"] == total / 3 == 0.0

@@ -157,3 +157,22 @@ def test_projection_order(minimal_pdf):
 
 def test_determinism(minimal_pdf):
     assert analyze_pdf(minimal_pdf).features.values == analyze_pdf(minimal_pdf).features.values
+
+
+def test_entropy_of_streams_is_a_left_to_right_mean(monkeypatch):
+    # [1e16, 1.0, -1e16] sums to 0.0 left to right and to 1.0 compensated
+    # (builtin sum() from Python 3.12 on)
+    from trap4phish.analyzers import pdf
+
+    fake = {b"s0": 1e16, b"s1": 1.0, b"s2": -1e16}
+    real_entropy = pdf.shannon_entropy
+
+    def entropy(data):
+        return next((v for tag, v in fake.items() if tag in data), None) or real_entropy(data)
+
+    monkeypatch.setattr(pdf, "shannon_entropy", entropy)
+    objects = [b"<< /Length 2 >>\nstream\n" + tag + b"\nendstream" for tag in fake]
+    total = 0.0
+    for value in fake.values():
+        total += value
+    assert analyze_pdf(make_pdf(objects)).features["entropy_of_streams"] == total / 3 == 0.0

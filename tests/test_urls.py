@@ -77,6 +77,12 @@ class TestCohensD:
         with pytest.raises(InsufficientData):
             cohens_d([1.0], [2.0, 3.0])
 
+    def test_means_and_variances_sum_left_to_right(self):
+        # 0.0 left to right, 1.0 with the compensated sum() of Python 3.12+
+        e = cohens_d([1e16, 1.0, -1e16], [0.0, 3.0])
+        assert e.mean_a == 0.0
+        assert e.pooled_sd == math.sqrt((2e32 + 4.5) / 3)
+
     def test_hand_example(self):
         e = cohens_d([2.0, 4.0], [1.0, 3.0])
         assert e.cohens_d == pytest.approx(0.7071, abs=1e-4)
