@@ -218,7 +218,7 @@ def cmd_scan(args) -> int:
             if sniffed is FileKind.UNKNOWN or sniffed is FileKind.QR_IMAGE:
                 return path, None, f"unsupported kind {sniffed.value}"
             kind = sniffed.value
-        _schema, _sel, analyze = _FORMATS[kind]
+        analyze = _FORMATS[kind][-1]
         extra = {"page_host": args.host} if kind == "html" else {}
         return path, analyze(data, source_path=str(path), **extra), None
 

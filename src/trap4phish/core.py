@@ -242,14 +242,14 @@ class CsvRowWriter:
 
     def __init__(self, schema: FeatureSchema, fh, labeled: bool = False):
         self.schema = schema
-        self.fh = fh
+        self._fh = fh
         self.nbytes = 0
         self._csv = csv.writer(self, lineterminator="\n")
         self._csv.writerow(list(schema.columns) + ["label"] * labeled)
 
     def write(self, line: str) -> None:
         data = line.encode("utf-8")
-        self.fh.write(data)
+        self._fh.write(data)
         self.nbytes += len(data)
 
     def add(self, vec: FeatureVector, label: int | None = None) -> None:
@@ -261,13 +261,13 @@ class CsvRowWriter:
 
 def _write_csv(schema: FeatureSchema, rows: Iterable[tuple[FeatureVector, int | None]],
                destination: Destination, labeled: bool) -> int:
-    if not isinstance(destination, (str, Path)):
-        writer = CsvRowWriter(schema, destination, labeled)
-        for vec, label in rows:
-            writer.add(vec, label)
-        return writer.nbytes
-    with open(destination, "wb") as fh:
-        return _write_csv(schema, rows, fh, labeled)
+    if isinstance(destination, (str, Path)):
+        with open(destination, "wb") as fh:
+            return _write_csv(schema, rows, fh, labeled)
+    writer = CsvRowWriter(schema, destination, labeled)
+    for vec, label in rows:
+        writer.add(vec, label)
+    return writer.nbytes
 
 
 def write_dataset_csv(ds: LabeledDataset, destination: Destination) -> int:
