@@ -1,7 +1,8 @@
 """Property tests of the container readers against independent writers: the
-ZIP reader against archives built by the standard-library `zipfile`, and the
+ZIP reader against archives built by the standard-library `zipfile`, the
 MS-OVBA decompressor against the copy-token compressor in `ovba_ref.py` and,
-on malformed containers, against the per-token decompressor kept there."""
+on malformed containers, against the per-token decompressor kept there, and
+the CFB reader, on damaged FAT chains, against a sector-by-sector walker."""
 
 import io
 import random
@@ -11,7 +12,17 @@ import zipfile
 from hypothesis import example, given, settings, strategies as st
 
 import ovba_ref
-from trap4phish.containers import OvbaError, ovba_decompress, zip_open
+from trap4phish.containers import (
+    CfbCycleError,
+    CfbError,
+    CfbFormatError,
+    CfbRangeError,
+    OvbaError,
+    cfb_open,
+    ovba_decompress,
+    zip_open,
+)
+from trap4phish.synth import CfbWriter
 
 NAME_CHARS = st.sampled_from("abcXYZ019._-/ éü")
 
@@ -121,3 +132,60 @@ _LITERALS_PAST_4096 = b"\x01" + _chunk(
 @example(_LITERALS_PAST_4096)
 def test_ovba_decompress_matches_per_token_loop_on_damaged_input(data):
     assert _outcome(ovba_decompress, data) == _outcome(ovba_ref.decompress_per_token, data)
+
+
+_ENDOFCHAIN = 0xFFFFFFFE
+_FREESECT = 0xFFFFFFFF
+
+
+def _one_stream() -> bytes:
+    """Sectors 0-9 hold the 5000-byte stream "s", sector 10 the directory,
+    sector 11 the FAT."""
+    writer = CfbWriter()
+    writer.add_stream("s", bytes(i % 251 for i in range(5000)))
+    return writer.tobytes()
+
+
+_ONE_STREAM = _one_stream()
+_FAT_AT = 512 + 11 * 512
+_S_ENTRY = 512 + 10 * 512 + 128  # the root entry comes first
+# a next-sector value: one of the stream's own sectors (listed three times,
+# so that chains run long enough to loop), the directory or FAT sector, a
+# chain end, a free sector or a sector past the FAT
+_NEXT_SECTORS = st.sampled_from([*range(10)] * 3 + [10, 11, _ENDOFCHAIN, _FREESECT, 12, 500, 0xFFFFFFFD])
+
+
+def _reference_read(data: bytes, start: int, size: int) -> bytes:
+    fat = struct.unpack_from("<12L", data, _FAT_AT)
+    out, sector = b"", start
+    for _ in range(len(fat) + 1):  # a chain longer than the FAT loops
+        if sector == _ENDOFCHAIN:
+            raise CfbFormatError("chain ends before the declared size")
+        if sector >= len(fat):
+            raise CfbRangeError(f"sector {sector} outside the FAT")
+        out += data[512 + 512 * sector:512 + 512 * (sector + 1)]
+        if len(out) >= size:
+            return out[:size]
+        sector = fat[sector]
+    raise CfbCycleError("chain loops")
+
+
+def _result(read):
+    try:
+        return read()
+    except CfbError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_NEXT_SECTORS, st.lists(st.one_of(st.none(), _NEXT_SECTORS), min_size=10, max_size=10),
+       st.sampled_from([4096, 5000, 5120, 6656, 0x7FFFFFF0, 0x7FFFFFF0]))
+def test_cfb_fat_chains_match_reference_walker(start, next_sectors, size):
+    data = bytearray(_ONE_STREAM)
+    for sector, value in enumerate(next_sectors):
+        if value is not None:
+            struct.pack_into("<L", data, _FAT_AT + 4 * sector, value)
+    struct.pack_into("<LQ", data, _S_ENTRY + 116, start, size)
+    cfb = cfb_open(bytes(data))
+    entry = cfb.find_stream("s")
+    assert _result(lambda: cfb.read_entry(entry)) == _result(lambda: _reference_read(data, start, size))

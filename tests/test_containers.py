@@ -7,6 +7,8 @@ import pytest
 from trap4phish.containers import (
     CfbBadSignature,
     CfbCycleError,
+    CfbFormatError,
+    CfbRangeError,
     CrcMismatch,
     MissingEocd,
     OvbaError,
@@ -78,6 +80,104 @@ class TestZip:
         archive = zip_open(bytes(data))
         with pytest.raises(TruncatedEntry):
             archive.read("a.txt")
+
+
+_ENDOFCHAIN = 0xFFFFFFFE
+_FREESECT = 0xFFFFFFFF
+
+
+def _two_streams() -> bytearray:
+    """A CFB file whose sectors 0-9 hold the 5000-byte stream "s", sector 10
+    the mini stream (200-byte stream "m", mini sectors 0-3), sector 11 the
+    mini-FAT, sector 12 the directory and sector 13 the FAT."""
+    writer = CfbWriter()
+    writer.add_stream("s", bytes(i % 251 for i in range(5000)))
+    writer.add_stream("m", b"z" * 200)
+    return bytearray(writer.tobytes())
+
+
+def _set_next(data: bytearray, table_header_offset: int, sector: int, value: int) -> None:
+    """Point `sector` at `value` in the FAT (header offset 76, the first
+    DIFAT entry) or the mini-FAT (header offset 60)."""
+    table_sector = struct.unpack_from("<L", data, table_header_offset)[0]
+    struct.pack_into("<L", data, 512 + table_sector * 512 + 4 * sector, value)
+
+
+def _dir_entry(data: bytes, name: str) -> int:
+    """Offset of the directory entry of the stream `name`."""
+    first_dir = struct.unpack_from("<L", data, 48)[0]
+    key = name.encode("utf-16-le") + b"\x00\x00"
+    for off in range(512 + first_dir * 512, len(data) - 127, 128):
+        if data[off:off + len(key)] == key and data[off + 66] == 2:
+            return off
+    raise AssertionError(f"directory entry {name!r} not found")
+
+
+def _read(data: bytes, path: str) -> bytes:
+    cfb = cfb_open(bytes(data))
+    return cfb.read_entry(cfb.find_stream(path))
+
+
+class TestCfbChains:
+    """Sector chains: sized stream reads stop only at ENDOFCHAIN, the
+    directory and mini-FAT chains also at FREESECT, and every walk ends."""
+
+    @pytest.mark.parametrize("next_sector", [500, _FREESECT])
+    def test_sized_chain_to_a_sector_outside_the_fat(self, next_sector):
+        data = _two_streams()
+        _set_next(data, 76, 3, next_sector)
+        with pytest.raises(CfbRangeError):
+            _read(data, "s")
+
+    def test_mini_fat_chain_to_a_sector_outside_the_mini_fat(self):
+        data = _two_streams()
+        _set_next(data, 60, 1, 500)
+        with pytest.raises(CfbRangeError):
+            _read(data, "m")
+
+    def test_mini_fat_cycle_detected(self):
+        data = _two_streams()
+        # a mini cutoff above the declared size keeps the stream in the mini
+        # stream, and a self-loop can never fill that size
+        struct.pack_into("<L", data, 56, 0x7FFFFFFF)
+        _set_next(data, 60, 0, 0)
+        struct.pack_into("<Q", data, _dir_entry(data, "m") + 120, 0x7FFFFFF0)
+        with pytest.raises(CfbCycleError):
+            _read(data, "m")
+
+    @pytest.mark.parametrize("name, declared", [("s", 6000), ("m", 300)])
+    def test_chain_shorter_than_declared_size(self, name, declared):
+        data = _two_streams()
+        struct.pack_into("<Q", data, _dir_entry(data, name) + 120, declared)
+        with pytest.raises(CfbFormatError):
+            _read(data, name)
+
+    @pytest.mark.parametrize("first_sector_at", [48, 60], ids=["directory", "mini-FAT"])
+    def test_unsized_chain_ending_in_freesect_opens(self, first_sector_at):
+        data = _two_streams()
+        _set_next(data, 76, struct.unpack_from("<L", data, first_sector_at)[0], _FREESECT)
+        assert _read(data, "s") == bytes(i % 251 for i in range(5000))
+        assert _read(data, "m") == b"z" * 200
+
+    def test_last_file_sector_cut_by_eof_reads_zero_padded(self):
+        data = _two_streams()
+        # move the stream's last sector (392 bytes of data) to a new sector
+        # 14 at the end of the file, cut to 100 bytes
+        data += data[512 + 9 * 512:512 + 9 * 512 + 100]
+        _set_next(data, 76, 8, 14)
+        _set_next(data, 76, 14, _ENDOFCHAIN)
+        blob = bytes(i % 251 for i in range(5000))
+        assert _read(data, "s") == blob[:4708] + b"\x00" * 292
+
+    def test_mini_sector_cut_by_mini_stream_size_is_not_padded(self):
+        data = _two_streams()
+        # the root entry's size cuts the stream's last mini sector from 64
+        # bytes to 10, so the four-sector chain holds 202 bytes, not 256
+        struct.pack_into("<Q", data, _dir_entry(data, "m") + 120, 210)
+        root = 512 + struct.unpack_from("<L", data, 48)[0] * 512
+        struct.pack_into("<Q", data, root + 120, 3 * 64 + 10)
+        with pytest.raises(CfbFormatError):
+            _read(data, "m")
 
 
 class TestCfb:
