@@ -15,8 +15,8 @@ from collections import Counter
 from ..config import VBA_SUSPICIOUS_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from .ooxml import (
-    element_spans, extract_vba_sources, open_archive, parse_relationships, read_xml_parts,
-    resolve_target, tag_attributes,
+    count_keywords, element_spans, extract_vba_sources, open_archive, parse_relationships,
+    read_xml_parts, resolve_target, tag_attributes,
 )
 
 SCHEMA_VERSION = 1
@@ -93,8 +93,6 @@ _STRUCT_COLUMN_OF = {n.encode(): _struct_column(n) for n in STRUCT_ATTRIBUTES + 
 _WINDOW = 1 << 16
 _WINDOW_CUT_RE = re.compile(rb"[<=]")
 
-# counted in ASCII-lowercased UTF-8 (bytes.lower); str.lower() would also fold
-# non-ASCII letters such as the Kelvin sign into ASCII and change the counts
 _VBA_KEYWORDS = tuple(keyword.encode() for keyword in VBA_SUSPICIOUS_KEYWORDS)
 
 # DDEAUTO, or DDE with no letter on either side; the literal start lets the
@@ -123,16 +121,12 @@ def analyze_docx(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
 
 
 def _extract_from_archive(archive, values, warnings) -> None:
-    names = archive.names()
-
     # Macros and suspicious VBA keywords.
-    if any(n.lower().endswith("vbaproject.bin") for n in names):
+    if any(e.name.lower().endswith("vbaproject.bin") for e in archive.entries):
         values["macro_present"] = 1.0
-        total = 0
-        for source in extract_vba_sources(archive, warnings):
-            lowered = source.encode("utf-8", errors="replace").lower()
-            total += sum(lowered.count(keyword) for keyword in _VBA_KEYWORDS)
-        values["vba_keywords_count"] = float(total)
+        # no keyword holds "\n", so the joined sources count as each alone
+        sources = "\n".join(extract_vba_sources(archive, warnings))
+        values["vba_keywords_count"] = float(count_keywords(sources, _VBA_KEYWORDS))
 
     parts = read_xml_parts(archive, warnings)
 

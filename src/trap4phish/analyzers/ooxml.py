@@ -144,3 +144,12 @@ def extract_vba_sources(archive: ZipArchive, warnings: list[str]) -> list[str]:
         for module in vba_extract(project, warnings):
             sources.append(module.source)
     return sources
+
+
+def count_keywords(source: str, keywords: tuple[bytes, ...]) -> int:
+    """Occurrences of the lowercase `keywords` in `source`, counted in
+    ASCII-lowercased UTF-8 (bytes.lower); str.lower() would also fold
+    non-ASCII letters such as the Kelvin sign into ASCII and change the
+    counts."""
+    lowered = source.encode("utf-8", errors="replace").lower()
+    return sum(lowered.count(keyword) for keyword in keywords)

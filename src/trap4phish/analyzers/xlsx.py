@@ -7,7 +7,7 @@ Worksheet rows and cells and the shared-string table are each read by one
 the shapes writers produce, attributes in any order, `<f>` before `<v>`, and
 gives the reference, type, first value and inline text as groups, so a cell
 costs one match and a few comparisons. Any other opener is read by the
-forward scanners (`_read_cell`, `_read_row`, `_read_si`, `_first_value`,
+forward scanners (`_read_cell`, `_read_row`, `_read_si`,
 `ooxml.element_spans`), which find exactly what `re.finditer` finds for the
 DOTALL patterns
     <c\b([^>]*?)(?:/>|>(.*?)</c>)    <v[^>]*>(.*?)</v>    <row\b([^>]*)>
@@ -33,8 +33,8 @@ from ..config import AUTO_EXEC_NAMES, BASE64_MIN_LENGTH, XLSX_API_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
 from ..containers import ContainerError
 from .ooxml import (
-    ATTR_RE, element_spans, extract_vba_sources, open_archive, parse_relationships,
-    read_xml_parts, start_tags, tag_attributes,
+    ATTR_RE, count_keywords, element_spans, extract_vba_sources, open_archive,
+    parse_relationships, read_xml_parts, start_tags, tag_attributes,
 )
 
 SCHEMA_VERSION = 1
@@ -198,8 +198,6 @@ _STRING_KINDS = frozenset((b"s", b"str", b"inlineStr"))
 _WORKSHEET_PART_RE = re.compile(r"^xl/worksheets/[^/]+\.xml$")
 _IMAGE_EXTENSIONS = {"png", "jpg", "jpeg", "gif", "bmp", "tif", "tiff", "emf", "wmf", "svg"}
 _BASE64_CELL_RE = re.compile(r"^[A-Za-z0-9+/]{%d,}={0,2}$" % BASE64_MIN_LENGTH)
-# counted in ASCII-lowercased UTF-8 (bytes.lower); str.lower() would also fold
-# non-ASCII letters such as the Kelvin sign into ASCII and change the counts
 _API_KEYWORDS = tuple(keyword.encode() for keyword in XLSX_API_KEYWORDS)
 _AUTO_EXEC_RE = re.compile(
     r"(?i)\b(?:sub|function)\s+(" + "|".join(re.escape(n) for n in AUTO_EXEC_NAMES) + r")\b"
@@ -300,8 +298,7 @@ def _extract_from_archive(archive, values, warnings) -> None:
     for field_name in MACRO_METRIC_NAMES:
         values["macro_" + field_name] = float(getattr(metrics, field_name))
 
-    lowered = combined.encode("utf-8", errors="replace").lower()
-    values["api_keyword_count"] = float(sum(lowered.count(keyword) for keyword in _API_KEYWORDS))
+    values["api_keyword_count"] = float(count_keywords(combined, _API_KEYWORDS))
 
     if _AUTO_EXEC_RE.search(combined) or suspicious_names:
         values["auto_exec_name_present"] = 1.0
@@ -372,7 +369,8 @@ def _cell_groups(content: bytes, attr_bytes: bytes, start: int, end: int) -> tup
     column, number = ref.groups() if ref else (None, None)
     kind = attrs.get(b"t")
     text = _text_runs(content, start, end) if kind == b"inlineStr" else None
-    return column, number, kind, _first_value(content, start, end), text, b">"
+    value = next((content[s:e] for s, e in element_spans(content, b"<v", b"</v>", start, end)), None)
+    return column, number, kind, value, text, b">"
 
 
 def _read_row(content: bytes, start: int, last: int):
@@ -458,20 +456,6 @@ def _scan_cells(content: bytes, shared: list[str], strings: list[str]) -> dict:
                 strings.append(value.decode("utf-8", errors="replace"))
     max_col = max(max_col, max(map(_col_number, columns), default=0))
     return {"numeric": numeric, "populated": populated, "max_row": max_row, "max_col": max_col}
-
-
-def _first_value(content: bytes, start: int, end: int) -> bytes | None:
-    """The text a search for `<v[^>]*>(.*?)</v>` finds in content[start:end].
-    The first `<v` decides: when it has no `>` or `</v>` after it, no later
-    `<v` has one either."""
-    opener = content.find(b"<v", start, end)
-    if opener < 0:
-        return None
-    gt = content.find(b">", opener + 2, end)
-    if gt < 0:
-        return None
-    close = content.find(b"</v>", gt + 1, end)
-    return None if close < 0 else content[gt + 1:close]
 
 
 def _col_number(letters: bytes) -> int:

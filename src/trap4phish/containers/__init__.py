@@ -10,7 +10,6 @@ from .errors import (
     CfbRangeError,
     ContainerError,
     CrcMismatch,
-    EntryNotFound,
     MissingEocd,
     OvbaError,
     TruncatedEntry,
@@ -32,7 +31,6 @@ __all__ = [
     "UnsupportedMethod",
     "Zip64Unsupported",
     "ZipFormatError",
-    "EntryNotFound",
     "CfbError",
     "CfbBadSignature",
     "CfbCycleError",

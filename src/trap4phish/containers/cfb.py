@@ -1,15 +1,19 @@
 """OLE Compound File Binary reader: enough of [MS-CFB] to pull streams such
 as the VBA project out of `vbaProject.bin`.
 
-Chains (FAT, mini-FAT, directory) are followed with visit counters so cyclic
-inputs terminate with an error instead of hanging. Stream reads are truncated
-to the directory-declared size. Names compare case-insensitively.
+One walker, `_chain`, follows every sector chain through its table: a
+stream's FAT or mini-FAT chain, the directory and the mini-FAT itself. It
+raises CfbRangeError on a sector outside the table and CfbCycleError on a
+chain longer than the table, so cyclic inputs terminate with an error
+instead of hanging. Stream reads are truncated to the directory-declared
+size. Names compare case-insensitively.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import CfbBadSignature, CfbCycleError, CfbFormatError, CfbRangeError
 
@@ -17,6 +21,8 @@ CFB_SIGNATURE = b"\xd0\xcf\x11\xe0\xa1\xb1\x1a\xe1"
 
 _ENDOFCHAIN = 0xFFFFFFFE
 _FREESECT = 0xFFFFFFFF
+
+_MINI_SECTOR_SIZE = 64
 
 _TYPE_STORAGE = 1
 _TYPE_STREAM = 2
@@ -40,19 +46,49 @@ class CfbDirEntry:
     right: int
 
 
+def _chain(table: list[int], start: int, name: str,
+           ends: tuple[int, ...] = (_ENDOFCHAIN,)) -> Iterator[int]:
+    """The sector numbers of the chain that runs from `start` through
+    `table` up to a sector number in `ends`. A chain of more sectors than
+    `table` holds must loop, so the walk stops there."""
+    sector = start
+    for _ in range(len(table) + 1):
+        if sector in ends:
+            return
+        if sector >= len(table):
+            raise CfbRangeError(f"{name} chain references sector {sector} of {len(table)}")
+        yield sector
+        sector = table[sector]
+    raise CfbCycleError(f"{name} chain exceeds sector count (cycle)")
+
+
+def _read_sized(table: list[int], start: int, size: int, sectors: bytes, sector_size: int,
+                name: str) -> bytes:
+    """The first `size` bytes of the chain's sectors, sector n being
+    sectors[n * sector_size:][:sector_size]. A read takes at least one
+    sector, and a short one (the mini stream's last) is not padded."""
+    out = bytearray()
+    for sector in _chain(table, start, name):
+        off = sector * sector_size
+        if off >= len(sectors):
+            raise CfbRangeError(f"{name} chain references sector {sector} past {len(sectors)} bytes")
+        out += sectors[off:off + sector_size]
+        if len(out) >= size:
+            break
+    if len(out) < size:
+        raise CfbFormatError(f"{name} chain ends after {len(out)} of {size} bytes")
+    return bytes(out[:size])
+
+
 class CfbFile:
-    def __init__(self, data: bytes, sector_size: int, mini_sector_size: int,
-                 mini_cutoff: int, fat: list[int], minifat: list[int],
-                 directory: list[CfbDirEntry], root_start: int, root_size: int):
-        self._data = data
+    def __init__(self, sectors: bytes, sector_size: int, mini_cutoff: int,
+                 fat: list[int], minifat: list[int], directory: list[CfbDirEntry]):
+        self._sectors = sectors
         self.sector_size = sector_size
-        self.mini_sector_size = mini_sector_size
         self.mini_cutoff = mini_cutoff
         self._fat = fat
         self._minifat = minifat
         self.directory = directory
-        self._root_start = root_start
-        self._root_size = root_size
         self._mini_stream: bytes | None = None
         self._by_path = {}
         for entry in directory:
@@ -62,85 +98,19 @@ class CfbFile:
     def find_stream(self, path: str) -> CfbDirEntry | None:
         return self._by_path.get(path.lower())
 
-    def read_stream(self, path: str) -> bytes:
-        entry = self.find_stream(path)
-        if entry is None:
-            raise CfbFormatError(f"no stream at path {path!r}")
-        return self.read_entry(entry)
-
     def read_entry(self, entry: CfbDirEntry) -> bytes:
         if entry.size == 0:
             return b""
-        if entry.entry_type == "stream" and entry.size < self.mini_cutoff:
-            return self._read_mini_chain(entry.start_sector, entry.size)
-        return self._read_chain(entry.start_sector, entry.size)
-
-    # -- chain walkers ---------------------------------------------------
-
-    def _sector_bytes(self, sector: int) -> bytes:
-        off = 512 + sector * self.sector_size
-        if off >= len(self._data):
-            raise CfbRangeError(f"sector {sector} outside file")
-        return self._data[off:off + self.sector_size].ljust(self.sector_size, b"\x00")
-
-    def _read_chain(self, start: int, size: int) -> bytes:
-        out = bytearray()
-        sector = start
-        visits = 0
-        limit = len(self._fat) + 1
-        while sector != _ENDOFCHAIN:
-            visits += 1
-            if visits > limit:
-                raise CfbCycleError("FAT chain exceeds sector count (cycle)")
-            if sector >= len(self._fat):
-                raise CfbRangeError(f"FAT chain references sector {sector} of {len(self._fat)}")
-            out += self._sector_bytes(sector)
-            if len(out) >= size:
-                break
-            sector = self._fat[sector]
-        if len(out) < size:
-            raise CfbFormatError(f"stream chain ends after {len(out)} of {size} bytes")
-        return bytes(out[:size])
-
-    def _read_chain_unsized(self, start: int) -> bytes:
-        out = bytearray()
-        sector = start
-        visits = 0
-        limit = len(self._fat) + 1
-        while sector not in (_ENDOFCHAIN, _FREESECT):
-            visits += 1
-            if visits > limit:
-                raise CfbCycleError("chain exceeds sector count (cycle)")
-            if sector >= len(self._fat):
-                raise CfbRangeError(f"chain references sector {sector} of {len(self._fat)}")
-            out += self._sector_bytes(sector)
-            sector = self._fat[sector]
-        return bytes(out)
-
-    def _read_mini_chain(self, start: int, size: int) -> bytes:
+        if entry.entry_type != "stream" or entry.size >= self.mini_cutoff:
+            return self._read_fat_chain(entry.start_sector, entry.size)
         if self._mini_stream is None:
-            self._mini_stream = self._read_chain(self._root_start, self._root_size)
-        mini_stream = self._mini_stream
-        out = bytearray()
-        sector = start
-        visits = 0
-        limit = len(self._minifat) + 1
-        while sector != _ENDOFCHAIN:
-            visits += 1
-            if visits > limit:
-                raise CfbCycleError("mini-FAT chain exceeds sector count (cycle)")
-            if sector >= len(self._minifat):
-                raise CfbRangeError(f"mini-FAT chain references sector {sector} of {len(self._minifat)}")
-            off = sector * self.mini_sector_size
-            if off >= len(mini_stream):
-                raise CfbRangeError(f"mini sector {sector} outside mini stream")
-            out += mini_stream[off:off + self.mini_sector_size]
-            if len(out) >= size:
-                break
-            sector = self._minifat[sector]
-        if len(out) < size:
-            raise CfbFormatError(f"mini stream chain ends after {len(out)} of {size} bytes")
-        return bytes(out[:size])
+            root = self.directory[0]
+            self._mini_stream = self._read_fat_chain(root.start_sector, root.size)
+        return _read_sized(self._minifat, entry.start_sector, entry.size, self._mini_stream,
+                           _MINI_SECTOR_SIZE, "mini-FAT")
+
+    def _read_fat_chain(self, start: int, size: int) -> bytes:
+        return _read_sized(self._fat, start, size, self._sectors, self.sector_size, "FAT")
 
 
 def cfb_open(data: bytes) -> CfbFile:
@@ -153,13 +123,14 @@ def cfb_open(data: bytes) -> CfbFile:
     if mini_shift != 6:
         raise CfbFormatError(f"bad mini sector shift {mini_shift}")
     sector_size = 1 << sector_shift
-    mini_sector_size = 1 << mini_shift
     (num_fat_sectors, first_dir_sector, _trans, mini_cutoff,
      first_minifat, num_minifat, first_difat, num_difat) = struct.unpack_from("<LLLLLLLL", data, 44)
 
     total_sectors = max(0, (len(data) - 512 + sector_size - 1) // sector_size)
 
-    # DIFAT: 109 header entries plus optional DIFAT sector chain.
+    # DIFAT: 109 header entries plus optional DIFAT sector chain. Each DIFAT
+    # sector holds its own next pointer, in its last slot, so this chain has
+    # no table for `_chain` to follow.
     difat: list[int] = list(struct.unpack_from("<109L", data, 76))
     sector = first_difat
     seen = 0
@@ -186,23 +157,26 @@ def cfb_open(data: bytes) -> CfbFile:
     if not fat:
         raise CfbFormatError("empty FAT")
 
-    helper = CfbFile(data, sector_size, mini_sector_size, mini_cutoff or 4096,
-                     fat, [], [], _ENDOFCHAIN, 0)
+    # The sectors after the header, the last zero-padded when EOF cuts it
+    # short. Every sector number below len(fat) lies inside them.
+    sectors = data[512:].ljust(total_sectors * sector_size, b"\x00")
 
-    raw_dir = helper._read_chain_unsized(first_dir_sector)
-    entries = _parse_directory(raw_dir)
+    def read_unsized(start: int) -> bytes:
+        # the directory and mini-FAT chains have no declared size, and a
+        # free sector ends them as well
+        chain = _chain(fat, start, "FAT", (_ENDOFCHAIN, _FREESECT))
+        return b"".join(sectors[s * sector_size:(s + 1) * sector_size] for s in chain)
+
+    entries = _parse_directory(read_unsized(first_dir_sector))
     if not entries or entries[0] is None or entries[0].entry_type != "root":
         raise CfbFormatError("first directory entry is not the root storage")
-    root = entries[0]
 
     minifat: list[int] = []
     if num_minifat and first_minifat not in (_ENDOFCHAIN, _FREESECT):
-        raw_minifat = helper._read_chain_unsized(first_minifat)
+        raw_minifat = read_unsized(first_minifat)
         minifat = list(struct.unpack_from(f"<{len(raw_minifat) // 4}L", raw_minifat, 0))
 
-    directory = _resolve_paths(entries)
-    return CfbFile(data, sector_size, mini_sector_size, mini_cutoff or 4096,
-                   fat, minifat, directory, root.start_sector, root.size)
+    return CfbFile(sectors, sector_size, mini_cutoff or 4096, fat, minifat, _resolve_paths(entries))
 
 
 def _parse_directory(raw: bytes) -> list[CfbDirEntry | None]:

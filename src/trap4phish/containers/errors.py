@@ -37,10 +37,6 @@ class Zip64Unsupported(ZipError):
     """ZIP64 archives are outside desk scale."""
 
 
-class EntryNotFound(ZipError):
-    pass
-
-
 class CfbError(ContainerError):
     pass
 

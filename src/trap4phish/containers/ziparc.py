@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import (
     CrcMismatch,
-    EntryNotFound,
     MissingEocd,
     TruncatedEntry,
     UnsupportedMethod,
@@ -53,20 +52,6 @@ class ZipArchive:
         self.entries = entries
         # declared sizes of the entries read so far, successfully or not
         self.inflated = 0
-        # Duplicate names allowed; the last central-directory record wins.
-        self._by_name = {entry.name: entry for entry in entries}
-
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
-    def find(self, name: str) -> ZipEntry | None:
-        return self._by_name.get(name)
-
-    def read(self, name: str) -> bytes:
-        entry = self._by_name.get(name)
-        if entry is None:
-            raise EntryNotFound(f"no entry named {name!r}")
-        return self.read_entry(entry)
 
     def read_entry(self, entry: ZipEntry) -> bytes:
         self.inflated += entry.uncompressed_size

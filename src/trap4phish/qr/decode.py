@@ -46,6 +46,7 @@ from .tables import (
     MIN_VERSION,
     blocks_of,
     count_indicator_bits,
+    interleave_order,
     matrix_size,
 )
 
@@ -398,30 +399,21 @@ def _decode_format(modules: np.ndarray) -> tuple[str, int]:
 
 def _deinterleave_and_correct(codewords: list[int], version: int, level: str) -> list[int]:
     ec_per_block, _ = BLOCK_STRUCTURE[(version, level)]
+    order = interleave_order(version, level)
+    if len(codewords) < len(order):
+        raise RsFailure(f"read {len(codewords)} codewords, expected {len(order)}")
+    laid_out = [0] * len(order)
+    for codeword, i in zip(codewords, order):
+        laid_out[i] = codeword
+
     lens = blocks_of(version, level)
-    n_blocks = len(lens)
-    total_data = sum(lens)
-    expected = total_data + n_blocks * ec_per_block
-    if len(codewords) < expected:
-        raise RsFailure(f"read {len(codewords)} codewords, expected {expected}")
-
-    data_blocks: list[list[int]] = [[] for _ in lens]
-    idx = 0
-    for i in range(max(lens)):
-        for b, dlen in enumerate(lens):
-            if i < dlen:
-                data_blocks[b].append(codewords[idx])
-                idx += 1
-    ec_blocks: list[list[int]] = [[] for _ in lens]
-    for _i in range(ec_per_block):
-        for b in range(n_blocks):
-            ec_blocks[b].append(codewords[idx])
-            idx += 1
-
     data: list[int] = []
-    for b in range(n_blocks):
+    pos, parity = 0, sum(lens)
+    for b, dlen in enumerate(lens):
+        block = laid_out[pos:pos + dlen] + laid_out[parity:parity + ec_per_block]
+        pos, parity = pos + dlen, parity + ec_per_block
         try:
-            data.extend(rs_decode(data_blocks[b] + ec_blocks[b], ec_per_block))
+            data.extend(rs_decode(block, ec_per_block))
         except RsDecodeError as exc:
             raise RsFailure(f"block {b}: {exc}") from None
     return data

@@ -28,6 +28,7 @@ from .tables import (
     byte_mode_capacity,
     count_indicator_bits,
     format_info_bits,
+    interleave_order,
     matrix_size,
     smallest_version,
 )
@@ -56,17 +57,8 @@ def interleave(codewords: list[int], version: int, level: str) -> list[int]:
     for dlen in blocks_of(version, level):
         data_blocks.append(codewords[pos:pos + dlen])
         pos += dlen
-    ec_blocks = [rs_encode(block, ec_per_block) for block in data_blocks]
-
-    out: list[int] = []
-    for i in range(max(len(b) for b in data_blocks)):
-        for block in data_blocks:
-            if i < len(block):
-                out.append(block[i])
-    for i in range(ec_per_block):
-        for block in ec_blocks:
-            out.append(block[i])
-    return out
+    laid_out = codewords + [p for block in data_blocks for p in rs_encode(block, ec_per_block)]
+    return [laid_out[i] for i in interleave_order(version, level)]
 
 
 def mask_candidates(version: int, level: str, final_codewords: list[int],

@@ -203,8 +203,7 @@ def data_masks(version: int) -> np.ndarray:
 
 def read_data_bits(modules: np.ndarray, mask_id: int, version: int) -> np.ndarray:
     rows, cols = data_positions(version)
-    flips = mask_grid(version, mask_id)[rows, cols]
-    return (modules[rows, cols] ^ flips).astype(np.uint8)
+    return (modules[rows, cols] ^ data_masks(version)[mask_id]).astype(np.uint8)
 
 
 # 1:1:3:1:1 finder-like pattern with four light modules after it, and its

@@ -4,6 +4,9 @@ format / version information words.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
+
 MIN_VERSION = 1
 MAX_VERSION = 10
 
@@ -111,6 +114,20 @@ def blocks_of(version: int, level: str) -> list[int]:
     for count, dlen in groups:
         out.extend([dlen] * count)
     return out
+
+
+@lru_cache(maxsize=None)
+def interleave_order(version: int, level: str) -> tuple[int, ...]:
+    """For each codeword of the symbol, in placement order, its index in the
+    blocks laid end to end: every block's data codewords, in block order,
+    then every block's parity codewords. Data codewords interleave first,
+    one from each block that still has one, then parity codewords."""
+    ec_per_block, _groups = BLOCK_STRUCTURE[(version, level)]
+    lens = blocks_of(version, level)
+    starts = list(accumulate(lens, initial=0))
+    data = [starts[b] + i for i in range(max(lens)) for b, dlen in enumerate(lens) if i < dlen]
+    parity = [starts[-1] + b * ec_per_block + i for i in range(ec_per_block) for b in range(len(lens))]
+    return tuple(data + parity)
 
 
 def _bch_remainder(value: int, generator: int) -> int:
