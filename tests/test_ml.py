@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trap4phish.cli import _load_model
 from trap4phish.core import FeatureSchema, FeatureVector, LabeledDataset
 from trap4phish.ml import (
     DecisionTreeModel,
@@ -154,6 +156,31 @@ class TestRandomForest:
         model = train_random_forest(ds, ForestParams(n_trees=5, seed=1))
         again = RandomForestModel.from_json(model.to_json())
         assert again.to_json() == model.to_json()
+
+
+class TestModelFilesV1:
+    """Model files written by format version 1 must keep loading, unchanged,
+    once the format moves on. The DT was trained with
+    TreeParams(max_depth=4, min_samples_leaf=2) and the RF with
+    ForestParams(n_trees=3, max_features=2, seed=11, max_depth=3), both on
+    24 noisy rows of the three columns a, b and c."""
+
+    # rows on either side of the splits, a NaN, and the DT root's two thresholds
+    ROWS = np.array([[-0.36, 1.2, 1.4], [0.32, 0.41, -0.49], [-0.91, -0.9, -1.0],
+                     [0.93, -0.06, 0.13], [1.23, -1.22, 0.04], [float("nan"), 0.0, 0.0],
+                     [0.79, 0.8049999999999999, 0.0]])
+
+    @pytest.mark.parametrize("name, kind, labels", [
+        ("model_v1_decision_tree.json", DecisionTreeModel, [1, 0, 0, 1, 0, 0, 0]),
+        ("model_v1_random_forest.json", RandomForestModel, [0, 1, 0, 1, 1, 0, 0]),
+    ])
+    def test_loads_reserializes_and_predicts(self, name, kind, labels):
+        path = Path(__file__).parent / "data" / name
+        model = _load_model(str(path))
+        assert isinstance(model, kind)
+        assert model.columns == ("a", "b", "c")
+        assert model.to_json().encode("utf-8") == path.read_bytes()
+        assert model.predict_many(self.ROWS).tolist() == labels
 
 
 class TestMetrics:
