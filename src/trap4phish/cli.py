@@ -25,8 +25,7 @@ from .core import (
     read_dataset_csv, sniff_file_kind, write_dataset_csv, write_features_csv,
 )
 from .ml import (
-    ForestParams, TreeParams, RandomForestModel, DecisionTreeModel,
-    SchemaMismatchError, evaluate, metrics_table, rank_features_gini,
+    ForestParams, MlError, TreeParams, evaluate, load_model, metrics_table, rank_features_gini,
     rank_features_permutation, select_top_k, stratified_split,
     train_decision_tree, train_random_forest,
 )
@@ -46,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, SchemaMismatchError) as exc:
+    except (SchemaError, MlError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (DatasetError, QrError, UrlError, InsufficientData) as exc:
@@ -332,17 +331,10 @@ def cmd_train(args) -> int:
 
 def _load_model(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        payload = json.loads(text)
-        kind = payload.get("model_type") if isinstance(payload, dict) else None
-        if kind == "decision_tree":
-            return DecisionTreeModel.from_json(text)
-        if kind == "random_forest":
-            return RandomForestModel.from_json(text)
+        return load_model(Path(path).read_text(encoding="utf-8"))
     except (ValueError, KeyError, TypeError) as exc:
         # invalid JSON, missing fields, wrong field types, nodes that do not form a tree
         raise SchemaError(f"malformed model file {path}: {type(exc).__name__}: {exc}") from None
-    raise SchemaError(f"unknown model_type {kind!r} in {path}")
 
 
 def cmd_evaluate(args) -> int:

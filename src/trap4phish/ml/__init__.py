@@ -2,7 +2,7 @@
 confusion-matrix metrics, and the two-step feature-importance rankings."""
 
 from .tree import DecisionTreeModel, TreeParams, train_decision_tree
-from .forest import ForestParams, RandomForestModel, train_random_forest
+from .forest import ForestParams, RandomForestModel, load_model, train_random_forest
 from .metrics import EvalMetrics, evaluate, f1_score, metrics_table, stratified_split
 from .importance import (
     ImportanceRanking,
@@ -19,6 +19,7 @@ __all__ = [
     "RandomForestModel",
     "ForestParams",
     "train_random_forest",
+    "load_model",
     "EvalMetrics",
     "evaluate",
     "f1_score",

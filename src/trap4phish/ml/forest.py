@@ -22,7 +22,7 @@ from ..core import LabeledDataset
 from .errors import EmptyDatasetError
 from .tree import (
     MODEL_FORMAT_VERSION, DecisionTreeModel, PackedTrees, TreeParams, dataset_matrix, grow_trees,
-    join_packed, predict_packed,
+    join_packed, model_json, predict_packed,
 )
 
 
@@ -48,6 +48,9 @@ class ForestParams:
             return max(1, int(math.sqrt(n_features)))
         return max(1, min(int(self.max_features), n_features))
 
+    def tree_params(self) -> TreeParams:
+        return TreeParams(max_depth=self.max_depth, min_samples_leaf=self.min_samples_leaf)
+
 
 @dataclass
 class RandomForestModel:
@@ -67,42 +70,29 @@ class RandomForestModel:
         return predict_packed(self.packed, x)
 
     def to_json(self) -> str:
-        payload = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "model_type": "random_forest",
-            "params": {
-                "n_trees": self.params.n_trees,
-                "max_features": self.params.max_features,
-                "bootstrap": self.params.bootstrap,
-                "seed": self.params.seed,
-                "max_depth": self.params.max_depth,
-                "min_samples_leaf": self.params.min_samples_leaf,
-            },
-            "schema": {
-                "format_kind": self.format_kind,
-                "columns": list(self.columns),
-                "version": self.schema_version,
-            },
-            "trees": [tree.nodes for tree in self.trees],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return model_json(self, "random_forest", trees=[tree.nodes for tree in self.trees])
 
-    @classmethod
-    def from_json(cls, text: str) -> "RandomForestModel":
-        payload = json.loads(text)
-        if payload.get("model_type") != "random_forest":
-            raise ValueError("not a random_forest model file")
-        params = ForestParams(**payload["params"])
-        schema = payload["schema"]
-        tree_params = TreeParams(max_depth=params.max_depth,
-                                 min_samples_leaf=params.min_samples_leaf)
-        trees = [
-            DecisionTreeModel(nodes, tree_params, tuple(schema["columns"]),
-                              schema["format_kind"], schema["version"])
-            for nodes in payload["trees"]
-        ]
-        return cls(trees, params, tuple(schema["columns"]),
-                   schema["format_kind"], schema["version"])
+
+def load_model(text: str) -> DecisionTreeModel | RandomForestModel:
+    """The DT or RF model in the model file `text` that `model_json` wrote.
+    Raises ValueError on invalid JSON, an unknown model type, a format version
+    other than MODEL_FORMAT_VERSION or nodes that do not form a tree, and
+    KeyError or TypeError on missing or mistyped fields."""
+    payload = json.loads(text)
+    kind = payload.get("model_type") if isinstance(payload, dict) else None
+    if kind not in ("decision_tree", "random_forest"):
+        raise ValueError(f"unknown model_type {kind!r}")
+    version = payload.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"format_version {version!r} is not {MODEL_FORMAT_VERSION}")
+    schema = payload["schema"]
+    meta = (tuple(schema["columns"]), schema["format_kind"], schema["version"])
+    if kind == "decision_tree":
+        return DecisionTreeModel(payload["nodes"], TreeParams(**payload["params"]), *meta)
+    params = ForestParams(**payload["params"])
+    tree_params = params.tree_params()
+    return RandomForestModel([DecisionTreeModel(nodes, tree_params, *meta) for nodes in payload["trees"]],
+                             params, *meta)
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -118,8 +108,7 @@ def train_random_forest(ds: LabeledDataset, params: ForestParams | None = None) 
     x, y = dataset_matrix(ds)
     n, d = x.shape
     max_features = params.resolve_max_features(d)
-    tree_params = TreeParams(max_depth=params.max_depth,
-                             min_samples_leaf=params.min_samples_leaf)
+    tree_params = params.tree_params()
     warnings = []
     if len(np.unique(y)) < 2:
         warnings.append("single-class dataset: degenerate forest")

@@ -14,7 +14,7 @@ search.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -186,32 +186,17 @@ class DecisionTreeModel:
         return predict_packed(self.packed, x)
 
     def to_json(self) -> str:
-        payload = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "model_type": "decision_tree",
-            "params": {
-                "max_depth": self.params.max_depth,
-                "min_samples_leaf": self.params.min_samples_leaf,
-                "criterion": self.params.criterion,
-            },
-            "schema": {
-                "format_kind": self.format_kind,
-                "columns": list(self.columns),
-                "version": self.schema_version,
-            },
-            "nodes": self.nodes,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return model_json(self, "decision_tree", nodes=self.nodes)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DecisionTreeModel":
-        payload = json.loads(text)
-        if payload.get("model_type") != "decision_tree":
-            raise ValueError("not a decision_tree model file")
-        params = TreeParams(**payload["params"])
-        schema = payload["schema"]
-        return cls(payload["nodes"], params, tuple(schema["columns"]),
-                   schema["format_kind"], schema["version"])
+
+def model_json(model, model_type: str, **trees) -> str:
+    """The model file text of a DT or RF: format version, model type, params,
+    schema and `trees` (a DT's `nodes`, an RF's `trees`). `load_model` reads it."""
+    schema = {"format_kind": model.format_kind, "columns": list(model.columns),
+              "version": model.schema_version}
+    return json.dumps({"format_version": MODEL_FORMAT_VERSION, "model_type": model_type,
+                       "params": asdict(model.params), "schema": schema, **trees},
+                      sort_keys=True, separators=(",", ":"))
 
 
 def dataset_matrix(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:

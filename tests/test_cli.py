@@ -308,12 +308,16 @@ class TestTrainEvaluateRank:
         del leaf["label"]
         bad_params = json.loads(json.dumps(tree))
         bad_params["params"] = [1, 2]
+        no_version = {k: v for k, v in forest.items() if k != "format_version"}
         cases = [
             (json.dumps(self_child), "ValueError: tree nodes do not form a tree at node 0"),
             (json.dumps(no_label), "KeyError: 'label'"),
             (json.dumps(bad_params), "TypeError"),
             ('{"model_type": "decision_tree", ', "JSONDecodeError"),
             ("[1, 2]", "unknown model_type None"),
+            (json.dumps(no_version), "ValueError: format_version None is not 1"),
+            *((json.dumps({**tree, "format_version": version}),
+               f"ValueError: format_version {version!r} is not 1") for version in (2, "1", True)),
         ]
         for text, message in cases:
             model = tmp_path / "bad.json"
@@ -322,6 +326,16 @@ class TestTrainEvaluateRank:
             err = capsys.readouterr().err
             assert code == 3, text
             assert message in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("command", ["evaluate", "rank"])
+    def test_header_only_csv_exit_3(self, tmp_path, capsys, command):
+        data = tmp_path / "docx.csv"
+        write_dataset_csv(LabeledDataset(FORMATS["docx"].schema, []), data)
+        extra = (["--model", Path(__file__).parent / "data" / "model_v1_decision_tree.json"] if command == "evaluate"
+                 else ["--out", tmp_path / "ranking.csv"])
+        assert run([command, "--in", data, "--format", "docx", *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot") and "empty dataset" in err, err
 
     def test_rank_outputs(self, docx_corpus, tmp_path):
         data = tmp_path / "docx.csv"

@@ -15,6 +15,7 @@ from trap4phish.ml import (
     TreeParams,
     evaluate,
     f1_score,
+    load_model,
     metrics_table,
     stratified_split,
     train_decision_tree,
@@ -73,7 +74,8 @@ class TestDecisionTree:
     def test_serialization_roundtrip(self):
         ds = make_ds([[0, 3], [1, 2], [2, 1], [3, 0]], [0, 0, 1, 1])
         model = train_decision_tree(ds, TreeParams(max_depth=3))
-        again = DecisionTreeModel.from_json(model.to_json())
+        again = load_model(model.to_json())
+        assert isinstance(again, DecisionTreeModel)
         assert again.to_json() == model.to_json()
         x = np.array([[0.5, 2.5], [2.5, 0.5]])
         assert (again.predict_many(x) == model.predict_many(x)).all()
@@ -105,7 +107,7 @@ class TestRandomForest:
         monkeypatch.setattr(tree_module, "pack_trees", lambda trees: packed.append(len(trees)) or real(trees))
         forest = train_random_forest(self._blob_ds(n=30), ForestParams(n_trees=7, seed=3))
         assert packed == [1] * 7
-        RandomForestModel.from_json(forest.to_json())
+        assert isinstance(load_model(forest.to_json()), RandomForestModel)
         assert packed == [1] * 14
 
     def test_forest_of_one_reduction(self):
@@ -154,7 +156,8 @@ class TestRandomForest:
     def test_serialization_roundtrip(self):
         ds = self._blob_ds(n=30)
         model = train_random_forest(ds, ForestParams(n_trees=5, seed=1))
-        again = RandomForestModel.from_json(model.to_json())
+        again = load_model(model.to_json())
+        assert isinstance(again, RandomForestModel)
         assert again.to_json() == model.to_json()
 
 

@@ -12,6 +12,7 @@ from trap4phish.ml import (
     RandomForestModel,
     SchemaMismatchError,
     TreeParams,
+    load_model,
 )
 from trap4phish.ml.tree import pack_trees
 
@@ -77,7 +78,8 @@ def test_tree_matches_reference(nodes, x):
     model = dt(nodes)
     expected = tree_ref.tree_predict(nodes, x)
     assert model.predict_many(x).tolist() == expected.tolist()
-    again = DecisionTreeModel.from_json(model.to_json())
+    again = load_model(model.to_json())
+    assert isinstance(again, DecisionTreeModel)
     assert again.predict_many(x).tolist() == expected.tolist()
 
 
@@ -87,7 +89,8 @@ def test_forest_matches_reference(trees, x):
     model = rf(trees)
     expected = tree_ref.forest_predict(trees, x)
     assert model.predict_many(x).tolist() == expected.tolist()
-    again = RandomForestModel.from_json(model.to_json())
+    again = load_model(model.to_json())
+    assert isinstance(again, RandomForestModel)
     assert again.predict_many(x).tolist() == expected.tolist()
 
 
