@@ -66,14 +66,15 @@ def _read_sized(table: list[int], start: int, size: int, sectors: bytes, sector_
                 name: str) -> bytes:
     """The first `size` bytes of the chain's sectors, sector n being
     sectors[n * sector_size:][:sector_size]. A read takes at least one
-    sector, and a short one (the mini stream's last) is not padded."""
+    sector, and a short one (the mini stream's last) is not padded and
+    ends the read: no sector of the chain can follow it."""
     out = bytearray()
     for sector in _chain(table, start, name):
         off = sector * sector_size
         if off >= len(sectors):
             raise CfbRangeError(f"{name} chain references sector {sector} past {len(sectors)} bytes")
         out += sectors[off:off + sector_size]
-        if len(out) >= size:
+        if len(out) >= size or off + sector_size > len(sectors):
             break
     if len(out) < size:
         raise CfbFormatError(f"{name} chain ends after {len(out)} of {size} bytes")

@@ -130,6 +130,9 @@ def vba_extract(cfb: CfbFile, warnings: list[str] | None = None) -> list[VbaModu
             size = 6  # PROJECTVERSION: declared size must be ignored
         payload = dir_data[pos:pos + size]
         pos += size
+        if len(payload) < size:
+            warnings.append(f"vba: dir record 0x{rec_id:04x} cut short: {len(payload)} of {size} bytes")
+            break
         if rec_id == _REC_PROJECT_CODEPAGE and size == 2:
             cp = struct.unpack_from("<H", payload, 0)[0]
             codepage = f"cp{cp}"

@@ -1,9 +1,11 @@
+import io
 import random
 import struct
 import zipfile
 
 import pytest
 
+from trap4phish.analyzers import FORMATS
 from trap4phish.containers import (
     CfbBadSignature,
     CfbCycleError,
@@ -19,7 +21,7 @@ from trap4phish.containers import (
     vba_extract,
     zip_open,
 )
-from trap4phish.synth import CfbWriter, build_vba_project, ovba_compress
+from trap4phish.synth import CfbWriter, SynthConfig, build_vba_project, ovba_compress, synthesize
 
 import ovba_ref
 from conftest import make_zip
@@ -180,6 +182,18 @@ class TestCfbChains:
         with pytest.raises(CfbFormatError):
             _read(data, "m")
 
+    def test_mini_sector_cut_by_mini_stream_size_ends_the_read(self):
+        data = _two_streams()
+        # as above, and the chain goes on from the cut mini sector 3 to
+        # mini sector 0: the 10 bytes of sector 3 end the mini stream, so
+        # no later sector may be joined to them
+        struct.pack_into("<Q", data, _dir_entry(data, "m") + 120, 210)
+        root = 512 + struct.unpack_from("<L", data, 48)[0] * 512
+        struct.pack_into("<Q", data, root + 120, 3 * 64 + 10)
+        _set_next(data, 60, 3, 0)
+        with pytest.raises(CfbFormatError):
+            _read(data, "m")
+
 
 class TestCfb:
     def test_small_stream_roundtrip(self):
@@ -313,3 +327,67 @@ class TestVbaExtract:
         modules = vba_extract(cfb_open(writer.tobytes()))
         assert len(modules) == 1
         assert modules[0].source == source_text
+
+    @pytest.mark.parametrize("cut_record, module_name", [
+        ((0x0003, struct.pack("<H", 1252)), None),  # PROJECTCODEPAGE keeps 1 of 2 bytes
+        ((0x0031, struct.pack("<L", 0)), "M1"),  # MODULEOFFSET keeps 3 of 4 bytes
+    ])
+    @pytest.mark.parametrize("fmt", ["docx", "xlsx"])
+    def test_record_cut_by_end_of_dir_stream(self, fmt, cut_record, module_name):
+        records = [(0x0001, struct.pack("<L", 1))]
+        if module_name:
+            records += [(0x0019, b"M1"), (0x001A, b"M1")]
+        records.append(cut_record)
+        dir_stream = b"".join(struct.pack("<HL", rec_id, len(payload)) + payload
+                              for rec_id, payload in records)[:-1]
+        writer = CfbWriter()
+        writer.add_stream("VBA/dir", ovba_compress(dir_stream))
+        writer.add_stream("VBA/M1", ovba_compress(b"Sub AutoOpen()\r\nEnd Sub\r\n"))
+        project = writer.tobytes()
+        warnings: list[str] = []
+        modules = vba_extract(cfb_open(project), warnings)
+        assert [m.name for m in modules] == ([module_name] if module_name else [])
+        assert f"vba: dir record 0x{cut_record[0]:04x} cut short" in " ".join(warnings)
+        report = FORMATS[fmt].analyze(_with_vba_project(_corpus_file(fmt), project))
+        assert any(w.startswith("vba: dir record") for w in report.warnings), report.warnings
+
+    @pytest.mark.parametrize("fmt", ["docx", "xlsx"])
+    def test_every_truncation_of_a_corpus_dir_stream_gives_a_report(self, fmt):
+        document = _corpus_file(fmt)
+        cfb = cfb_open(_vba_project(document))
+        streams = {e.path: cfb.read_entry(e) for e in cfb.directory if e.entry_type == "stream"}
+        dir_stream = ovba_decompress(streams["VBA/dir"])
+        cuts = set()  # lengths that end inside a record's payload
+        pos = 0
+        while pos + 6 <= len(dir_stream):
+            size = struct.unpack_from("<L", dir_stream, pos + 2)[0]
+            cuts.update(range(pos + 6, pos + 6 + size))
+            pos += 6 + size
+        assert pos == len(dir_stream) and cuts
+        width = len(FORMATS[fmt].schema)
+        for n in range(len(dir_stream)):
+            writer = CfbWriter()
+            for path, data in streams.items():
+                writer.add_stream(path, ovba_compress(dir_stream[:n]) if path == "VBA/dir" else data)
+            report = FORMATS[fmt].analyze(_with_vba_project(document, writer.tobytes()))
+            assert len(report.features.values) == width
+            cut = any(w.startswith("vba: dir record") for w in report.warnings)
+            assert cut == (n in cuts), (n, report.warnings)
+
+
+def _corpus_file(fmt: str) -> bytes:
+    """A malicious corpus file of `fmt`, one with a VBA project."""
+    return synthesize(SynthConfig(fmt, count=1, seed=3))[1][1]
+
+
+def _vba_project(document: bytes) -> bytes:
+    with zipfile.ZipFile(io.BytesIO(document)) as zf:
+        [name] = [n for n in zf.namelist() if n.endswith("vbaProject.bin")]
+        return zf.read(name)
+
+
+def _with_vba_project(document: bytes, project: bytes) -> bytes:
+    """`document` with its vbaProject.bin replaced by `project`."""
+    with zipfile.ZipFile(io.BytesIO(document)) as zf:
+        entries = {n: project if n.endswith("vbaProject.bin") else zf.read(n) for n in zf.namelist()}
+    return make_zip(entries)
