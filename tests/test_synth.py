@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 
 from trap4phish.analyzers import FORMATS, analyze_docx, analyze_html, analyze_pdf, analyze_xlsx
 from trap4phish.core import FileKind, sniff_file_kind
-from trap4phish.synth import SynthConfig, synthesize, write_corpus
+from trap4phish.containers import cfb_open
+from trap4phish.synth import CfbWriter, SynthConfig, build_vba_project, synthesize, write_corpus
+from trap4phish.synth.cfbwrite import MINI_CUTOFF
 
 
 @pytest.mark.parametrize("fmt", list(FORMATS))
@@ -108,3 +112,72 @@ def test_labels_csv(tmp_path):
     assert lines[0] == "path,label"
     assert len(lines) == 7
     assert sum(1 for line in lines[1:] if line.endswith(",1")) == 3
+
+
+# --- byte pins -------------------------------------------------------------
+# The goldens hash feature CSVs of default-toggle corpora only, and every
+# corpus VBA stream is small enough for the mini stream. These digests pin the
+# bytes of toggled corpora and of the CFB writer's FAT path, so a refactor of
+# `synth` that moves a byte fails here.
+
+_TOGGLES = ("macros", "dde", "ole", "js_actions", "hidden_iframes", "remote_templates")
+
+CORPUS_DIGESTS = {
+    "docx": "dce0797dc6ae471454aad8e63e1cce74edb7202ac8196b10a35dcc0e5b8727d8",
+    "xlsx": "0d77646495a38482563f3b1c76ea79aa2832f74b286d8e5c3cdb58afb7b95246",
+    "pdf": "bb622c5b1c5c37ae618bd3b8e4bf201c630064853a646763f5af4416c2cfcb0f",
+    "html": "1525d7aed471c84a151a5c46c52253fda286ec7955df3457613d3cad4ca7e5f6",
+}
+
+
+def _sha256(*chunks: bytes) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(len(chunk).to_bytes(8, "little"))
+        h.update(chunk)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("fmt", list(FORMATS))
+def test_corpus_bytes_pinned_under_every_toggle(fmt):
+    """Seeds 1 and 11, under the defaults and then each toggle off alone."""
+    chunks = []
+    for seed in (1, 11):
+        for off in (None,) + _TOGGLES:
+            config = SynthConfig(fmt, count=6, seed=seed, **({off: False} if off else {}))
+            for name, data, label in synthesize(config):
+                chunks += [f"{seed} {off} {name} {label}".encode(), data]
+    assert _sha256(*chunks) == CORPUS_DIGESTS[fmt]
+
+
+def test_vba_project_bytes_pinned():
+    project = build_vba_project([
+        ("Module1", "Sub AutoOpen()\n    Shell \"calc.exe\"\nEnd Sub\n"),
+        ("ThisDocument", "Sub Document_Open()\n    AutoOpen\nEnd Sub\n"),
+    ])
+    assert _sha256(project) == "2e4ddf900d688893b146576752af58f2bc42301873dc672bee9d721f61263b2b"
+
+
+def test_cfb_writer_fat_path_bytes_pinned():
+    """Nested storages, siblings of different name lengths, an empty stream
+    and streams at, above and below the 4,096-byte mini-stream cutoff."""
+    big = bytes(range(256)) * 40  # 10,240 bytes: a FAT chain of 20 sectors
+    streams = {
+        "PROJECT": b"ID=\"{0}\"\r\n",
+        "PROJECTwm": b"",
+        "VBA/dir": b"\x01" * 700,
+        "VBA/_VBA_PROJECT": b"\xcc\x61\xff\xff\x00\x00\x00",
+        "VBA/Module1": big,
+        "VBA/Forms/Frame/f": b"\x02" * MINI_CUTOFF,
+        "VBA/Forms/Frame/o": b"\x03" * (MINI_CUTOFF - 1),
+        "Macros/A": b"a",
+        "Macros/BB": b"bb" * 3000,
+    }
+    writer = CfbWriter()
+    for path, data in streams.items():
+        writer.add_stream(path, data)
+    blob = writer.tobytes()
+    cfb = cfb_open(blob)
+    for path, data in streams.items():
+        assert cfb.read_entry(cfb.find_stream(path)) == data, path
+    assert _sha256(blob) == "879b2e7480660400c00928fb6e21a46d8a91a7bf18d43f594f4f45c8f4b8c9c2"
