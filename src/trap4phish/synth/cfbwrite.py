@@ -38,37 +38,22 @@ class CfbWriter:
 
     def tobytes(self) -> bytes:
         entries: list[dict] = []
-        root = {"name": "Root Entry", "type": 5, "children": [], "data": None}
-        entries.append(root)
 
-        def add_children(node: dict, tree: dict):
-            for name in sorted(tree, key=lambda n: (len(n), n.upper())):
-                value = tree[name]
-                child = {
-                    "name": name,
-                    "type": 1 if isinstance(value, dict) else 2,
-                    "children": [],
-                    "data": None if isinstance(value, dict) else value,
-                }
-                entries.append(child)
-                node["children"].append(child)
-                if isinstance(value, dict):
-                    add_children(child, value)
+        def add(name: str, entry_type: int, value: dict | bytes) -> dict:
+            # The pre-order walk links each entry as it appends it: a first
+            # child from its parent's `child`, a later one from the previous
+            # sibling's `right`, so siblings form a right-leaning BST.
+            entry = {"name": name, "type": entry_type, "data": None if isinstance(value, dict) else value,
+                     "left": _NOSTREAM, "right": _NOSTREAM, "child": _NOSTREAM}
+            entries.append(entry)
+            if isinstance(value, dict):
+                link, key = entry, "child"
+                for child in sorted(value, key=lambda n: (len(n), n.upper())):
+                    link[key] = len(entries)
+                    link, key = add(child, 1 if isinstance(value[child], dict) else 2, value[child]), "right"
+            return entry
 
-        add_children(root, self._tree)
-
-        # Sibling lists become degenerate right-leaning BSTs.
-        index_of = {id(e): i for i, e in enumerate(entries)}
-        for entry in entries:
-            entry["left"] = _NOSTREAM
-            entry["right"] = _NOSTREAM
-            entry["child"] = _NOSTREAM
-        for entry in entries:
-            kids = entry["children"]
-            if kids:
-                entry["child"] = index_of[id(kids[0])]
-                for a, b in zip(kids, kids[1:]):
-                    a["right"] = index_of[id(b)]
+        root = add("Root Entry", 5, self._tree)
 
         # Mini stream: concatenation of small streams in 64-byte slots.
         mini_data = bytearray()

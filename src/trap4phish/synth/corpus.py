@@ -94,7 +94,52 @@ def _words(rng, low: int, high: int) -> list[str]:
     return [WORDS[int(k)] for k in rng.integers(0, len(WORDS), n)]
 
 
-def _zip_bytes(entries: dict[str, bytes | str]) -> bytes:
+def _indicators(rng, config: SynthConfig, names: tuple[str, ...]) -> list[str]:
+    """The malicious indicators of one file: the first enabled toggle of
+    `names` goes into every malicious file, and each other enabled one with
+    probability 1/2, so the signals are not fully redundant."""
+    enabled = [n for n in names if getattr(config, n)]
+    if not enabled:
+        raise ValueError(f"malicious {config.format} generation needs at least one indicator toggle")
+    return enabled[:1] + [n for n in enabled[1:] if rng.random() < 0.5]
+
+
+# --- OOXML packages --------------------------------------------------------
+
+_XML_HEAD = '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
+_REL_NS = "http://schemas.openxmlformats.org/officeDocument/2006/relationships"
+
+
+def _relationship(rel_id: str, kind: str, target: str, external: bool = False) -> str:
+    mode = ' TargetMode="External"' if external else ""
+    return f'<Relationship Id="{rel_id}" Type="{_REL_NS}/{kind}" Target="{target}"{mode}/>'
+
+
+def _relationships(rels: list[str]) -> str:
+    return (_XML_HEAD + '<Relationships xmlns="http://schemas.openxmlformats.org/package/2006/relationships">'
+            + "".join(rels) + "</Relationships>")
+
+
+def _package(main_part: str, main_type: str, entries: dict[str, bytes | str],
+             parts: dict[str, str]) -> bytes:
+    """ZIP bytes of an OOXML package whose main part `main_part` has content
+    type `main_type`. Entry order is part of the bytes: `entries` (the
+    indicator parts), then the content types and package relationships,
+    then `parts`."""
+    entries = {
+        **entries,
+        "[Content_Types].xml": (
+            _XML_HEAD + '<Types xmlns="http://schemas.openxmlformats.org/package/2006/content-types">'
+            '<Default Extension="rels" ContentType="application/vnd.openxmlformats-package.relationships+xml"/>'
+            '<Default Extension="xml" ContentType="application/xml"/>'
+            '<Default Extension="bin" ContentType="application/vnd.ms-office.vbaProject"/>'
+            f'<Override PartName="/{main_part}" '
+            f'ContentType="application/vnd.openxmlformats-officedocument.{main_type}.main+xml"/>'
+            "</Types>"
+        ),
+        "_rels/.rels": _relationships([_relationship("rId1", "officeDocument", main_part)]),
+        **parts,
+    }
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED, compresslevel=6) as zf:
         for name, data in entries.items():
@@ -106,25 +151,6 @@ def _zip_bytes(entries: dict[str, bytes | str]) -> bytes:
 
 # --- docx ----------------------------------------------------------------
 
-_DOCX_CONTENT_TYPES = (
-    '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-    '<Types xmlns="http://schemas.openxmlformats.org/package/2006/content-types">'
-    '<Default Extension="rels" ContentType="application/vnd.openxmlformats-package.relationships+xml"/>'
-    '<Default Extension="xml" ContentType="application/xml"/>'
-    '<Default Extension="bin" ContentType="application/vnd.ms-office.vbaProject"/>'
-    '<Override PartName="/word/document.xml" '
-    'ContentType="application/vnd.openxmlformats-officedocument.wordprocessingml.document.main+xml"/>'
-    "</Types>"
-)
-
-_DOCX_RELS = (
-    '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-    '<Relationships xmlns="http://schemas.openxmlformats.org/package/2006/relationships">'
-    '<Relationship Id="rId1" '
-    'Type="http://schemas.openxmlformats.org/officeDocument/2006/relationships/officeDocument" '
-    'Target="word/document.xml"/></Relationships>'
-)
-
 
 def make_docx(rng: np.random.Generator, config: SynthConfig, malicious: bool) -> bytes:
     paragraphs = []
@@ -134,16 +160,7 @@ def make_docx(rng: np.random.Generator, config: SynthConfig, malicious: bool) ->
     body_extra = ""
     doc_rels = []
     entries: dict[str, bytes | str] = {}
-
-    indicators = []
-    if malicious:
-        # the first enabled indicator goes into every malicious file; the
-        # others vary so the signals are not fully redundant
-        enabled = [n for n, on in (("macros", config.macros), ("dde", config.dde),
-                                   ("ole", config.ole)) if on]
-        if not enabled:
-            raise ValueError("malicious docx generation needs at least one indicator toggle")
-        indicators = [enabled[0]] + [n for n in enabled[1:] if rng.random() < 0.5]
+    indicators = _indicators(rng, config, ("macros", "dde", "ole")) if malicious else []
 
     if "macros" in indicators:
         template = MACRO_TEMPLATES[int(rng.integers(len(MACRO_TEMPLATES)))]
@@ -163,33 +180,22 @@ def make_docx(rng: np.random.Generator, config: SynthConfig, malicious: bool) ->
             entries[f"word/embeddings/oleObject{k + 1}.bin"] = bytes(
                 rng.integers(0, 256, int(rng.integers(64, 512)), dtype=np.uint8)
             )
-            doc_rels.append(
-                f'<Relationship Id="{rel_id}" '
-                'Type="http://schemas.openxmlformats.org/officeDocument/2006/relationships/oleObject" '
-                f'Target="embeddings/oleObject{k + 1}.bin"/>'
-            )
+            doc_rels.append(_relationship(rel_id, "oleObject", f"embeddings/oleObject{k + 1}.bin"))
             body_extra += (
                 f'<w:p><w:object><o:OLEObject Type="Embed" ProgID="Package" r:id="{rel_id}"/>'
                 "</w:object></w:p>"
             )
 
-    document = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-        '<w:document xmlns:w="http://schemas.openxmlformats.org/wordprocessingml/2006/main" '
-        'xmlns:o="urn:schemas-microsoft-com:office:office" '
-        'xmlns:r="http://schemas.openxmlformats.org/officeDocument/2006/relationships">'
-        f"<w:body>{''.join(paragraphs)}{body_extra}<w:sectPr/></w:body></w:document>"
-    )
-    entries["[Content_Types].xml"] = _DOCX_CONTENT_TYPES
-    entries["_rels/.rels"] = _DOCX_RELS
-    entries["word/document.xml"] = document
-    if doc_rels:
-        entries["word/_rels/document.xml.rels"] = (
-            '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-            '<Relationships xmlns="http://schemas.openxmlformats.org/package/2006/relationships">'
-            + "".join(doc_rels) + "</Relationships>"
+    parts = {
+        "word/document.xml": (
+            _XML_HEAD + '<w:document xmlns:w="http://schemas.openxmlformats.org/wordprocessingml/2006/main" '
+            f'xmlns:o="urn:schemas-microsoft-com:office:office" xmlns:r="{_REL_NS}">'
+            f"<w:body>{''.join(paragraphs)}{body_extra}<w:sectPr/></w:body></w:document>"
         )
-    return _zip_bytes(entries)
+    }
+    if doc_rels:
+        parts["word/_rels/document.xml.rels"] = _relationships(doc_rels)
+    return _package("word/document.xml", "wordprocessingml.document", entries, parts)
 
 
 # --- xlsx ----------------------------------------------------------------
@@ -211,75 +217,38 @@ def make_xlsx(rng: np.random.Generator, config: SynthConfig, malicious: bool) ->
                 cells.append(f'<c r="{col}{r}" t="s"><v>{len(shared) - 1}</v></c>')
         rows_xml.append(f'<row r="{r}">{"".join(cells)}</row>')
 
-    workbook_rels = [
-        '<Relationship Id="rId1" '
-        'Type="http://schemas.openxmlformats.org/officeDocument/2006/relationships/worksheet" '
-        'Target="worksheets/sheet1.xml"/>'
-    ]
+    workbook_rels = [_relationship("rId1", "worksheet", "worksheets/sheet1.xml")]
     entries: dict[str, bytes | str] = {}
     defined_names = ""
-
-    indicators = []
-    if malicious:
-        enabled = [n for n, on in (("macros", config.macros),
-                                   ("remote_template", config.remote_templates)) if on]
-        if not enabled:
-            raise ValueError("malicious xlsx generation needs at least one indicator toggle")
-        indicators = [enabled[0]] + [n for n in enabled[1:] if rng.random() < 0.5]
+    indicators = _indicators(rng, config, ("macros", "remote_templates")) if malicious else []
 
     if "macros" in indicators:
         chain = " & ".join(f"Chr({int(rng.integers(65, 122))})" for _ in range(int(rng.integers(24, 64))))
         source = OBFUSCATED_MACRO.format(chain=chain)
         entries["xl/vbaProject.bin"] = build_vba_project([("ThisWorkbook", source)])
         defined_names = '<definedNames><definedName name="Auto_Open">Sheet1!$A$1</definedName></definedNames>'
-    if "remote_template" in indicators:
+    if "remote_templates" in indicators:
         host = _words(rng, 1, 1)[0]
         workbook_rels.append(
-            '<Relationship Id="rId9" '
-            'Type="http://schemas.openxmlformats.org/officeDocument/2006/relationships/attachedTemplate" '
-            f'Target="http://{host}.test/t.dotm" TargetMode="External"/>'
-        )
+            _relationship("rId9", "attachedTemplate", f"http://{host}.test/t.dotm", external=True))
 
-    entries["[Content_Types].xml"] = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-        '<Types xmlns="http://schemas.openxmlformats.org/package/2006/content-types">'
-        '<Default Extension="rels" ContentType="application/vnd.openxmlformats-package.relationships+xml"/>'
-        '<Default Extension="xml" ContentType="application/xml"/>'
-        '<Default Extension="bin" ContentType="application/vnd.ms-office.vbaProject"/>'
-        '<Override PartName="/xl/workbook.xml" '
-        'ContentType="application/vnd.openxmlformats-officedocument.spreadsheetml.sheet.main+xml"/>'
-        "</Types>"
-    )
-    entries["_rels/.rels"] = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-        '<Relationships xmlns="http://schemas.openxmlformats.org/package/2006/relationships">'
-        '<Relationship Id="rId1" '
-        'Type="http://schemas.openxmlformats.org/officeDocument/2006/relationships/officeDocument" '
-        'Target="xl/workbook.xml"/></Relationships>'
-    )
-    entries["xl/workbook.xml"] = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-        '<workbook xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main" '
-        'xmlns:r="http://schemas.openxmlformats.org/officeDocument/2006/relationships">'
-        f'<sheets><sheet name="Sheet1" sheetId="1" r:id="rId1"/></sheets>{defined_names}</workbook>'
-    )
-    entries["xl/_rels/workbook.xml.rels"] = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-        '<Relationships xmlns="http://schemas.openxmlformats.org/package/2006/relationships">'
-        + "".join(workbook_rels) + "</Relationships>"
-    )
-    entries["xl/worksheets/sheet1.xml"] = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-        '<worksheet xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main">'
-        f'<sheetData>{"".join(rows_xml)}</sheetData></worksheet>'
-    )
-    entries["xl/sharedStrings.xml"] = (
-        '<?xml version="1.0" encoding="UTF-8" standalone="yes"?>\n'
-        f'<sst xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main" count="{len(shared)}" '
-        f'uniqueCount="{len(shared)}">'
-        + "".join(f"<si><t>{s}</t></si>" for s in shared) + "</sst>"
-    )
-    return _zip_bytes(entries)
+    return _package("xl/workbook.xml", "spreadsheetml.sheet", entries, {
+        "xl/workbook.xml": (
+            _XML_HEAD + '<workbook xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main" '
+            f'xmlns:r="{_REL_NS}">'
+            f'<sheets><sheet name="Sheet1" sheetId="1" r:id="rId1"/></sheets>{defined_names}</workbook>'
+        ),
+        "xl/_rels/workbook.xml.rels": _relationships(workbook_rels),
+        "xl/worksheets/sheet1.xml": (
+            _XML_HEAD + '<worksheet xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main">'
+            f'<sheetData>{"".join(rows_xml)}</sheetData></worksheet>'
+        ),
+        "xl/sharedStrings.xml": (
+            _XML_HEAD + '<sst xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main" '
+            f'count="{len(shared)}" uniqueCount="{len(shared)}">'
+            + "".join(f"<si><t>{s}</t></si>" for s in shared) + "</sst>"
+        ),
+    })
 
 
 # --- pdf -----------------------------------------------------------------
