@@ -16,7 +16,8 @@ it. Both steps look for candidates in grid cells sized by scale level,
 1.5 * 2**level wide, and only in the cells around a point, so the finder
 stage stays linear in the number of hits even on bitmaps tiled with
 finder-like cells of mixed sizes. The finder triple is picked by scoring
-all ordered triples of the heaviest clusters at once. Refinement scans
+all ordered triples of the heaviest clusters at once, and the next-ranked
+triples are tried when the best one does not decode. Refinement scans
 nothing: it reads the hits of the rows and the column it needs out of the
 whole-bitmap hits.
 
@@ -35,7 +36,7 @@ import itertools
 
 import numpy as np
 
-from .errors import BadBitmap, FormatUnrecoverable, NoFinderPatterns, RsFailure, UnsupportedMode
+from .errors import BadBitmap, FormatUnrecoverable, NoFinderPatterns, QrError, RsFailure, UnsupportedMode
 from .gf256 import RsDecodeError, rs_decode
 from .matrix import read_data_bits, read_format_words
 from .render import QrBitmap
@@ -59,6 +60,11 @@ _RATIOS = (1, 1, 3, 1, 1)
 # at 31 px a module with a 4-module quiet zone (2015 px).
 MAX_PIXELS = 2048 * 2048
 
+# A finder-like pattern in the data region can outweigh a real finder, so a
+# triple that fails to decode gives way to the next-ranked one. Every symbol
+# that decodes on the first triple costs nothing more.
+MAX_TRIPLES = 4
+
 
 def qr_decode(bitmap: QrBitmap) -> bytes:
     """Decode a rendered QR bitmap back to its byte-mode payload."""
@@ -67,7 +73,16 @@ def qr_decode(bitmap: QrBitmap) -> bytes:
                         f"{MAX_PIXELS}-pixel budget")
     binary = bitmap.pixels < 128
     clusters, row_hits, col_hits = _find_finder_centers(binary)
-    tl, tr, bl, unit = _select_finders(clusters)
+    first_error = None
+    for triple in _finder_triples(clusters, MAX_TRIPLES):
+        try:
+            return _decode_at(binary, row_hits, col_hits, *triple)
+        except QrError as exc:
+            first_error = first_error or exc
+    raise first_error
+
+
+def _decode_at(binary: np.ndarray, row_hits, col_hits, tl, tr, bl, unit: float) -> bytes:
     refined = [_refine_center(row_hits, col_hits, y, x, unit) for y, x in (tl, tr, bl)]
     tl, tr, bl = [(y, x) for y, x, _u in refined]
     unit = sum(u for _y, _x, u in refined) / 3.0
@@ -334,10 +349,15 @@ def _triples(n: int) -> np.ndarray:
 
 
 def _select_finders(clusters: list[dict]):
-    """Pick the (top-left, top-right, bottom-left) triple: the heaviest
-    cluster triple forming an upright L with equal arms, the least
-    asymmetric among equally heavy ones, the first in triple order among
-    equal ones. All triples are scored at once."""
+    """The (top-left, top-right, bottom-left) triple tried first."""
+    return _finder_triples(clusters, 1)[0]
+
+
+def _finder_triples(clusters: list[dict], limit: int) -> list[tuple]:
+    """Up to `limit` (top-left, top-right, bottom-left, unit) triples that
+    form an upright L with equal arms: the heaviest first, the least
+    asymmetric first among equally heavy ones, in triple order among equal
+    ones. All triples are scored at once."""
     tl, tr, bl = _triples(len(clusters)).astype(np.intp)
     y, x = np.array([(c["y"], c["x"]) for c in clusters]).reshape(-1, 2).T
     weight = np.array([c["weight"] for c in clusters], dtype=np.int64)
@@ -350,12 +370,15 @@ def _select_finders(clusters: list[dict]):
     if not len(valid):
         raise NoFinderPatterns("no upright finder triple found")
     total = weight[tl[valid]] + weight[tr[valid]] + weight[bl[valid]]
-    valid = valid[total == total.max()]
     asym = np.abs(v1y[valid]) + np.abs(v2x[valid]) + arms[valid]
-    best = valid[np.argmin(asym)]
-    tl, tr, bl = (clusters[i[best]] for i in (tl, tr, bl))
-    unit = (tl["unit"] + tr["unit"] + bl["unit"]) / 3.0
-    return (tl["y"], tl["x"]), (tr["y"], tr["x"]), (bl["y"], bl["x"]), unit
+    # lexsort is stable, so equal keys keep triple order
+    ranked = valid[np.lexsort((asym, -total))[:limit]]
+    out = []
+    for i in ranked:
+        a, b, c = clusters[tl[i]], clusters[tr[i]], clusters[bl[i]]
+        out.append(((a["y"], a["x"]), (b["y"], b["x"]), (c["y"], c["x"]),
+                    (a["unit"] + b["unit"] + c["unit"]) / 3.0))
+    return out
 
 
 def _sample_grid(binary: np.ndarray, tl, tr, bl, unit: float) -> tuple[np.ndarray, int]:

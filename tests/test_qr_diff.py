@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import qr_ref
 from test_qr import interleaved_block_ids
-from trap4phish.qr import QrBitmap, byte_mode_capacity, qr_decode, qr_encode, qr_render, to_pgm
+from trap4phish.qr import QrBitmap, QrError, byte_mode_capacity, decode, qr_decode, qr_encode, qr_render, to_pgm
 from trap4phish.qr.encode import build_data_codewords, interleave, mask_candidates
 from trap4phish.qr.gf256 import _syndromes, rs_decode, rs_encode
 from trap4phish.qr.matrix import QrMatrix, data_positions, penalty_scores
@@ -143,3 +143,43 @@ def test_roundtrip_with_correctable_damage(case, module_px, quiet_zone, data):
         errors.update({k: data.draw(st.integers(1, 255)) for k in chosen})
     bitmap = qr_render(damage(matrix, errors), module_px, quiet_zone)
     assert qr_decode(bitmap) == payload
+
+
+# A finder-like pattern in the data region of each symbol below outweighs a
+# real finder, so the first-ranked finder triple does not decode and the
+# decoder must go on to the next one.
+FALSE_TRIPLE_PAYLOAD = bytes.fromhex(
+    "d7e5db2d500c0fabe6164db339a82b7a7551fc3d5a023af45fd6fb70e7bc7276917caf48"
+    "971dabd8f394cb5d6cb0316f6459b51302ed99501557402d97b78847b9277339d99b0a31"
+    "dbcb5e2392a3321b04723b6820a08c0a6b85ca1e987e")
+FALSE_TRIPLE_DAMAGED_PAYLOAD = bytes.fromhex(
+    "ecb61b69d963ae58173b76228f3acea09e413d521faba0996fb3f7196f7fcd7b199be780"
+    "c797bac16ddea283048ac8aca2a9ff55c33d1d0621552fed352d6e2b826bb7c546928ed2"
+    "0caa038474ffc5a5e395a74f96e9716452a84b2e156d5302dda2ab7e2cf1deb384c03e")
+
+
+def assert_first_triple_fails(bitmap: QrBitmap):
+    binary = bitmap.pixels < 128
+    clusters, row_hits, col_hits = decode._find_finder_centers(binary)
+    with pytest.raises(QrError):
+        decode._decode_at(binary, row_hits, col_hits, *decode._select_finders(clusters))
+
+
+@pytest.mark.parametrize("module_px", [2, 3, 4])
+def test_decodes_past_a_false_finder_triple(module_px):
+    matrix = qr_encode(FALSE_TRIPLE_PAYLOAD, "Q", mask_id=1)
+    assert matrix.version == 8
+    assert qr_decode(qr_render(matrix, 1)) == FALSE_TRIPLE_PAYLOAD
+    bitmap = qr_render(matrix, module_px)
+    assert_first_triple_fails(bitmap)
+    assert qr_decode(bitmap) == FALSE_TRIPLE_PAYLOAD
+
+
+def test_decodes_past_a_false_finder_triple_with_damage():
+    """Two damaged codewords, well inside level H's capacity; the undamaged
+    symbol decodes on the first triple."""
+    matrix = qr_encode(FALSE_TRIPLE_DAMAGED_PAYLOAD, "H", mask_id=3, version=10)
+    assert qr_decode(qr_render(matrix, 3, 3)) == FALSE_TRIPLE_DAMAGED_PAYLOAD
+    bitmap = qr_render(damage(matrix, {270: 85, 294: 4}), 3, 3)
+    assert_first_triple_fails(bitmap)
+    assert qr_decode(bitmap) == FALSE_TRIPLE_DAMAGED_PAYLOAD
