@@ -76,8 +76,10 @@ class RandomForestModel:
 def load_model(text: str) -> DecisionTreeModel | RandomForestModel:
     """The DT or RF model in the model file `text` that `model_json` wrote.
     Raises ValueError on invalid JSON, an unknown model type, a format version
-    other than MODEL_FORMAT_VERSION or nodes that do not form a tree, and
-    KeyError or TypeError on missing or mistyped fields."""
+    other than MODEL_FORMAT_VERSION, nodes that do not form a tree (see
+    `pack_trees`), an RF whose tree count is not its `n_trees`, a split on a
+    column outside the schema or a threshold that is not finite, and KeyError
+    or TypeError on missing or mistyped fields."""
     payload = json.loads(text)
     kind = payload.get("model_type") if isinstance(payload, dict) else None
     if kind not in ("decision_tree", "random_forest"):
@@ -88,11 +90,20 @@ def load_model(text: str) -> DecisionTreeModel | RandomForestModel:
     schema = payload["schema"]
     meta = (tuple(schema["columns"]), schema["format_kind"], schema["version"])
     if kind == "decision_tree":
-        return DecisionTreeModel(payload["nodes"], TreeParams(**payload["params"]), *meta)
-    params = ForestParams(**payload["params"])
-    tree_params = params.tree_params()
-    return RandomForestModel([DecisionTreeModel(nodes, tree_params, *meta) for nodes in payload["trees"]],
-                             params, *meta)
+        model = DecisionTreeModel(payload["nodes"], TreeParams(**payload["params"]), *meta)
+    else:
+        params = ForestParams(**payload["params"])
+        if len(payload["trees"]) != params.n_trees:
+            raise ValueError(f"{len(payload['trees'])} trees, but n_trees is {params.n_trees}")
+        tree_params = params.tree_params()
+        model = RandomForestModel([DecisionTreeModel(nodes, tree_params, *meta) for nodes in payload["trees"]],
+                                  params, *meta)
+    packed = model.packed
+    if packed.width > len(model.columns):
+        raise ValueError(f"a split reads column {packed.width - 1} of {len(model.columns)}")
+    if not np.isfinite(packed.threshold).all():
+        raise ValueError("a split threshold is not finite")
+    return model
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:

@@ -63,9 +63,10 @@ class PackedTrees:
 def pack_trees(trees: list[list[dict]]) -> PackedTrees:
     """Pack the dict node lists of `trees` into one `PackedTrees`.
 
-    Raises ValueError when a node list is empty, a reachable split reads a
-    negative column, or the nodes reachable from a root do not form a tree
-    (a child index out of range, or a node reached twice).
+    Raises ValueError when a node list is empty, a leaf's label is not 0 or
+    1, a reachable split reads a negative column, or the nodes reachable from
+    a root do not form a tree (a child index out of range, or a node reached
+    twice).
     """
     feature, threshold, left, right, label, roots, depths = [], [], [], [], [], [], []
     for nodes in trees:
@@ -75,6 +76,8 @@ def pack_trees(trees: list[list[dict]]) -> PackedTrees:
         roots.append(base)
         for i, node in enumerate(nodes, base):
             if node["kind"] == "leaf":
+                if node["label"] not in (0, 1):
+                    raise ValueError(f"leaf {i - base} has label {node['label']!r}, not 0 or 1")
                 feature.append(-1)
                 threshold.append(0.0)
                 left.append(i)

@@ -186,6 +186,51 @@ class TestModelFilesV1:
         assert model.predict_many(self.ROWS).tolist() == labels
 
 
+
+class TestModelFileChecks:
+    """A model file that no `train` could have written is refused on load,
+    where the parent loaded each of these and took its contents on trust."""
+
+    @staticmethod
+    def mutated(name: str, edit) -> str:
+        payload = json.loads((Path(__file__).parent / "data" / name).read_text(encoding="utf-8"))
+        edit(payload)
+        return json.dumps(payload)
+
+    @staticmethod
+    def every_node(payload):
+        trees = payload["trees"] if "trees" in payload else [payload["nodes"]]
+        return [node for nodes in trees for node in nodes]
+
+    def test_leaf_label_other_than_0_or_1(self):
+        def edit(payload):
+            for node in self.every_node(payload):
+                if node["kind"] == "leaf":
+                    node["label"] = 7
+        with pytest.raises(ValueError, match="label 7"):
+            load_model(self.mutated("model_v1_decision_tree.json", edit))
+
+    def test_tree_count_other_than_n_trees(self):
+        def edit(payload):
+            payload["params"]["n_trees"] = 50
+        with pytest.raises(ValueError, match="3 trees, but n_trees is 50"):
+            load_model(self.mutated("model_v1_random_forest.json", edit))
+
+    @pytest.mark.parametrize("name", ["model_v1_decision_tree.json", "model_v1_random_forest.json"])
+    def test_split_on_a_column_outside_the_schema(self, name):
+        def edit(payload):
+            next(n for n in self.every_node(payload) if n["kind"] == "split")["feature"] = 999
+        with pytest.raises(ValueError, match="column 999 of 3"):
+            load_model(self.mutated(name, edit))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_threshold_that_is_not_finite(self, threshold):
+        def edit(payload):
+            next(n for n in self.every_node(payload) if n["kind"] == "split")["threshold"] = threshold
+        with pytest.raises(ValueError, match="not finite"):
+            load_model(self.mutated("model_v1_decision_tree.json", edit))
+
+
 class TestMetrics:
     def test_confusion_substitution(self):
         m = EvalMetrics.from_confusion(tp=3, fp=1, fn=1, tn=5)
