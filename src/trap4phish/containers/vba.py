@@ -16,6 +16,7 @@ _REC_PROJECT_CODEPAGE = 0x0003
 _REC_MODULE_NAME = 0x0019
 _REC_MODULE_STREAM_NAME = 0x001A
 _REC_MODULE_OFFSET = 0x0031
+_REC_DIR_TERMINATOR = 0x0010
 
 _CHUNK_DATA = 4096
 
@@ -101,7 +102,8 @@ def vba_extract(cfb: CfbFile, warnings: list[str] | None = None) -> list[VbaModu
     """Extract all VBA modules from a CFB file.
 
     Returns an empty list when no VBA storage exists. Malformed modules are
-    skipped with a note appended to `warnings`.
+    skipped with a note appended to `warnings`, and so is a `dir` stream cut
+    short, inside a record or before its terminator record.
     """
     if warnings is None:
         warnings = []
@@ -123,6 +125,7 @@ def vba_extract(cfb: CfbFile, warnings: list[str] | None = None) -> list[VbaModu
     modules_meta: list[dict] = []
     current: dict | None = None
     pos = 0
+    terminated = False
     while pos + 6 <= len(dir_data):
         rec_id, size = struct.unpack_from("<HL", dir_data, pos)
         pos += 6
@@ -133,6 +136,7 @@ def vba_extract(cfb: CfbFile, warnings: list[str] | None = None) -> list[VbaModu
         if len(payload) < size:
             warnings.append(f"vba: dir record 0x{rec_id:04x} cut short: {len(payload)} of {size} bytes")
             break
+        terminated |= rec_id == _REC_DIR_TERMINATOR
         if rec_id == _REC_PROJECT_CODEPAGE and size == 2:
             cp = struct.unpack_from("<H", payload, 0)[0]
             codepage = f"cp{cp}"
@@ -143,6 +147,9 @@ def vba_extract(cfb: CfbFile, warnings: list[str] | None = None) -> list[VbaModu
             current["stream"] = _decode(payload, codepage)
         elif rec_id == _REC_MODULE_OFFSET and current is not None and size == 4:
             current["offset"] = struct.unpack_from("<L", payload, 0)[0]
+    else:  # not after a record cut short, which has its own warning
+        if not terminated:
+            warnings.append("vba: dir stream ends before its terminator record")
 
     modules: list[VbaModule] = []
     for meta in modules_meta:

@@ -373,6 +373,8 @@ class TestVbaExtract:
             assert len(report.features.values) == width
             cut = any(w.startswith("vba: dir record") for w in report.warnings)
             assert cut == (n in cuts), (n, report.warnings)
+            # a cut between records, or inside a record's header, warns too
+            assert sum(w.startswith("vba: dir") for w in report.warnings) == 1, (n, report.warnings)
 
 
 def _corpus_file(fmt: str) -> bytes:
