@@ -7,10 +7,12 @@ benchmark's hostile workload; the rest are the other lazy patterns the
 analyzers had, two backtracking regexes (an attribute-name run with no
 `=`, and `url(` openers that never close), digit runs for the PDF
 patterns that start with a digit class, start-tag openers with no `>`
-after them, and HTML `<` that start no tag. Timing is process CPU time,
-with the n and 4n inputs run back to back in pairs and the median pair
-ratio deciding, so a slow spell of a shared machine does not. Linear is 4
-and quadratic 16.
+after them, and HTML `<` that start no tag. The last four put near misses
+at the bytes where the whole-buffer passes begin: an attribute's `=`, the
+PDF `obj`, the xref letters `n` and `f`, and a JS escape's `\\u` or `%u`.
+Timing is process CPU time, with the n and 4n inputs run back to back in
+pairs and the median pair ratio deciding, so a slow spell of a shared
+machine does not. Linear is 4 and quadratic 16.
 """
 
 import importlib
@@ -172,6 +174,39 @@ def _pdf_digit_runs(n):
     return analyze_pdf, ("%PDF-1.4\n" + body + "%%EOF\n").encode()
 
 
+def _docx_attr_equals(n):
+    # `=` after long whitespace runs, each run after a near-miss name: a name
+    # with a byte more or less than a counted one, or one of another case
+    names = ("Targetx", "xId", "r:idx", "Types", "nam", "ID", "w:val", "xmlnsx")
+    pad = " \t\n\r" * 10
+    attrs = "".join(f" {names[i % len(names)]}{pad}={pad}" for i in range(n))
+    return analyze_docx, make_docx(document_xml=f"<w:document><w:body><w:p{attrs}/></w:body></w:document>")
+
+
+def _pdf_obj_keywords(n):
+    # `obj` and `objx` after long whitespace runs and digit runs too long for
+    # an object or generation number
+    rng = random.Random(7)
+    pad = " \n\t\r" * 10
+    body = "".join(f"{rng.randrange(10**10, 10**14)}{pad}{rng.randrange(10**5, 10**8)}{pad}obj\n"
+                   f"{i}{pad}{i % 9}{pad}objx\n" for i in range(n))
+    return analyze_pdf, ("%PDF-1.4\n" + body + "%%EOF\n").encode()
+
+
+def _pdf_xref_letters(n):
+    # xref-entry letters `n` and `f` after entries one digit short: a 9-digit
+    # offset, or a 4-digit generation
+    body = "".join(f"{i % 10**9:09d} {i % 10**5:05d} n\r\n{i % 10**10:010d} {i % 10**4:04d} f\r\n" for i in range(n))
+    return analyze_pdf, ("%PDF-1.4\nxref\n0 1\n" + body + "trailer\n%%EOF\n").encode()
+
+
+def _html_js_escapes(n):
+    # `\u` and `%u` followed by 3 hex digits, one short of an escape
+    rng = random.Random(8)
+    escapes = "".join(f"\\u{_hex(rng, 2)[:3]}x%u{_hex(rng, 2)[:3]}g" for _ in range(n))
+    return analyze_html, f"<html><body><script>var s='{escapes}';</script><p>{escapes}</p></body></html>".encode()
+
+
 FAMILIES = {
     "pdf_streams": (_pdf_streams, 1000),
     "pdf_objects": (_pdf_objects, 2000),
@@ -198,6 +233,10 @@ FAMILIES = {
     "html_unclosed_openers": (_html_unclosed_openers, 8000),
     "html_stray_lt": (_html_stray_lt, 16000),
     "pdf_digit_runs": (_pdf_digit_runs, 2000),
+    "docx_attr_equals": (_docx_attr_equals, 2000),
+    "pdf_obj_keywords": (_pdf_obj_keywords, 2000),
+    "pdf_xref_letters": (_pdf_xref_letters, 4000),
+    "html_js_escapes": (_html_js_escapes, 16000),
 }
 
 
