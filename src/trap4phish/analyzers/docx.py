@@ -75,17 +75,21 @@ SELECTED = SCHEMA.project((
 #   starts inside another. The name must be followed by whitespace, "/" or
 #   ">", which no name holds.
 # - An attribute match is a whitespace byte, a name, whitespace and its first
-#   "=". Past its first byte it holds whitespace only after the name, where
-#   only whitespace or "=" follows and no name starts. The name must be
-#   followed by whitespace or "=", which no name holds.
-# Each pattern starts with one literal or one class, so `re` skips ahead to
-# each "<" or whitespace byte instead of trying a match at every offset.
+#   "=": `\s(names)\s*=`. It holds one "=", at its end, and its name is the
+#   whole token between the whitespace and `\s*=`, so each "=" ends at most
+#   one match. The pattern reads a reversed window from each "=" instead:
+#   `=\s*(reversed names)\s`, whose matches are those matches reversed.
+# Each pattern starts with a literal, so `re` skips ahead to each "<" or "="
+# instead of trying a match at every offset: a class first, as in the
+# forward attribute pattern, is tried at every byte.
 _ELEMENT_RE = re.compile(
     rb"<(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ELEMENTS) + rb")(?=[\s/>])")
 _ATTRIBUTE_RE = re.compile(
-    rb"\s(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ATTRIBUTES) + rb")\s*=")
-# the two name sets are disjoint, so a name alone names its column
-_STRUCT_COLUMN_OF = {n.encode(): _struct_column(n) for n in STRUCT_ATTRIBUTES + STRUCT_ELEMENTS}
+    rb"=\s*(" + b"|".join(re.escape(n.encode()[::-1]) for n in STRUCT_ATTRIBUTES) + rb")\s")
+# an element name or a reversed attribute name names its column; no reversed
+# attribute name is an element name
+_STRUCT_COLUMN_OF = {**{n.encode(): _struct_column(n) for n in STRUCT_ELEMENTS},
+                     **{n.encode()[::-1]: _struct_column(n) for n in STRUCT_ATTRIBUTES}}
 # A part is searched in windows. Each ends just before a "<" or just after a
 # "=", whichever comes first at least _WINDOW bytes past its start; no match
 # crosses either point. Every match holds a "<" or a "=", so a window holds
@@ -161,7 +165,7 @@ def _struct_counts(parts) -> dict[str, int]:
             else:  # before "<", after "="
                 end = cut.start() if content[cut.start()] == 0x3C else cut.end()
             tally.update(_ELEMENT_RE.findall(content, start, end))
-            tally.update(_ATTRIBUTE_RE.findall(content, start, end))
+            tally.update(_ATTRIBUTE_RE.findall(content[start:end][::-1]))
             start = end
     return {_STRUCT_COLUMN_OF[name]: n for name, n in tally.items()}
 

@@ -119,7 +119,10 @@ _URL_OPEN_RE = re.compile(r"url\(", re.IGNORECASE)
 _URL_END_RE = re.compile(r"[)'\"]")
 _SPACES_RE = re.compile(r"\s*")
 _HEX_ESCAPE_RE = re.compile(r"\\x[0-9A-Fa-f]{2}")
-_JS_ESCAPE_RE = re.compile(r"\\u[0-9A-Fa-f]{4}|%u[0-9A-Fa-f]{4}")
+# `\\u[0-9A-Fa-f]{4}|%u[0-9A-Fa-f]{4}` as one pass per branch: the two start
+# with different bytes and neither match holds the other's first byte, so
+# the two counts add up
+_JS_ESCAPE_RES = (re.compile(r"\\u[0-9A-Fa-f]{4}"), re.compile(r"%u[0-9A-Fa-f]{4}"))
 
 
 def _marks(members: bytes) -> bytes:
@@ -299,7 +302,7 @@ def analyze_html(
     # obfuscation
     values["base64_occurrence_count"] = float(_runs(data, _BASE64_MARKS, BASE64_MIN_LENGTH))
     values["hex_escape_count"] = float(len(_HEX_ESCAPE_RE.findall(text)))
-    values["js_escape_count"] = float(len(_JS_ESCAPE_RE.findall(text)))
+    values["js_escape_count"] = float(sum(len(pattern.findall(text)) for pattern in _JS_ESCAPE_RES))
 
     # visible text and suspicious keywords
     visible = "".join(stream.text_chunks)

@@ -27,12 +27,14 @@ Two patterns are here as they were before they became linear:
 attributes. Each backtracks in quadratic time on a long name run with no
 `=`, or on many `url(` that never close.
 
-The whole-file patterns that began with a lookbehind or a counted repeat
-are here as they were: the four PDF ones (`_OBJ_RE`, `_STREAM_RE`,
-`_XREF_RE`, `_XREF_ENTRY_RE`), the joined docx structure pattern
-`STRUCT_RE` and the six VBA metric patterns in `VBA_PATTERNS`. `re` tries
-a full match at every offset of each; the live ones begin with their
-literal, one class or a lookahead of one class.
+The whole-file patterns that began with a lookbehind, a class, a branch or
+a repeat are here as they were: the five PDF ones (`_OBJ_RE`, `_STREAM_RE`,
+`_XREF_RE`, `_XREF_ENTRY_RE`, `BACKSLASHES_RE`), the joined docx structure
+pattern `STRUCT_RE`, the HTML `_JS_ESCAPE_RE` and the six VBA metric
+patterns in `VBA_PATTERNS`. `re` tries a match at every offset of each. The
+live PDF, docx and HTML ones begin with a literal, some reading backwards
+from it or split into one pass per branch; the live VBA ones begin with
+their word, one class or a lookahead of one class.
 
 Three differences from the old code are deliberate. `_scan_cells` reads
 shared-string indexes and row numbers only as ASCII digits, and counts no
@@ -52,7 +54,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from trap4phish.analyzers.html import (
-    HTML_COLUMNS, SCHEMA as HTML_SCHEMA, _ATTR_RE, _EVENT_ATTR_RE, _HEX_ESCAPE_RE, _JS_ESCAPE_RE,
+    HTML_COLUMNS, SCHEMA as HTML_SCHEMA, _ATTR_RE, _EVENT_ATTR_RE, _HEX_ESCAPE_RE,
     _VOID_ELEMENTS, _iframe_hidden, _url_features,
 )
 from trap4phish.analyzers.pdf import (
@@ -83,6 +85,8 @@ _OBJ_RE = re.compile(rb"(?<![0-9])(\d{1,10})\s+(\d{1,5})\s+obj(?![A-Za-z0-9])")
 _STREAM_RE = re.compile(rb"(?<![A-Za-z])stream(?![A-Za-z])")
 _XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![A-Za-z])")
 _XREF_ENTRY_RE = re.compile(rb"\d{10}\s\d{5}\s[nf]")
+# the backslash runs that pdf._Literals reads escapes from
+BACKSLASHES_RE = re.compile(rb"\\+")
 _FILTER_ENTRY_RE = re.compile(rb"/Filter\s*(\[[^\]]*\]|/[A-Za-z0-9#]+)")
 _TYPE_METADATA_RE = re.compile(rb"/Type\s*/Metadata(?![A-Za-z])")
 _TITLE_LITERAL_RE = re.compile(rb"/Title\s*\(((?:\\.|[^\\)])*)\)", re.DOTALL)
@@ -411,6 +415,7 @@ _WS_BYTES = frozenset(b" \t\r\n\x0b\x0c")
 _TAG_NAME_RE = re.compile(r"[a-zA-Z][-a-zA-Z0-9:]*")
 _WORD_RE = re.compile(r"[A-Za-z0-9]+")
 _BASE64_RE = re.compile(rb"[A-Za-z0-9+/]{%d,}={0,2}" % BASE64_MIN_LENGTH)
+_JS_ESCAPE_RE = re.compile(r"\\u[0-9A-Fa-f]{4}|%u[0-9A-Fa-f]{4}")
 
 
 @dataclass

@@ -6,7 +6,7 @@ rescanned to the end of the file. The first five are the shapes of the
 benchmark's hostile workload; the rest are the other lazy patterns the
 analyzers had, two backtracking regexes (an attribute-name run with no
 `=`, and `url(` openers that never close), digit runs for the PDF
-patterns that start with a digit class, start-tag openers with no `>`
+patterns that started with a digit class, start-tag openers with no `>`
 after them, and HTML `<` that start no tag. The last four put near misses
 at the bytes where the whole-buffer passes begin: an attribute's `=`, the
 PDF `obj`, the xref letters `n` and `f`, and a JS escape's `\\u` or `%u`.
@@ -25,7 +25,7 @@ import time
 import pytest
 
 from trap4phish import analyzers
-from trap4phish.analyzers import analyze_docx, analyze_html, analyze_pdf, analyze_xlsx, ooxml, pdf
+from trap4phish.analyzers import analyze_docx, analyze_html, analyze_pdf, analyze_xlsx, docx, html, ooxml, pdf, xlsx
 
 from conftest import make_docx, make_xlsx
 
@@ -165,8 +165,10 @@ def _html_stray_lt(n):
 
 def _pdf_digit_runs(n):
     # digit runs of 11 or more, and digits between long whitespace runs: the
-    # object-header pattern is tried at every run start and backtracks over
-    # the whitespace after it, the xref-entry pattern at every digit
+    # object-header and xref-entry patterns that started with a digit class
+    # were tried at every digit, and the first backtracked over the
+    # whitespace after each run. Both now start at an `obj`, `n` or `f`,
+    # which the pdf_obj_keywords and pdf_xref_letters families put in place.
     rng = random.Random(6)
     pad = " \n\t" * 20
     body = "".join(f"{rng.randrange(10**10, 10**16)}{pad}{i % 10}{pad}{i % 7}{pad}{i:010d} {i % 99999:05d} x\n"
@@ -289,4 +291,68 @@ def test_whole_buffer_patterns_do_not_start_with_a_lookbehind():
             if (isinstance(value, re.Pattern) and value.pattern[:3] in ("(?<", b"(?<")
                     and value not in _LOOKBEHIND_FIRST):
                 found.append(f"{info.name}.{name}")
+    assert found == []
+
+
+try:
+    from re import _constants as sre_constants, _parser as sre_parse
+except ImportError:  # Python 3.10
+    import sre_constants
+    import sre_parse
+
+# Patterns that may start with something other than a literal, because none
+# runs over a whole part or file.
+_NOT_LITERAL_FIRST = {
+    docx._WINDOW_CUT_RE: "searched from a window's nominal end to the first `<` or `=`",
+    html._ATTR_HINT: "runs over the attribute text of one start tag",
+    **dict.fromkeys(html._TAG_ATTR_HINTS.values(), "runs over the attribute text of one start tag"),
+    html._ATTR_RE: "runs over the attribute text of one start tag",
+    html._EVENT_ATTR_RE: "matched against one attribute name",
+    html._SPACES_RE: "matched at a single offset",
+    html._URL_OPEN_RE: "runs over one style body or style attribute",
+    html._URL_END_RE: "searched from one `url(` target to its first closer",
+    ooxml.ATTR_RE: "runs over the attribute text of one start tag",
+    pdf._PAREN_END_RE: "searched from one string opener to the first closing parenthesis",
+    pdf._PORT_RE: "matched at the start of one URI",
+    pdf._TJ_TAIL_RE: "matched at a single offset",
+    pdf._TJ_ARRAY_TAIL_RE: "matched at a single offset",
+    xlsx._CELL_REF_RE: "matched against one cell's r",
+    xlsx._ROW_REF_RE: "matched against one row's r",
+    xlsx._WORKSHEET_PART_RE: "matched against one part name",
+    xlsx._BASE64_CELL_RE: "matched against one cell string",
+    xlsx._AUTO_EXEC_RE: "runs over the VBA source and defined names, not over a part",
+    # the VBA metric patterns, case-insensitive or led by a class
+    **dict.fromkeys((xlsx._TOKEN_RE, xlsx._CHR_RE, xlsx._SUB_RE, xlsx._FUNC_RE, xlsx._IF_RE, xlsx._LOOP_RE,
+                     xlsx._DECLARE_RE, xlsx._MOD_RE, xlsx._NUM_RE), "runs over VBA module source, not over a part"),
+}
+
+
+def _patterns(value):
+    if isinstance(value, re.Pattern):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _patterns(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _patterns(item)
+
+
+def _starts_with_uncased_literal(pattern: re.Pattern) -> bool:
+    ops = sre_parse.parse(pattern.pattern, pattern.flags)
+    if not len(ops.data) or ops[0][0] is not sre_constants.LITERAL:
+        return False
+    char = chr(ops[0][1])
+    return not pattern.flags & re.IGNORECASE or char.lower() == char.upper()
+
+
+def test_whole_buffer_patterns_start_with_a_literal():
+    # `re` finds a literal first byte with a fast skip; a class, branch or
+    # repeat first is tried at every byte, 8-10 times slower
+    found = []
+    for module in (docx, ooxml, pdf, xlsx, html):
+        for name, value in vars(module).items():
+            for pattern in _patterns(value):
+                if not _starts_with_uncased_literal(pattern) and pattern not in _NOT_LITERAL_FIRST:
+                    found.append(f"{module.__name__.rsplit('.', 1)[1]}.{name}")
     assert found == []

@@ -120,11 +120,8 @@ _PDF_PATTERN_TOKENS = [
     b"n", b"f", b"$", b".", b"_", b"(", b"&", b"Zxref", b"astream", b"9 0 obj", b"0000000000 65535 f",
     b"0000000017 00000 n\r\n",
 ]
-# (old, new): the new ones start with their literal or one class
-_PDF_PATTERN_PAIRS = [
-    (ref._OBJ_RE, pdf._OBJ_RE), (ref._STREAM_RE, pdf._STREAM_RE),
-    (ref._XREF_RE, pdf._XREF_RE), (ref._XREF_ENTRY_RE, pdf._XREF_ENTRY_RE),
-]
+# (old, new): the new ones start with their literal
+_PDF_PATTERN_PAIRS = [(ref._STREAM_RE, pdf._STREAM_RE), (ref._XREF_RE, pdf._XREF_RE)]
 
 
 @_SETTINGS
@@ -135,6 +132,19 @@ _PDF_PATTERN_PAIRS = [
 def test_pdf_patterns_match_lookbehind_first_ones(data, pos):
     for old, new in _PDF_PATTERN_PAIRS:
         assert _matches(new, data, pos) == _matches(old, data, pos), old.pattern
+    # the readers that start at the last byte of a match see no bytes before
+    # the buffer, so they read the suffix from pos, as the old patterns do
+    tail = data[pos:]
+    assert pdf._object_header_ends(tail) == [m.end() for m in ref._OBJ_RE.finditer(tail)]
+    entry_ends = sorted(m.end() for pattern in pdf._XREF_ENTRY_RES for m in pattern.finditer(tail))
+    assert entry_ends == [m.end() for m in ref._XREF_ENTRY_RE.finditer(tail)]
+
+
+@_SETTINGS
+@given(_join(_CONTENT_TOKENS), st.integers(0, 12))
+@example(b"\\\\\\(\\", 1)
+def test_backslash_runs_match_the_repeat_first_pattern(data, pos):
+    assert _matches(pdf._BACKSLASHES_RE, data, pos) == _matches(ref.BACKSLASHES_RE, data, pos)
 
 
 # --- docx --------------------------------------------------------------------
@@ -187,11 +197,14 @@ def test_struct_counts_match_across_full_size_windows():
 @given(_join(_STRUCT_TOKENS), st.integers(0, 20), st.integers(0, 400))
 @example(b" w=<w:p>", 0, 8)
 def test_split_struct_patterns_find_the_joined_matches(content, start, end):
-    # windows search with pos and endpos, so these do too
+    # windows search with pos and endpos, so these do too; the attribute
+    # pattern reads the window reversed, and its matches are turned forward
     old = [(m.span(), m.group(1) or m.group(2)) for m in ref.STRUCT_RE.finditer(content, start, end)]
-    new = sorted((m.span(), m.group(1)) for pattern in (docx._ELEMENT_RE, docx._ATTRIBUTE_RE)
-                 for m in pattern.finditer(content, start, end))
-    assert new == old
+    elements = [(m.span(), m.group(1)) for m in docx._ELEMENT_RE.finditer(content, start, end)]
+    window = content[start:end]
+    attributes = [((start + len(window) - m.end(), start + len(window) - m.start()), m.group(1)[::-1])
+                  for m in docx._ATTRIBUTE_RE.finditer(window[::-1])]
+    assert sorted(elements + attributes) == old
 
 
 @_SETTINGS
@@ -430,6 +443,17 @@ def test_html_whitespace_counts_match_on_every_code_point():
     rng.shuffle(chars)
     data = "".join(chars).encode("utf-8", "surrogatepass") + bytes(range(256))
     assert analyze_html(data).features.values == ref.analyze_html(data).features.values
+
+
+# the two escape openers, their bytes alone, and hex digits and near misses
+_JS_ESCAPE_TOKENS = ["\\u", "%u", "\\", "%", "u", "U", "0", "9", "a", "F", "g", "\\x", "\\u00", "%u0", " "]
+
+
+@_SETTINGS
+@given(_join(_JS_ESCAPE_TOKENS))
+@example("\\u%u0041\\u004")  # a `%u` escape inside a `\u` near miss
+def test_js_escape_passes_count_the_branch_pattern(text):
+    assert sum(len(pattern.findall(text)) for pattern in html._JS_ESCAPE_RES) == len(ref._JS_ESCAPE_RE.findall(text))
 
 
 _STYLE_TOKENS = ["url(", "URL(", "uRl(", "u", "rl(", "(", ")", "'", '"', " ", "\t", "\u00a0",
