@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,10 +77,10 @@ class RandomForestModel:
 def load_model(text: str) -> DecisionTreeModel | RandomForestModel:
     """The DT or RF model in the model file `text` that `model_json` wrote.
     Raises ValueError on invalid JSON, an unknown model type, a format version
-    other than MODEL_FORMAT_VERSION, nodes that do not form a tree (see
-    `pack_trees`), an RF whose tree count is not its `n_trees`, a split on a
-    column outside the schema or a threshold that is not finite, and KeyError
-    or TypeError on missing or mistyped fields."""
+    other than MODEL_FORMAT_VERSION, a node field that no `train` writes (see
+    `_check_node_fields`), nodes that do not form a tree (see `pack_trees`)
+    and an RF whose tree count is not its `n_trees`, and KeyError or
+    TypeError on missing fields or containers of the wrong type."""
     payload = json.loads(text)
     kind = payload.get("model_type") if isinstance(payload, dict) else None
     if kind not in ("decision_tree", "random_forest"):
@@ -89,21 +90,39 @@ def load_model(text: str) -> DecisionTreeModel | RandomForestModel:
         raise ValueError(f"format_version {version!r} is not {MODEL_FORMAT_VERSION}")
     schema = payload["schema"]
     meta = (tuple(schema["columns"]), schema["format_kind"], schema["version"])
+    trees = [payload["nodes"]] if kind == "decision_tree" else payload["trees"]
+    for nodes in trees:
+        _check_node_fields(nodes, len(meta[0]))
     if kind == "decision_tree":
-        model = DecisionTreeModel(payload["nodes"], TreeParams(**payload["params"]), *meta)
-    else:
-        params = ForestParams(**payload["params"])
-        if len(payload["trees"]) != params.n_trees:
-            raise ValueError(f"{len(payload['trees'])} trees, but n_trees is {params.n_trees}")
-        tree_params = params.tree_params()
-        model = RandomForestModel([DecisionTreeModel(nodes, tree_params, *meta) for nodes in payload["trees"]],
-                                  params, *meta)
-    packed = model.packed
-    if packed.width > len(model.columns):
-        raise ValueError(f"a split reads column {packed.width - 1} of {len(model.columns)}")
-    if not np.isfinite(packed.threshold).all():
-        raise ValueError("a split threshold is not finite")
-    return model
+        return DecisionTreeModel(payload["nodes"], TreeParams(**payload["params"]), *meta)
+    params = ForestParams(**payload["params"])
+    if len(trees) != params.n_trees:
+        raise ValueError(f"{len(trees)} trees, but n_trees is {params.n_trees}")
+    tree_params = params.tree_params()
+    return RandomForestModel([DecisionTreeModel(nodes, tree_params, *meta) for nodes in trees], params, *meta)
+
+
+def _check_node_fields(nodes: list[dict], n_columns: int) -> None:
+    """Raise ValueError on a node field that no `train` writes: a label,
+    column or child index that is not an int (JSON true and false are not),
+    a threshold that is not a finite int or float, a split on a column
+    outside the schema or a child index outside the node list. Unchecked, a
+    column of 0.5 read column 0, and a column, child or threshold past what
+    int64 or float64 holds raised OverflowError."""
+    for i, node in enumerate(nodes):
+        keys = ("label",) if node["kind"] == "leaf" else ("feature", "left", "right")
+        for key in keys:
+            if type(node[key]) is not int:
+                raise ValueError(f"node {i}: {key} {node[key]!r} is not an integer")
+        if node["kind"] == "leaf":
+            continue
+        threshold = node["threshold"]
+        if type(threshold) not in (int, float) or not abs(threshold) <= sys.float_info.max:
+            raise ValueError(f"node {i}: split threshold {threshold!r} is not finite")
+        if not 0 <= node["feature"] < n_columns:
+            raise ValueError(f"a split reads column {node['feature']} of {n_columns}")
+        if not (0 <= node["left"] < len(nodes) and 0 <= node["right"] < len(nodes)):
+            raise ValueError(f"node {i}: a child is outside its {len(nodes)} nodes")
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:

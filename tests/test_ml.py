@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trap4phish.cli import _load_model
-from trap4phish.core import FeatureSchema, FeatureVector, LabeledDataset
+from trap4phish.core import FeatureSchema, FeatureVector, LabeledDataset, SchemaError
 from trap4phish.ml import (
     DecisionTreeModel,
     EmptyDatasetError,
@@ -229,6 +230,72 @@ class TestModelFileChecks:
             next(n for n in self.every_node(payload) if n["kind"] == "split")["threshold"] = threshold
         with pytest.raises(ValueError, match="not finite"):
             load_model(self.mutated("model_v1_decision_tree.json", edit))
+
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("split", "feature", 1e308), ("split", "feature", float("inf")), ("split", "feature", 10**30),
+        ("split", "threshold", 10**400), ("split", "feature", 0.5), ("split", "feature", True),
+        ("leaf", "label", True), ("split", "threshold", True),
+    ], ids=["feature-1e308", "feature-inf", "feature-10e30", "threshold-10e400", "feature-0.5", "feature-true",
+            "label-true", "threshold-true"])
+    def test_mistyped_or_oversized_node_field(self, kind, key, value, tmp_path):
+        # each of these loaded, or raised OverflowError past the CLI
+        def edit(payload):
+            next(n for n in self.every_node(payload) if n["kind"] == kind)[key] = value
+        text = self.mutated("model_v1_decision_tree.json", edit)
+        with pytest.raises(ValueError, match=f"{key}|column"):
+            load_model(text)
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError):
+            _load_model(str(path))
+
+
+def _json_paths(value, path=()):
+    """The path of every value in a JSON document, the root's included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _json_paths(item, path + (key,))
+
+
+_V1_PAYLOADS = {name: json.loads((Path(__file__).parent / "data" / name).read_text(encoding="utf-8"))
+                for name in ("model_v1_decision_tree.json", "model_v1_random_forest.json")}
+_DELETE = object()
+# values of every JSON type, and numbers at and past what int64 and float64 hold
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([_DELETE, None, True, False, 0, 1, 2, -1, 3, 999, 2**63, 10**30, -10**30, 10**400,
+                     0.5, -0.0, 1e308, -1e308, float("inf"), float("-inf"), float("nan"), "", "a", "leaf",
+                     "split", [], [0], {}, {"kind": "leaf"}]),
+    st.integers(), st.floats(),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(_V1_PAYLOADS)), st.data())
+def test_single_field_mutations_load_or_raise_value_key_or_type_error(name, data):
+    payload = json.loads(json.dumps(_V1_PAYLOADS[name]))
+    paths = list(_json_paths(payload))
+    path = data.draw(st.sampled_from(paths))
+    value = data.draw(_FIELD_VALUES)
+    if not path:
+        payload = None if value is _DELETE else value
+    else:
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        model = load_model(json.dumps(payload))
+    except (ValueError, KeyError, TypeError):
+        return
+    rows = np.zeros((len(TestModelFilesV1.ROWS), len(model.columns)))
+    width = min(3, len(model.columns))
+    rows[:, :width] = TestModelFilesV1.ROWS[:, :width]
+    assert set(model.predict_many(rows).tolist()) <= {0, 1}
 
 
 class TestMetrics:
