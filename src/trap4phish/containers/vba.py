@@ -82,8 +82,10 @@ def ovba_decompress(data: bytes) -> bytes:
                     src = len(out) - offset
                     if src < chunk_start:
                         raise OvbaError("copy token references before chunk window")
-                    for i in range(length):
-                        out.append(out[src + i])
+                    if length <= offset:
+                        out += out[src:src + length]
+                    else:  # the copy reads its own output: its last `offset` bytes, repeated
+                        out += (out[src:] * (length // offset + 1))[:length]
             if len(out) - chunk_start > _CHUNK_DATA:
                 raise OvbaError("chunk decompresses past 4096 bytes")
     return bytes(out)

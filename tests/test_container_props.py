@@ -72,8 +72,14 @@ def test_zip_reader_matches_zipfile(data):
     assert archive.inflated == sum(info.file_size for info in infos)
 
 
+# after one literal a copy at offset 1, after two a copy at offset 2, each
+# reading its own output for as long as a chunk's 4,096 bytes allow
+_OVERLAPPING_COPIES = b"a" * 4096 + b"ab" * 2048
+
+
 @settings(deadline=None, max_examples=200)
 @given(contents(max_size=10000))
+@example(_OVERLAPPING_COPIES)
 def test_ovba_decompress_inverts_reference_compressor(source):
     assert ovba_decompress(ovba_ref.compress(source)) == source
 
