@@ -80,8 +80,7 @@ SELECTED = SCHEMA.project((
 #   one match. The pattern reads a reversed window from each "=" instead:
 #   `=\s*(reversed names)\s`, whose matches are those matches reversed.
 # Each pattern starts with a literal, so `re` skips ahead to each "<" or "="
-# instead of trying a match at every offset: a class first, as in the
-# forward attribute pattern, is tried at every byte.
+# instead of trying a match at every offset.
 _ELEMENT_RE = re.compile(
     rb"<(" + b"|".join(re.escape(n.encode()) for n in STRUCT_ELEMENTS) + rb")(?=[\s/>])")
 _ATTRIBUTE_RE = re.compile(

@@ -106,15 +106,15 @@ def _check_node_fields(nodes: list[dict], n_columns: int) -> None:
     """Raise ValueError on a node field that no `train` writes: a label,
     column or child index that is not an int (JSON true and false are not),
     a threshold that is not a finite int or float, a split on a column
-    outside the schema or a child index outside the node list. Unchecked, a
-    column of 0.5 read column 0, and a column, child or threshold past what
-    int64 or float64 holds raised OverflowError."""
+    outside the schema or a child index outside the node list. A column of
+    0.5 would read column 0, and a column, child or threshold past what
+    int64 or float64 holds would raise OverflowError in `pack_trees`."""
     for i, node in enumerate(nodes):
-        keys = ("label",) if node["kind"] == "leaf" else ("feature", "left", "right")
-        for key in keys:
+        leaf = node["kind"] == "leaf"
+        for key in ("label",) if leaf else ("feature", "left", "right"):
             if type(node[key]) is not int:
                 raise ValueError(f"node {i}: {key} {node[key]!r} is not an integer")
-        if node["kind"] == "leaf":
+        if leaf:
             continue
         threshold = node["threshold"]
         if type(threshold) not in (int, float) or not abs(threshold) <= sys.float_info.max:
