@@ -22,6 +22,12 @@ import re
 import statistics
 import time
 
+try:
+    from re import _constants as sre_constants, _parser as sre_parse
+except ImportError:  # Python 3.10
+    import sre_constants
+    import sre_parse
+
 import pytest
 
 from trap4phish import analyzers
@@ -293,12 +299,6 @@ def test_whole_buffer_patterns_do_not_start_with_a_lookbehind():
                 found.append(f"{info.name}.{name}")
     assert found == []
 
-
-try:
-    from re import _constants as sre_constants, _parser as sre_parse
-except ImportError:  # Python 3.10
-    import sre_constants
-    import sre_parse
 
 # Patterns that may start with something other than a literal, because none
 # runs over a whole part or file.
