@@ -6,13 +6,17 @@ plus forced masks and forced versions.
 encoder change that picks another mask or places one module differently
 could still pass there. This table fails on any such change. Regenerate it
 only when the encoder's output is meant to change.
+
+`test_cli_encode_bytes_match_golden` pins the bytes `qr encode` writes, PGM
+images and manifest, so a renderer or PGM change fails there.
 """
 
 import hashlib
 
 import pytest
 
-from trap4phish.qr import byte_mode_capacity, qr_encode
+from trap4phish.cli import main
+from trap4phish.qr import byte_mode_capacity, from_pgm, qr_encode, qr_render, to_pgm
 
 
 def payload(length: int, salt: int) -> bytes:
@@ -72,3 +76,35 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_symbols_match_golden(case):
     assert symbol_digest(CASES[case]()) == GOLDEN[case]
+
+
+CLI_URLS = [
+    "https://a.test/",
+    "http://login.example.com/verify?id=12345&session=abcdef",
+    "https://xn--pple-43d.test/%7Euser/pay?amount=9.99#top",
+    "http://192.168.10.20:8080/" + "deep/" * 12 + "index.php",
+    "https://b.test/" + "q" * 150,
+]
+# (--module-px, --quiet-zone): the defaults, the smallest image, and another
+CLI_RENDER_SETTINGS = [(8, 4), (1, 0), (3, 2)]
+CLI_GOLDEN = "d0d5cce08fffbc602ab76a8392381ba77fecbaec4c987105614dde0db0ec169c"
+
+
+def test_cli_encode_bytes_match_golden(tmp_path):
+    url_file = tmp_path / "urls.txt"
+    url_file.write_text("\n".join(CLI_URLS) + "\n", encoding="utf-8")
+    h = hashlib.sha256()
+    for module_px, quiet_zone in CLI_RENDER_SETTINGS:
+        out_dir = tmp_path / f"{module_px}-{quiet_zone}"
+        args = ["qr", "encode", "--in", str(url_file), "--out-dir", str(out_dir)]
+        if (module_px, quiet_zone) != (8, 4):
+            args += ["--module-px", str(module_px), "--quiet-zone", str(quiet_zone)]
+        assert main(args) == 0
+        for i, url in enumerate(CLI_URLS):
+            data = (out_dir / f"{i:05d}.pgm").read_bytes()
+            assert data == to_pgm(qr_render(qr_encode(url.encode()), module_px, quiet_zone))
+            h.update(data)
+        # the PGM reader gives back what the writer took
+        assert to_pgm(from_pgm(data)) == data
+        h.update((out_dir / "manifest.csv").read_bytes())
+    assert h.hexdigest() == CLI_GOLDEN
