@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 from ..core import AnalysisReport, FeatureSchema
 from . import docx, html, pdf, xlsx
 from .docx import analyze_docx
-from .xlsx import MacroMetrics, analyze_xlsx, compute_macro_metrics
+from .xlsx import analyze_xlsx, compute_macro_metrics
 from .pdf import analyze_pdf
 from .html import analyze_html
 
@@ -42,7 +42,6 @@ __all__ = [
     "analyze_docx",
     "analyze_xlsx",
     "compute_macro_metrics",
-    "MacroMetrics",
     "analyze_pdf",
     "analyze_html",
 ]

@@ -27,7 +27,6 @@ the row or cell then counts by its position in the part.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 
 from ..config import AUTO_EXEC_NAMES, BASE64_MIN_LENGTH, XLSX_API_KEYWORDS
 from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
@@ -39,37 +38,15 @@ from .ooxml import (
 
 SCHEMA_VERSION = 1
 
-@dataclass
-class MacroMetrics:
-    """Lexical metrics over VBA source text.
-
-    Tokens are maximal runs of [A-Za-z0-9_.$] plus single-character operator
-    tokens; no grammar is involved. All counts are zero for empty source.
-    """
-
+# VBA macro metrics, in xlsx column order (`compute_macro_metrics`)
+MACRO_METRIC_NAMES = (
     # structure
-    line_count: int = 0
-    token_count: int = 0
-    vocab_size: int = 0
-    sub_count: int = 0
-    function_count: int = 0
-    max_line_length: int = 0
-    if_count: int = 0
-    loop_count: int = 0
-    comment_count: int = 0
-    string_literal_count: int = 0
-    declare_count: int = 0
+    "line_count", "token_count", "vocab_size", "sub_count", "function_count", "max_line_length",
+    "if_count", "loop_count", "comment_count", "string_literal_count", "declare_count",
     # advanced
-    chr_count: int = 0
-    arithmetic_operator_count: int = 0
-    concat_count: int = 0
-    hex_literal_count: int = 0
-    long_line_count: int = 0
-    max_string_length: int = 0
-    numeric_literal_count: int = 0
-
-
-MACRO_METRIC_NAMES = tuple(f.name for f in fields(MacroMetrics))
+    "chr_count", "arithmetic_operator_count", "concat_count", "hex_literal_count", "long_line_count",
+    "max_string_length", "numeric_literal_count",
+)
 
 XLSX_COLUMNS = (
     # basic metadata
@@ -127,36 +104,41 @@ _ARITH_CHARS = set("+-*/\\^")
 LONG_LINE_THRESHOLD = 200
 
 
-def compute_macro_metrics(source: str) -> MacroMetrics:
-    """Lexical complexity/obfuscation metrics for one VBA source text."""
+def compute_macro_metrics(source: str) -> dict[str, int]:
+    """Lexical complexity/obfuscation metrics for one VBA source text, keyed
+    by `MACRO_METRIC_NAMES` in that order.
+
+    Tokens are maximal runs of [A-Za-z0-9_.$] plus single-character operator
+    tokens; no grammar is involved. Every metric of empty source is 0.
+    """
     if not source:
-        return MacroMetrics()
+        return dict.fromkeys(MACRO_METRIC_NAMES, 0)
     lines = source.split("\n")
     tokens = _TOKEN_RE.findall(source)
     masked = _STRING_RE.sub(lambda m: '"' + " " * (len(m.group()) - 2) + '"', source)
     strings = [m.group()[1:-1] for m in _STRING_RE.finditer(source)]
     arithmetic = sum(1 for ch in masked if ch in _ARITH_CHARS) + len(_MOD_RE.findall(masked))
-    return MacroMetrics(
-        line_count=len(lines),
-        token_count=len(tokens),
-        vocab_size=len(set(tokens)),
-        sub_count=len(_SUB_RE.findall(source)),
-        function_count=len(_FUNC_RE.findall(source)),
-        max_line_length=max(len(line) for line in lines),
-        if_count=len(_IF_RE.findall(masked)),
-        loop_count=len(_LOOP_RE.findall(masked)),
-        comment_count=sum(1 for line in lines
-                          if line.lstrip().startswith("'") or line.lstrip().lower().startswith("rem ")),
-        string_literal_count=len(strings),
-        declare_count=len(_DECLARE_RE.findall(masked)),
-        chr_count=len(_CHR_RE.findall(source)),
-        arithmetic_operator_count=arithmetic,
-        concat_count=masked.count("&") - len(_HEX_RE.findall(masked)),
-        hex_literal_count=len(_HEX_RE.findall(source)),
-        long_line_count=sum(1 for line in lines if len(line.rstrip()) > LONG_LINE_THRESHOLD),
-        max_string_length=max((len(s) for s in strings), default=0),
-        numeric_literal_count=len(_NUM_RE.findall(masked)),
-    )
+    return {
+        "line_count": len(lines),
+        "token_count": len(tokens),
+        "vocab_size": len(set(tokens)),
+        "sub_count": len(_SUB_RE.findall(source)),
+        "function_count": len(_FUNC_RE.findall(source)),
+        "max_line_length": max(len(line) for line in lines),
+        "if_count": len(_IF_RE.findall(masked)),
+        "loop_count": len(_LOOP_RE.findall(masked)),
+        "comment_count": sum(1 for line in lines
+                             if line.lstrip().startswith("'") or line.lstrip().lower().startswith("rem ")),
+        "string_literal_count": len(strings),
+        "declare_count": len(_DECLARE_RE.findall(masked)),
+        "chr_count": len(_CHR_RE.findall(source)),
+        "arithmetic_operator_count": arithmetic,
+        "concat_count": masked.count("&") - len(_HEX_RE.findall(masked)),
+        "hex_literal_count": len(_HEX_RE.findall(source)),
+        "long_line_count": sum(1 for line in lines if len(line.rstrip()) > LONG_LINE_THRESHOLD),
+        "max_string_length": max((len(s) for s in strings), default=0),
+        "numeric_literal_count": len(_NUM_RE.findall(masked)),
+    }
 
 
 _SHEET_RE = re.compile(rb"<sheet\b([^>]*)>")
@@ -294,9 +276,8 @@ def _extract_from_archive(archive, values, warnings) -> None:
     # VBA macro metrics over the concatenated module sources.
     sources = extract_vba_sources(archive, warnings)
     combined = "\n".join(sources)
-    metrics = compute_macro_metrics(combined)
-    for field_name in MACRO_METRIC_NAMES:
-        values["macro_" + field_name] = float(getattr(metrics, field_name))
+    for name, value in compute_macro_metrics(combined).items():
+        values["macro_" + name] = float(value)
 
     values["api_keyword_count"] = float(count_keywords(combined, _API_KEYWORDS))
 

@@ -30,7 +30,8 @@ from .ml import (
     train_decision_tree, train_random_forest,
 )
 from .qr import (
-    PayloadTooLong, QrError, from_pgm, qr_decode, qr_encode, qr_render, to_pgm,
+    DEFAULT_MODULE_PX, DEFAULT_QUIET_ZONE, PayloadTooLong, QrError, from_pgm, qr_decode, qr_encode,
+    qr_render, to_pgm,
 )
 from .synth import SynthConfig, write_corpus
 from .urls import InsufficientData, UrlError, URL_FEATURE_NAMES, effect_size_report, url_features
@@ -137,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="input", required=True, help="one URL per line")
     q.add_argument("--out-dir", required=True)
     q.add_argument("--ec-level", choices=["L", "M", "Q", "H"], default="M")
-    q.add_argument("--module-px", type=_positive_int, default=8)
-    q.add_argument("--quiet-zone", type=_non_negative_int, default=4)
+    q.add_argument("--module-px", type=_positive_int, default=DEFAULT_MODULE_PX)
+    q.add_argument("--quiet-zone", type=_non_negative_int, default=DEFAULT_QUIET_ZONE)
     q.set_defaults(func=cmd_qr_encode)
     q = qr_sub.add_parser("decode", help="decode one PGM image")
     q.add_argument("--in", dest="input", required=True)
@@ -266,9 +267,18 @@ def cmd_scan(args) -> int:
     return EXIT_IO if io_failures else EXIT_OK
 
 
+@contextlib.contextmanager
+def _utf8_text(path: str):
+    """Report a file that is not UTF-8 text as malformed content."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise DatasetError(f"{path} is not UTF-8 text") from None
+
+
 def _read_labels(path: str) -> dict[str, int]:
     labels: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["path", "label"]:
@@ -349,18 +359,19 @@ def cmd_evaluate(args) -> int:
 
 def cmd_rank(args) -> int:
     print(f"# rank format={args.format} seed={args.seed}")
-    ds = _load_labeled(args.input, args.format, selected=False)
     k = args.k if args.k is not None else len(_schema(args.format, selected=True))
+    columns = len(_schema(args.format, selected=False))
+    if k > columns:
+        raise SchemaError(f"--k {k} exceeds the {columns} columns of the {args.format} schema")
+    ds = _load_labeled(args.input, args.format, selected=False)
     rf = train_random_forest(ds, ForestParams(n_trees=args.trees, seed=args.seed))
     gini = rank_features_gini(rf)
-    permutation = rank_features_permutation(rf, ds, seed=args.seed, n_repeats=args.repeats)
-    gini_scores = dict(gini.entries)
-    perm_scores = dict(permutation.entries)
+    perm_scores = dict(rank_features_permutation(rf, ds, seed=args.seed, n_repeats=args.repeats))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature", "gini_score", "permutation_score"])
-        for name, _score in gini.entries:
-            writer.writerow([name, f"{gini_scores[name]:.9g}", f"{perm_scores[name]:.9g}"])
+        for name, score in gini:
+            writer.writerow([name, f"{score:.9g}", f"{perm_scores[name]:.9g}"])
     projected = select_top_k(gini, k, ds.schema)
     schema_path = Path(args.out).with_suffix(".topk.json")
     schema_path.write_text(json.dumps({
@@ -375,7 +386,7 @@ def cmd_rank(args) -> int:
 
 
 def _read_url_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8_text(path), open(path, "r", encoding="utf-8") as fh:
         return [line.strip() for line in fh if line.strip()]
 
 

@@ -293,7 +293,12 @@ def read_dataset_csv(source: Union[str, Path, bytes, io.IOBase], schema: Feature
         raw = source.read()
         if isinstance(raw, str):
             raw = raw.encode("utf-8")
-    reader = csv.reader(io.StringIO(raw.decode("utf-8")))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        where = source if isinstance(source, (str, Path)) else "dataset CSV"
+        raise DatasetError(f"{where} is not UTF-8 text (byte {exc.start})") from None
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:

@@ -4,12 +4,7 @@ confusion-matrix metrics, and the two-step feature-importance rankings."""
 from .tree import DecisionTreeModel, TreeParams, train_decision_tree
 from .forest import ForestParams, RandomForestModel, load_model, train_random_forest
 from .metrics import EvalMetrics, evaluate, f1_score, metrics_table, stratified_split
-from .importance import (
-    ImportanceRanking,
-    rank_features_gini,
-    rank_features_permutation,
-    select_top_k,
-)
+from .importance import rank_features_gini, rank_features_permutation, select_top_k
 from .errors import EmptyDatasetError, MlError, SchemaMismatchError
 
 __all__ = [
@@ -25,7 +20,6 @@ __all__ = [
     "f1_score",
     "metrics_table",
     "stratified_split",
-    "ImportanceRanking",
     "rank_features_gini",
     "rank_features_permutation",
     "select_top_k",

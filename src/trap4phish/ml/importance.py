@@ -4,8 +4,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import FeatureSchema, LabeledDataset
@@ -14,27 +12,16 @@ from .forest import RandomForestModel
 from .tree import dataset_matrix, leaf_labels
 
 
-@dataclass
-class ImportanceRanking:
-    """Entries sorted by descending score; ties keep schema column order."""
-
-    entries: list[tuple[str, float]]
-    method: str  # "gini" or "permutation"
-    columns: tuple[str, ...]  # full schema order, for tie-breaking reference
-
-    def names(self) -> list[str]:
-        return [name for name, _ in self.entries]
-
-
-def _ranked(scores: np.ndarray, columns: tuple[str, ...], method: str) -> ImportanceRanking:
+def _ranked(scores: np.ndarray, columns: tuple[str, ...]) -> list[tuple[str, float]]:
+    """(column, score) pairs by descending score; ties keep column order."""
     order = sorted(range(len(columns)), key=lambda j: (-scores[j], j))
-    entries = [(columns[j], float(scores[j])) for j in order]
-    return ImportanceRanking(entries, method, columns)
+    return [(columns[j], float(scores[j])) for j in order]
 
 
-def rank_features_gini(model: RandomForestModel) -> ImportanceRanking:
+def rank_features_gini(model: RandomForestModel) -> list[tuple[str, float]]:
     """Impurity-decrease importance: per-feature sum of Gini decrease weighted
-    by node sample fraction, averaged over trees, normalized to sum 1."""
+    by node sample fraction, averaged over trees, normalized to sum 1.
+    Returns (column, score) pairs by descending score, ties in column order."""
     d = len(model.columns)
     total = np.zeros(d, dtype=np.float64)
     for tree in model.trees:
@@ -59,14 +46,15 @@ def rank_features_gini(model: RandomForestModel) -> ImportanceRanking:
     s = total.sum()
     if s > 0:
         total = total / s
-    return _ranked(total, model.columns, "gini")
+    return _ranked(total, model.columns)
 
 
 def rank_features_permutation(
     model, ds: LabeledDataset, seed: int = 0, n_repeats: int = 5
-) -> ImportanceRanking:
+) -> list[tuple[str, float]]:
     """Permutation importance: mean accuracy drop when one column is shuffled;
-    negative means are clipped to 0.
+    negative means are clipped to 0. Returns (column, score) pairs by
+    descending score, ties in column order.
 
     Reads `model.packed` (a forest or a single tree). Each tree's leaf label
     for every row is computed once. For each column, only the trees that
@@ -106,17 +94,14 @@ def rank_features_permutation(
         accuracy = ((shuffled_votes * 2 > n_trees) == y).mean(axis=1)
         drops = [baseline - float(acc) for acc in accuracy]
         scores[j] = max(0.0, float(np.mean(drops)))
-    return _ranked(scores, tuple(model.columns), "permutation")
+    return _ranked(scores, tuple(model.columns))
 
 
-def select_top_k(ranking: ImportanceRanking, k: int, schema: FeatureSchema | None = None) -> FeatureSchema:
-    """Schema projection of the top-k ranked features (in rank order), usable
-    directly by the analyzers' projection helpers."""
+def select_top_k(ranking: list[tuple[str, float]], k: int, schema: FeatureSchema) -> FeatureSchema:
+    """Projection of `schema` onto the top-k ranked features (in rank order),
+    usable directly by the analyzers' projection helpers."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > len(ranking.entries):
-        raise ValueError(f"k={k} exceeds ranking length {len(ranking.entries)}")
-    names = [name for name, _ in ranking.entries[:k]]
-    if schema is None:
-        schema = FeatureSchema("", ranking.columns, 1)
-    return schema.project(names)
+    if k > len(ranking):
+        raise ValueError(f"k={k} exceeds ranking length {len(ranking)}")
+    return schema.project([name for name, _ in ranking[:k]])

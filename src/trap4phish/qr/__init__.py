@@ -13,7 +13,7 @@ from .errors import (
 from .matrix import QrMatrix
 from .encode import qr_encode
 from .decode import qr_decode
-from .render import DEFAULT_MODULE_PX, DEFAULT_QUIET_ZONE, QrBitmap, from_pgm, qr_render, to_pgm
+from .render import DEFAULT_MODULE_PX, DEFAULT_QUIET_ZONE, from_pgm, qr_render, to_pgm
 from .tables import byte_mode_capacity, smallest_version
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "UnsupportedMode",
     "BadBitmap",
     "QrMatrix",
-    "QrBitmap",
     "qr_encode",
     "qr_decode",
     "qr_render",

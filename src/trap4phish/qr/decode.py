@@ -39,7 +39,6 @@ import numpy as np
 from .errors import BadBitmap, FormatUnrecoverable, NoFinderPatterns, QrError, RsFailure, UnsupportedMode
 from .gf256 import RsDecodeError, rs_decode
 from .matrix import read_data_bits, read_format_words
-from .render import QrBitmap
 from .tables import (
     ALL_FORMAT_WORDS,
     BLOCK_STRUCTURE,
@@ -66,12 +65,13 @@ MAX_PIXELS = 2048 * 2048
 MAX_TRIPLES = 4
 
 
-def qr_decode(bitmap: QrBitmap) -> bytes:
-    """Decode a rendered QR bitmap back to its byte-mode payload."""
-    if bitmap.width * bitmap.height > MAX_PIXELS:
-        raise BadBitmap(f"{bitmap.width}x{bitmap.height} bitmap exceeds the "
-                        f"{MAX_PIXELS}-pixel budget")
-    binary = bitmap.pixels < 128
+def qr_decode(pixels: np.ndarray) -> bytes:
+    """Decode a rendered QR bitmap, a 2-D uint8 array (0 dark), to its byte-mode payload."""
+    if pixels.ndim != 2:
+        raise BadBitmap(f"a bitmap is 2-D, got {pixels.ndim} dimensions")
+    if pixels.size > MAX_PIXELS:
+        raise BadBitmap(f"{pixels.shape[1]}x{pixels.shape[0]} bitmap exceeds the {MAX_PIXELS}-pixel budget")
+    binary = pixels < 128
     clusters, row_hits, col_hits = _find_finder_centers(binary)
     first_error = None
     for triple in _finder_triples(clusters, MAX_TRIPLES):
@@ -346,11 +346,6 @@ def _triples(n: int) -> np.ndarray:
     triples = itertools.chain.from_iterable(
         p for c in itertools.combinations(range(n), 3) for p in itertools.permutations(c))
     return np.fromiter(triples, dtype=np.uint8).reshape(-1, 3).T
-
-
-def _select_finders(clusters: list[dict]):
-    """The (top-left, top-right, bottom-left) triple tried first."""
-    return _finder_triples(clusters, 1)[0]
 
 
 def _finder_triples(clusters: list[dict], limit: int) -> list[tuple]:

@@ -29,7 +29,6 @@ from .tables import (
     count_indicator_bits,
     format_info_bits,
     interleave_order,
-    matrix_size,
     smallest_version,
 )
 
@@ -108,4 +107,4 @@ def qr_encode(payload: bytes, ec_level: str = "M", mask_id: int | None = None,
     mask_ids = list(range(8)) if mask_id is None else [mask_id]
     stack = mask_candidates(version, ec_level, final, mask_ids)
     best = int(np.argmin(penalty_scores(stack)))  # the lowest id on ties
-    return QrMatrix(version, matrix_size(version), ec_level, mask_ids[best], stack[best].copy())
+    return QrMatrix(version, ec_level, mask_ids[best], stack[best].copy())

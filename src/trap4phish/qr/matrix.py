@@ -31,14 +31,16 @@ MASK_FUNCTIONS = (
 @dataclass
 class QrMatrix:
     version: int
-    size: int
     ec_level: str
     mask_id: int
     modules: np.ndarray  # size x size bool grid, True = dark
 
     def __post_init__(self):
-        assert self.size == matrix_size(self.version)
         assert self.modules.shape == (self.size, self.size)
+
+    @property
+    def size(self) -> int:
+        return matrix_size(self.version)
 
 
 @lru_cache(maxsize=None)

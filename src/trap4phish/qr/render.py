@@ -1,8 +1,7 @@
-"""Noise-free grayscale rendering of QR matrices and PGM (P5) serialization."""
+"""Noise-free grayscale rendering of QR matrices and PGM (P5) serialization.
+A bitmap is a (height, width) uint8 array, row-major: 0 is dark, 255 light."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,20 +11,8 @@ DEFAULT_MODULE_PX = 8
 DEFAULT_QUIET_ZONE = 4
 
 
-@dataclass
-class QrBitmap:
-    width: int
-    height: int
-    pixels: np.ndarray  # uint8, 0 = dark, 255 = light, row-major
-    module_px: int
-    quiet_zone: int
-
-    def __post_init__(self):
-        assert self.pixels.shape == (self.height, self.width)
-
-
 def qr_render(matrix: QrMatrix, module_px: int = DEFAULT_MODULE_PX,
-              quiet_zone: int = DEFAULT_QUIET_ZONE) -> QrBitmap:
+              quiet_zone: int = DEFAULT_QUIET_ZONE) -> np.ndarray:
     """Axis-aligned rendering with a light quiet zone; deterministic."""
     if module_px < 1:
         raise ValueError("module_px must be >= 1")
@@ -36,18 +23,18 @@ def qr_render(matrix: QrMatrix, module_px: int = DEFAULT_MODULE_PX,
     grid = np.where(matrix.modules, np.uint8(0), np.uint8(255))
     inner = slice(quiet_zone * module_px, total - quiet_zone * module_px)
     pixels[inner, inner] = grid.repeat(module_px, 0).repeat(module_px, 1)
-    return QrBitmap(total, total, pixels, module_px, quiet_zone)
+    return pixels
 
 
-def to_pgm(bitmap: QrBitmap) -> bytes:
-    header = f"P5\n{bitmap.width} {bitmap.height}\n255\n".encode("ascii")
-    return header + bitmap.pixels.tobytes()
+def to_pgm(pixels: np.ndarray) -> bytes:
+    height, width = pixels.shape
+    return f"P5\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
 
 
-def from_pgm(data: bytes) -> QrBitmap:
-    """Parse binary PGM (P5). Comments and arbitrary whitespace allowed in
-    the header, whose fields are unsigned decimal numbers;
-    module_px/quiet_zone are unknown and set to 0."""
+def from_pgm(data: bytes) -> np.ndarray:
+    """Parse binary PGM (P5) into an owned, writable bitmap. Comments and
+    arbitrary whitespace are allowed in the header, whose fields are
+    unsigned decimal numbers."""
     if not data.startswith(b"P5") or not data[2:3].isspace():
         raise ValueError("not a binary PGM (P5) file")
     pos = 2
@@ -76,4 +63,4 @@ def from_pgm(data: bytes) -> QrBitmap:
     if len(data) - pos < width * height:
         raise ValueError("truncated PGM pixel data")
     pixels = np.frombuffer(data, np.uint8, width * height, pos).reshape(height, width)
-    return QrBitmap(width, height, pixels.copy(), 0, 0)
+    return pixels.copy()

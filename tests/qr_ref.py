@@ -358,4 +358,4 @@ def qr_encode(payload: bytes, level: str = "M", mask_id=None, version=None) -> Q
     scored = [(penalty_score(assemble(version, level, final, m)), m)
               for m in (range(8) if mask_id is None else [mask_id])]
     _score, chosen = min(scored)
-    return QrMatrix(version, matrix_size(version), level, chosen, assemble(version, level, final, chosen))
+    return QrMatrix(version, level, chosen, assemble(version, level, final, chosen))

@@ -354,6 +354,16 @@ class TestTrainEvaluateRank:
         top3 = [r[0] for r in rows[1:4]]
         assert any(name in top3 for name in ("macro_present", "vba_keywords_count", "dde_present"))
 
+    def test_rank_k_past_the_schema_fails_before_any_output(self, docx_corpus, tmp_path, capsys):
+        data = tmp_path / "docx.csv"
+        run(["scan", docx_corpus, "--format", "docx", "--out", data,
+             "--labels", docx_corpus / "labels.csv"])
+        capsys.readouterr()
+        ranking = tmp_path / "r.csv"
+        assert run(["rank", "--in", data, "--format", "docx", "--out", ranking, "--k", "44", "--trees", "3"]) == 3
+        assert capsys.readouterr().err == "error: --k 44 exceeds the 43 columns of the docx schema\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "docx.csv"]
+
     @pytest.mark.parametrize("command,flag,value", [
         ("train", "--trees", "0"),
         ("train", "--trees", "-3"),
@@ -449,12 +459,32 @@ def test_out_of_range_options_are_usage_errors(tmp_path, monkeypatch, capsys, ar
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["qr", "encode", "--in", "bad.txt", "--out-dir", "q"],
+    ["url", "features", "--in", "bad.txt", "--out", "o.csv"],
+    ["url", "effects", "--benign", "good.txt", "--malicious", "bad.txt", "--out", "o.csv"],
+    ["scan", "good.txt", "--format", "html", "--labels", "bad.txt", "--out", "o.csv"],
+    ["train", "--in", "bad.txt", "--format", "docx", "--out-dir", "m"],
+    ["evaluate", "--model", Path(__file__).parent / "data" / "model_v1_decision_tree.json",
+     "--in", "bad.txt", "--format", "docx"],
+    ["rank", "--in", "bad.txt", "--format", "docx", "--out", "r.csv"],
+], ids=["qr encode", "url features", "url effects", "scan --labels", "train", "evaluate", "rank"])
+def test_input_that_is_not_utf8_exits_4(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.txt").write_text("https://a.test/\n")
+    (tmp_path / "bad.txt").write_bytes(b"https://b.test/\n\xff\n")
+    assert run(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad.txt is not UTF-8 text") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "good.txt"]
+
+
 def test_encode_without_quiet_zone(tmp_path):
     url_file = tmp_path / "u.txt"
     url_file.write_text("https://zone.test/0\n")
     for zone in (0, 4):
         assert run(["qr", "encode", "--in", url_file, "--out-dir", tmp_path / str(zone), "--quiet-zone", zone]) == 0
-    widths = [from_pgm((tmp_path / zone / "00000.pgm").read_bytes()).width for zone in ("0", "4")]
+    widths = [from_pgm((tmp_path / zone / "00000.pgm").read_bytes()).shape[1] for zone in ("0", "4")]
     assert widths[0] == widths[1] - 2 * 4 * 8
 
 

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 from trap4phish.analyzers import analyze_docx, docx
-from trap4phish.analyzers.docx import DOCX_COLUMNS, SCHEMA, SELECTED
+from trap4phish.analyzers.docx import SCHEMA, SELECTED
 from trap4phish.config import VBA_SUSPICIOUS_KEYWORDS
 from trap4phish.synth import build_vba_project
 

@@ -110,7 +110,7 @@ def test_forest_and_permutation_ranking_match_references(data, tree, forest, ran
     ranking = rank_features_permutation(model, ds, seed=rank_seed, n_repeats=repeats)
     scores = tree_ref.permutation_scores(trees, x, y, rank_seed, repeats)
     order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
-    assert ranking.entries == [(f"f{j}", scores[j]) for j in order]
+    assert ranking == [(f"f{j}", scores[j]) for j in order]
 
 
 @_SETTINGS
@@ -121,7 +121,7 @@ def test_single_tree_permutation_ranking_matches_reference(data, tree, rank_seed
     model = train_decision_tree(ds, TreeParams(**tree))
     ranking = rank_features_permutation(model, ds, seed=rank_seed, n_repeats=repeats)
     scores = tree_ref.permutation_scores([model.nodes], x, y, rank_seed, repeats)
-    assert dict(ranking.entries) == {f"f{j}": score for j, score in enumerate(scores)}
+    assert dict(ranking) == {f"f{j}": score for j, score in enumerate(scores)}
 
 
 @pytest.mark.parametrize("low, high", [(1.0000000000000002, 1.0000000000000004), (1e308, 1.7e308)])

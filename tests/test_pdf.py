@@ -1,7 +1,5 @@
 import zlib
 
-import pytest
-
 from trap4phish.analyzers import analyze_pdf
 from trap4phish.analyzers.pdf import PDF_COLUMNS, SCHEMA, SELECTED
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import qr_ref
 from test_qr import interleaved_block_ids
-from trap4phish.qr import QrBitmap, QrError, byte_mode_capacity, decode, qr_decode, qr_encode, qr_render, to_pgm
+from trap4phish.qr import QrError, byte_mode_capacity, decode, qr_decode, qr_encode, qr_render, to_pgm
 from trap4phish.qr.encode import build_data_codewords, interleave, mask_candidates
 from trap4phish.qr.gf256 import _syndromes, rs_decode, rs_encode
 from trap4phish.qr.matrix import QrMatrix, data_positions, penalty_scores
@@ -87,10 +87,9 @@ def test_render_matches_kron_renderer(version):
         for quiet_zone in range(5):
             bitmap = qr_render(matrix, module_px, quiet_zone)
             expected = qr_ref.render_pixels(matrix, module_px, quiet_zone)
-            assert bitmap.pixels.dtype == np.uint8
-            assert np.array_equal(bitmap.pixels, expected), (module_px, quiet_zone)
-            reference = QrBitmap(len(expected), len(expected), expected, module_px, quiet_zone)
-            assert to_pgm(bitmap) == to_pgm(reference)
+            assert bitmap.dtype == np.uint8
+            assert np.array_equal(bitmap, expected), (module_px, quiet_zone)
+            assert to_pgm(bitmap) == to_pgm(expected)
 
 
 @pytest.mark.parametrize("level, n, salt, mask_id", [
@@ -126,7 +125,7 @@ def damage(matrix: QrMatrix, errors: dict[int, int]) -> QrMatrix:
         for bit in range(8):
             if flip >> (7 - bit) & 1:
                 modules[rows[8 * k + bit], cols[8 * k + bit]] ^= True
-    return QrMatrix(matrix.version, matrix.size, matrix.ec_level, matrix.mask_id, modules)
+    return QrMatrix(matrix.version, matrix.ec_level, matrix.mask_id, modules)
 
 
 @settings(deadline=None, max_examples=40)
@@ -158,11 +157,11 @@ FALSE_TRIPLE_DAMAGED_PAYLOAD = bytes.fromhex(
     "0caa038474ffc5a5e395a74f96e9716452a84b2e156d5302dda2ab7e2cf1deb384c03e")
 
 
-def assert_first_triple_fails(bitmap: QrBitmap):
-    binary = bitmap.pixels < 128
+def assert_first_triple_fails(bitmap: np.ndarray):
+    binary = bitmap < 128
     clusters, row_hits, col_hits = decode._find_finder_centers(binary)
     with pytest.raises(QrError):
-        decode._decode_at(binary, row_hits, col_hits, *decode._select_finders(clusters))
+        decode._decode_at(binary, row_hits, col_hits, *decode._finder_triples(clusters, 1)[0])
 
 
 @pytest.mark.parametrize("module_px", [2, 3, 4])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import qr_ref
 from test_qr import finder_tiles
-from trap4phish.qr import NoFinderPatterns, QrBitmap, byte_mode_capacity, qr_decode, qr_encode, qr_render
+from trap4phish.qr import NoFinderPatterns, byte_mode_capacity, qr_decode, qr_encode, qr_render
 from trap4phish.qr import decode
 from trap4phish.qr.matrix import QrMatrix
 
@@ -28,9 +28,9 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def reference_decode(bitmap: QrBitmap):
+def reference_decode(bitmap: np.ndarray):
     """`qr_decode` with the reference cluster search and per-line refinement."""
-    binary = bitmap.pixels < 128
+    binary = bitmap < 128
 
     def find(bits):
         return qr_ref.find_finder_centers(bits), None, None
@@ -68,8 +68,7 @@ def assert_agree(pixels: np.ndarray):
     matched = decode._perpendicular(row_hits, col_hits, max(binary.shape) + 3)
     assert list(zip(*(a.tolist() for a in matched))) == [row for row, ok in zip(rows, found) if ok]
     assert outcome(clusters_of, binary) == outcome(qr_ref.find_finder_centers, binary)
-    bitmap = QrBitmap(pixels.shape[1], pixels.shape[0], pixels, 0, 0)
-    assert outcome(qr_decode, bitmap) == outcome(reference_decode, bitmap)
+    assert outcome(qr_decode, pixels) == outcome(reference_decode, pixels)
 
 
 @st.composite
@@ -186,9 +185,8 @@ def symbols(draw, max_version=4):
         modules = matrix.modules.copy()
         for r, c in flips:
             modules[r, c] ^= True
-        matrix = QrMatrix(matrix.version, matrix.size, matrix.ec_level, matrix.mask_id, modules)
-    bitmap = qr_render(matrix, draw(st.integers(1, 8)), draw(st.integers(0, 4)))
-    return bitmap.pixels
+        matrix = QrMatrix(matrix.version, matrix.ec_level, matrix.mask_id, modules)
+    return qr_render(matrix, draw(st.integers(1, 8)), draw(st.integers(0, 4)))
 
 
 def with_noise(pixels: np.ndarray, rate: float, seed: int) -> np.ndarray:
@@ -274,7 +272,7 @@ def cluster_lists(draw):
 @settings(deadline=None, max_examples=500)
 @given(cluster_lists())
 def test_selected_finders_match_triple_by_triple_search(clusters):
-    assert outcome(decode._select_finders, clusters) == outcome(qr_ref.select_finders, clusters)
+    assert outcome(lambda c: decode._finder_triples(c, 1)[0], clusters) == outcome(qr_ref.select_finders, clusters)
 
 
 def assert_refinements_agree(pixels: np.ndarray):
@@ -288,7 +286,7 @@ def assert_refinements_agree(pixels: np.ndarray):
         return
     selected = []
     try:
-        selected.append(decode._select_finders(clusters)[3])
+        selected.append(decode._finder_triples(clusters, 1)[0][3])
     except NoFinderPatterns:
         pass
     for cluster in clusters:
@@ -301,7 +299,7 @@ def assert_refinements_agree(pixels: np.ndarray):
 def test_refined_centres_match_per_line_refinement(module_px):
     for level in "LH":
         matrix = qr_encode(b"https://refine.test/" + bytes(module_px), level)
-        assert_refinements_agree(qr_render(matrix, module_px, 2).pixels)
+        assert_refinements_agree(qr_render(matrix, module_px, 2))
 
 
 @settings(deadline=None, max_examples=40)
@@ -312,7 +310,7 @@ def test_refined_centres_of_rendered_symbols_match(pixels, rate, seed):
 
 @pytest.mark.parametrize("large", ["", "edge", "cross"])
 def test_refined_centres_on_finder_tiles_match(large):
-    assert_refinements_agree(finder_tiles(198, large).pixels)
+    assert_refinements_agree(finder_tiles(198, large))
 
 
 def test_row_hit_far_along_a_run_of_columns_agrees():
