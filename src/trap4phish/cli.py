@@ -21,7 +21,7 @@ from . import __version__
 from .analyzers import FORMATS as _FORMATS
 # scan calls neither write_*_csv; they stay names here for bench/tracing.py
 from .core import (
-    CsvRowWriter, FeatureSchema, FileKind, LabeledDataset, SchemaError, DatasetError,
+    CsvRowWriter, FeatureSchema, FileKind, SchemaError, DatasetError,
     read_dataset_csv, sniff_file_kind, write_dataset_csv, write_features_csv,
 )
 from .ml import (
@@ -277,8 +277,10 @@ def _utf8_text(path: str):
 
 
 def _read_labels(path: str) -> dict[str, int]:
-    labels: dict[str, int] = {}
-    with _utf8_text(path), open(path, "r", encoding="utf-8", newline="") as fh:
+    """Labels keyed by file name, from a path,label CSV that may start with
+    a byte-order mark; two rows naming one file name are refused."""
+    rows: dict[str, list[str]] = {}
+    with _utf8_text(path), open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["path", "label"]:
@@ -286,8 +288,10 @@ def _read_labels(path: str) -> dict[str, int]:
         for row in reader:
             if len(row) != 2 or row[1] not in ("0", "1"):
                 raise DatasetError(f"bad labels row {row!r}")
-            labels[Path(row[0]).name] = int(row[1])
-    return labels
+            first = rows.setdefault(Path(row[0]).name, row)
+            if first is not row:
+                raise DatasetError(f"labels rows {first!r} and {row!r} name one file name")
+    return {name: int(row[1]) for name, row in rows.items()}
 
 
 def _schema(kind: str, selected: bool) -> FeatureSchema:
@@ -314,14 +318,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_labeled(path: str, fmt: str, selected: bool) -> LabeledDataset:
-    return read_dataset_csv(path, _schema(fmt, selected))
-
-
 def cmd_train(args) -> int:
     print(f"# train format={args.format} seed={args.seed} trees={args.trees}")
-    ds = _load_labeled(args.input, args.format, args.features == "selected")
-    labels = set(ds.labels)
+    ds = read_dataset_csv(args.input, _schema(args.format, args.features == "selected"))
+    labels = set(ds.y.tolist())
     if labels != {0, 1}:
         print(f"error: training needs both classes, got labels {sorted(labels)}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -349,7 +349,7 @@ def _load_model(path: str):
 
 def cmd_evaluate(args) -> int:
     model = _load_model(args.model)
-    ds = _load_labeled(args.input, args.format, args.features == "selected")
+    ds = read_dataset_csv(args.input, _schema(args.format, args.features == "selected"))
     metrics = evaluate(model, ds)
     print(metrics_table([(type(model).__name__, metrics)]))
     if args.out:
@@ -363,7 +363,7 @@ def cmd_rank(args) -> int:
     columns = len(_schema(args.format, selected=False))
     if k > columns:
         raise SchemaError(f"--k {k} exceeds the {columns} columns of the {args.format} schema")
-    ds = _load_labeled(args.input, args.format, selected=False)
+    ds = read_dataset_csv(args.input, _schema(args.format, selected=False))
     rf = train_random_forest(ds, ForestParams(n_trees=args.trees, seed=args.seed))
     gini = rank_features_gini(rf)
     perm_scores = dict(rank_features_permutation(rf, ds, seed=args.seed, n_repeats=args.repeats))

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -118,22 +118,33 @@ class AnalysisReport:
 
 @dataclass
 class LabeledDataset:
+    """A labeled feature table: `x` is the (rows, len(schema)) float64
+    matrix and `y` the int64 vector of row labels, 0 (benign) or 1
+    (malicious); an empty list is no rows. Another width raises SchemaError;
+    a NaN or infinite value or a label that is not one 0 or 1 per row
+    raises DatasetError."""
+
     schema: FeatureSchema
-    rows: list[tuple[FeatureVector, int]]
+    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        for vec, label in self.rows:
-            if vec.schema.columns != self.schema.columns:
-                raise SchemaError("dataset row schema mismatch")
-            if label not in (0, 1):
-                raise DatasetError(f"label must be 0 or 1, got {label!r}")
+        x = np.asarray(self.x, dtype=np.float64)
+        if x.shape == (0,):
+            x = x.reshape(0, len(self.schema))
+        if x.ndim != 2 or x.shape[1] != len(self.schema):
+            raise SchemaError(f"dataset shape {x.shape} does not have {len(self.schema)} columns")
+        if not np.isfinite(x).all():
+            raise DatasetError(f"non-finite value in row {np.argwhere(~np.isfinite(x))[0, 0]} of x")
+        y = np.asarray(self.y)
+        if y.shape != (len(x),):
+            raise DatasetError(f"{y.size} labels for {len(x)} rows")
+        if not np.isin(y, (0, 1)).all():
+            raise DatasetError(f"label must be 0 or 1, got {y[~np.isin(y, (0, 1))][0]!r}")
+        self.x, self.y = x, y.astype(np.int64)
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    @property
-    def labels(self) -> list[int]:
-        return [label for _, label in self.rows]
+        return len(self.y)
 
 
 # Below this length Counter counts faster than numpy, whose calls cost about
@@ -232,9 +243,6 @@ def format_value(v: float) -> str:
     return f"{v:.9g}"
 
 
-Destination = Union[str, Path, io.IOBase]
-
-
 class CsvRowWriter:
     """Feature rows to a binary stream as UTF-8 CSV with "\\n" line ends: the
     header (columns, plus "label" when `labeled`) on creation, then one line
@@ -243,14 +251,11 @@ class CsvRowWriter:
     def __init__(self, schema: FeatureSchema, fh, labeled: bool = False):
         self.schema = schema
         self._fh = fh
-        self.nbytes = 0
         self._csv = csv.writer(self, lineterminator="\n")
         self._csv.writerow(list(schema.columns) + ["label"] * labeled)
 
     def write(self, line: str) -> None:
-        data = line.encode("utf-8")
-        self._fh.write(data)
-        self.nbytes += len(data)
+        self._fh.write(line.encode("utf-8"))
 
     def add(self, vec: FeatureVector, label: int | None = None) -> None:
         if vec.schema.columns != self.schema.columns:
@@ -259,44 +264,31 @@ class CsvRowWriter:
         self._csv.writerow(cells if label is None else cells + [str(label)])
 
 
-def _write_csv(schema: FeatureSchema, rows: Iterable[tuple[FeatureVector, int | None]],
-               destination: Destination, labeled: bool) -> int:
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fh:
-            return _write_csv(schema, rows, fh, labeled)
-    writer = CsvRowWriter(schema, destination, labeled)
-    for vec, label in rows:
-        writer.add(vec, label)
-    return writer.nbytes
+def write_dataset_csv(ds: LabeledDataset, path: str | Path) -> None:
+    """Write a labeled dataset to `path` as UTF-8 CSV (header = columns + "label")."""
+    with open(path, "wb") as fh:
+        writer = CsvRowWriter(ds.schema, fh, labeled=True)
+        for values, label in zip(ds.x.tolist(), ds.y.tolist()):
+            writer.add(FeatureVector(ds.schema, values), label)
 
 
-def write_dataset_csv(ds: LabeledDataset, destination: Destination) -> int:
-    """Write a labeled dataset as UTF-8 CSV (header = columns + "label");
-    returns the number of bytes written."""
-    return _write_csv(ds.schema, ds.rows, destination, labeled=True)
-
-
-def write_features_csv(schema: FeatureSchema, vectors: Iterable[FeatureVector],
-                       destination: Destination) -> int:
+def write_features_csv(schema: FeatureSchema, vectors: Iterable[FeatureVector], path: str | Path) -> None:
     """Unlabeled variant of write_dataset_csv (header = columns only)."""
-    return _write_csv(schema, ((vec, None) for vec in vectors), destination, labeled=False)
+    with open(path, "wb") as fh:
+        writer = CsvRowWriter(schema, fh)
+        for vec in vectors:
+            writer.add(vec)
 
 
-def read_dataset_csv(source: Union[str, Path, bytes, io.IOBase], schema: FeatureSchema) -> LabeledDataset:
-    """Read a labeled dataset; the header must match the schema plus "label"."""
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    elif isinstance(source, bytes):
-        raw = source
-    else:
-        raw = source.read()
-        if isinstance(raw, str):
-            raw = raw.encode("utf-8")
+def read_dataset_csv(source: str | Path | bytes, schema: FeatureSchema) -> LabeledDataset:
+    """The dataset in a file path or the file's UTF-8 bytes, after any
+    byte-order mark: a header of the schema's columns plus "label", then rows
+    of finite numbers and a 0/1 label, which become `x` and `y`."""
+    raw = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        where = source if isinstance(source, (str, Path)) else "dataset CSV"
+        where = "dataset CSV" if isinstance(source, bytes) else source
         raise DatasetError(f"{where} is not UTF-8 text (byte {exc.start})") from None
     reader = csv.reader(io.StringIO(text))
     try:
@@ -310,7 +302,7 @@ def read_dataset_csv(source: Union[str, Path, bytes, io.IOBase], schema: Feature
             f"({len(expected)} columns), got {len(header)} columns"
             + ("" if header[-1:] == ["label"] else " (no trailing 'label')")
         )
-    rows: list[tuple[FeatureVector, int]] = []
+    rows, labels = [], []
     for row_idx, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -328,5 +320,6 @@ def read_dataset_csv(source: Union[str, Path, bytes, io.IOBase], schema: Feature
         label_cell = row[-1].strip()
         if label_cell not in ("0", "1"):
             raise DatasetError(f"row {row_idx}, column 'label': label must be 0 or 1, got {label_cell!r}")
-        rows.append((FeatureVector(schema, values), int(label_cell)))
-    return LabeledDataset(schema, rows)
+        rows.append(values)
+        labels.append(int(label_cell))
+    return LabeledDataset(schema, rows, labels)

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import LabeledDataset
+from ..core import FeatureSchema, LabeledDataset, SchemaError
 from .errors import EmptyDatasetError
 from .tree import (
-    MODEL_FORMAT_VERSION, DecisionTreeModel, PackedTrees, TreeParams, dataset_matrix, grow_trees,
+    MODEL_FORMAT_VERSION, DecisionTreeModel, PackedTrees, TreeParams, grow_trees,
     join_packed, model_json, predict_packed,
 )
 
@@ -57,9 +57,7 @@ class ForestParams:
 class RandomForestModel:
     trees: list[DecisionTreeModel]
     params: ForestParams
-    columns: tuple[str, ...]
-    format_kind: str = ""
-    schema_version: int = 1
+    schema: FeatureSchema
     warnings: list[str] = field(default_factory=list)
     packed: PackedTrees = field(init=False, repr=False, compare=False)
 
@@ -79,7 +77,8 @@ def load_model(text: str) -> DecisionTreeModel | RandomForestModel:
     Raises ValueError on invalid JSON, an unknown model type, a format version
     other than MODEL_FORMAT_VERSION, a node field that no `train` writes (see
     `_check_node_fields`), nodes that do not form a tree (see `pack_trees`)
-    and an RF whose tree count is not its `n_trees`, and KeyError or
+    an RF whose tree count is not its `n_trees` and a schema that repeats a
+    column name, and KeyError or
     TypeError on missing fields or containers of the wrong type."""
     payload = json.loads(text)
     kind = payload.get("model_type") if isinstance(payload, dict) else None
@@ -88,18 +87,20 @@ def load_model(text: str) -> DecisionTreeModel | RandomForestModel:
     version = payload.get("format_version")
     if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"format_version {version!r} is not {MODEL_FORMAT_VERSION}")
-    schema = payload["schema"]
-    meta = (tuple(schema["columns"]), schema["format_kind"], schema["version"])
+    try:
+        schema = FeatureSchema(**payload["schema"])
+    except SchemaError as exc:
+        raise ValueError(f"model schema: {exc}") from None
     trees = [payload["nodes"]] if kind == "decision_tree" else payload["trees"]
     for nodes in trees:
-        _check_node_fields(nodes, len(meta[0]))
+        _check_node_fields(nodes, len(schema))
     if kind == "decision_tree":
-        return DecisionTreeModel(payload["nodes"], TreeParams(**payload["params"]), *meta)
+        return DecisionTreeModel(payload["nodes"], TreeParams(**payload["params"]), schema)
     params = ForestParams(**payload["params"])
     if len(trees) != params.n_trees:
         raise ValueError(f"{len(trees)} trees, but n_trees is {params.n_trees}")
     tree_params = params.tree_params()
-    return RandomForestModel([DecisionTreeModel(nodes, tree_params, *meta) for nodes in trees], params, *meta)
+    return RandomForestModel([DecisionTreeModel(nodes, tree_params, schema) for nodes in trees], params, schema)
 
 
 def _check_node_fields(nodes: list[dict], n_columns: int) -> None:
@@ -135,7 +136,7 @@ def train_random_forest(ds: LabeledDataset, params: ForestParams | None = None) 
     if len(ds) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     params = params or ForestParams()
-    x, y = dataset_matrix(ds)
+    x, y = ds.x, ds.y
     n, d = x.shape
     max_features = params.resolve_max_features(d)
     tree_params = params.tree_params()
@@ -147,11 +148,7 @@ def train_random_forest(ds: LabeledDataset, params: ForestParams | None = None) 
         samples = [rng.integers(0, n, size=n) for rng in rngs]
     else:
         samples = [np.arange(n)] * params.n_trees
-    trees = [
-        DecisionTreeModel(nodes, tree_params, ds.schema.columns, ds.schema.format_kind,
-                          ds.schema.version)
-        for nodes in grow_trees(x, y, samples, tree_params, max_features, rngs)
-    ]
-    return RandomForestModel(trees, params, ds.schema.columns,
-                             ds.schema.format_kind, ds.schema.version, warnings)
+    trees = [DecisionTreeModel(nodes, tree_params, ds.schema)
+             for nodes in grow_trees(x, y, samples, tree_params, max_features, rngs)]
+    return RandomForestModel(trees, params, ds.schema, warnings)
 

@@ -9,7 +9,7 @@ import numpy as np
 from ..core import FeatureSchema, LabeledDataset
 from .errors import EmptyDatasetError
 from .forest import RandomForestModel
-from .tree import dataset_matrix, leaf_labels
+from .tree import leaf_labels
 
 
 def _ranked(scores: np.ndarray, columns: tuple[str, ...]) -> list[tuple[str, float]]:
@@ -22,7 +22,7 @@ def rank_features_gini(model: RandomForestModel) -> list[tuple[str, float]]:
     """Impurity-decrease importance: per-feature sum of Gini decrease weighted
     by node sample fraction, averaged over trees, normalized to sum 1.
     Returns (column, score) pairs by descending score, ties in column order."""
-    d = len(model.columns)
+    d = len(model.schema)
     total = np.zeros(d, dtype=np.float64)
     for tree in model.trees:
         scores = np.zeros(d, dtype=np.float64)
@@ -46,7 +46,7 @@ def rank_features_gini(model: RandomForestModel) -> list[tuple[str, float]]:
     s = total.sum()
     if s > 0:
         total = total / s
-    return _ranked(total, model.columns)
+    return _ranked(total, model.schema.columns)
 
 
 def rank_features_permutation(
@@ -68,7 +68,7 @@ def rank_features_permutation(
         raise EmptyDatasetError("cannot rank on an empty dataset")
     if n_repeats < 1:
         raise ValueError("n_repeats must be >= 1")
-    x, y = dataset_matrix(ds)
+    x, y = ds.x, ds.y
     packed = model.packed
     n_trees = len(packed.roots)
     labels = leaf_labels(packed, x)
@@ -94,7 +94,7 @@ def rank_features_permutation(
         accuracy = ((shuffled_votes * 2 > n_trees) == y).mean(axis=1)
         drops = [baseline - float(acc) for acc in accuracy]
         scores[j] = max(0.0, float(np.mean(drops)))
-    return _ranked(scores, tuple(model.columns))
+    return _ranked(scores, model.schema.columns)
 
 
 def select_top_k(ranking: list[tuple[str, float]], k: int, schema: FeatureSchema) -> FeatureSchema:

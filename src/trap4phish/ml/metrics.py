@@ -10,7 +10,6 @@ import numpy as np
 
 from ..core import LabeledDataset
 from .errors import EmptyDatasetError, SchemaMismatchError
-from .tree import dataset_matrix
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -79,10 +78,9 @@ def evaluate(model, ds: LabeledDataset) -> EvalMetrics:
     """Confusion counts and metrics of `model` on `ds`."""
     if len(ds) == 0:
         raise EmptyDatasetError("cannot evaluate on an empty dataset")
-    if tuple(ds.schema.columns) != tuple(model.columns):
+    if ds.schema.columns != model.schema.columns:
         raise SchemaMismatchError("dataset schema differs from model schema")
-    x, y = dataset_matrix(ds)
-    pred = model.predict_many(x)
+    pred, y = model.predict_many(ds.x), ds.y
     tp = int(((pred == 1) & (y == 1)).sum())
     fp = int(((pred == 1) & (y == 0)).sum())
     fn = int(((pred == 0) & (y == 1)).sum())
@@ -104,20 +102,18 @@ def metrics_table(rows: list[tuple[str, EvalMetrics]]) -> str:
 def stratified_split(
     ds: LabeledDataset, test_fraction: float = 0.3, seed: int = 0
 ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Seeded per-class shuffle and split into (train, test)."""
+    """Seeded per-class shuffle and split into (train, test); each part
+    holds class 0's rows, then class 1's."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    train_rows = []
-    test_rows = []
-    labels = np.array(ds.labels)
+    train, test = [], []
     for label in (0, 1):
-        idx = np.nonzero(labels == label)[0]
-        if not len(idx):
-            continue
-        idx = idx[rng.permutation(len(idx))]
-        n_test = int(round(len(idx) * test_fraction))
-        n_test = min(max(n_test, 1 if len(idx) > 1 else 0), len(idx) - 1) if len(idx) > 1 else 0
-        test_rows.extend(ds.rows[i] for i in idx[:n_test])
-        train_rows.extend(ds.rows[i] for i in idx[n_test:])
-    return LabeledDataset(ds.schema, train_rows), LabeledDataset(ds.schema, test_rows)
+        idx = np.flatnonzero(ds.y == label)
+        idx = idx[rng.permutation(len(idx))]  # no draw for fewer than two rows
+        n_test = min(max(round(len(idx) * test_fraction), 1), len(idx) - 1) if len(idx) > 1 else 0
+        test.append(idx[:n_test])
+        train.append(idx[n_test:])
+    train, test = np.concatenate(train), np.concatenate(test)
+    return (LabeledDataset(ds.schema, ds.x[train], ds.y[train]),
+            LabeledDataset(ds.schema, ds.x[test], ds.y[test]))

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..core import LabeledDataset
+from ..core import FeatureSchema, LabeledDataset
 from .errors import EmptyDatasetError, SchemaMismatchError
 
 MODEL_FORMAT_VERSION = 1
@@ -176,9 +176,7 @@ class DecisionTreeModel:
 
     nodes: list[dict]
     params: TreeParams
-    columns: tuple[str, ...]
-    format_kind: str = ""
-    schema_version: int = 1
+    schema: FeatureSchema
     warnings: list[str] = field(default_factory=list)
     packed: PackedTrees = field(init=False, repr=False, compare=False)
 
@@ -195,17 +193,9 @@ class DecisionTreeModel:
 def model_json(model, model_type: str, **trees) -> str:
     """The model file text of a DT or RF: format version, model type, params,
     schema and `trees` (a DT's `nodes`, an RF's `trees`). `load_model` reads it."""
-    schema = {"format_kind": model.format_kind, "columns": list(model.columns),
-              "version": model.schema_version}
     return json.dumps({"format_version": MODEL_FORMAT_VERSION, "model_type": model_type,
-                       "params": asdict(model.params), "schema": schema, **trees},
+                       "params": asdict(model.params), "schema": asdict(model.schema), **trees},
                       sort_keys=True, separators=(",", ":"))
-
-
-def dataset_matrix(ds: LabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array([vec.values for vec, _ in ds.rows], dtype=np.float64)
-    y = np.array([label for _, label in ds.rows], dtype=np.int64)
-    return x, y
 
 
 def _weighted_gini(ones: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -367,11 +357,8 @@ def train_decision_tree(ds: LabeledDataset, params: TreeParams | None = None) ->
     if len(ds) == 0:
         raise EmptyDatasetError("cannot train on an empty dataset")
     params = params or TreeParams()
-    x, y = dataset_matrix(ds)
     warnings = []
-    if len(np.unique(y)) < 2:
+    if len(np.unique(ds.y)) < 2:
         warnings.append("single-class dataset: degenerate single-leaf model")
-    [nodes] = grow_trees(x, y, [np.arange(len(y))], params)
-    schema = ds.schema
-    return DecisionTreeModel(nodes, params, schema.columns, schema.format_kind,
-                             schema.version, warnings)
+    [nodes] = grow_trees(ds.x, ds.y, [np.arange(len(ds))], params)
+    return DecisionTreeModel(nodes, params, ds.schema, warnings)

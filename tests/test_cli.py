@@ -204,6 +204,27 @@ class TestScanLoop:
         assert "bad labels row" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists() and not (tmp_path / "x.csv").exists()
 
+    def test_labels_with_a_byte_order_mark(self, docx_corpus, tmp_path, capsys):
+        # spreadsheet programs save "CSV UTF-8" with EF BB BF in front
+        marked = tmp_path / "labels.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (docx_corpus / "labels.csv").read_bytes())
+        outputs = []
+        for labels in (docx_corpus / "labels.csv", marked):
+            out = tmp_path / f"{len(outputs)}.csv"
+            assert run(["scan", docx_corpus, "--format", "docx", "--out", out, "--labels", labels]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert "no label" not in capsys.readouterr().err
+
+    def test_labels_naming_one_file_twice_fail_before_any_output(self, docx_corpus, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("path,label\nbenign_00000.docx,0\nother/benign_00000.docx,1\n")
+        code = run(["scan", docx_corpus, "--format", "docx", "--out", tmp_path / "x.csv", "--labels", labels])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "['benign_00000.docx', '0']" in err and "['other/benign_00000.docx', '1']" in err, err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_auto_mode_over_only_unsupported_files_writes_no_csv(self, tmp_path, capsys):
         inputs = tmp_path / "in"
         inputs.mkdir()
@@ -250,8 +271,9 @@ class TestScanLoop:
             vectors = [(p, spec.analyze(p.read_bytes(), source_path=str(p)).features) for p in paths]
             dest = tmp_path / f"expected.{fmt}.csv"
             if labeled:
-                write_dataset_csv(LabeledDataset(spec.schema, [(v, labels[p.name]) for p, v in vectors
-                                                               if p.name in labels]), dest)
+                kept = [(v.values, labels[p.name]) for p, v in vectors if p.name in labels]
+                write_dataset_csv(LabeledDataset(spec.schema, [values for values, _ in kept],
+                                                 [label for _, label in kept]), dest)
             else:
                 write_features_csv(spec.schema, [v for _p, v in vectors], dest)
             expected[f"{fmt}.csv"] = dest.read_bytes()
@@ -330,7 +352,7 @@ class TestTrainEvaluateRank:
     @pytest.mark.parametrize("command", ["evaluate", "rank"])
     def test_header_only_csv_exit_3(self, tmp_path, capsys, command):
         data = tmp_path / "docx.csv"
-        write_dataset_csv(LabeledDataset(FORMATS["docx"].schema, []), data)
+        write_dataset_csv(LabeledDataset(FORMATS["docx"].schema, [], []), data)
         extra = (["--model", Path(__file__).parent / "data" / "model_v1_decision_tree.json"] if command == "evaluate"
                  else ["--out", tmp_path / "ranking.csv"])
         assert run([command, "--in", data, "--format", "docx", *extra]) == 3

@@ -1,10 +1,10 @@
-import io
 import math
 import random
 import tracemalloc
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -150,25 +150,47 @@ class TestSniffFileKind:
 
 def _small_dataset() -> LabeledDataset:
     schema = FeatureSchema("pdf", ("a", "b", "c"))
-    rows = [
-        (FeatureVector(schema, [1.0, 2.5, 3.125]), 0),
-        (FeatureVector(schema, [0.1234567891, 7.0, 0.0]), 1),
-        (FeatureVector(schema, [9999999.0, -1.5, 1e-9]), 0),
-    ]
-    return LabeledDataset(schema, rows)
+    rows = [[1.0, 2.5, 3.125], [0.1234567891, 7.0, 0.0], [9999999.0, -1.5, 1e-9]]
+    return LabeledDataset(schema, rows, [0, 1, 0])
+
+
+class TestLabeledDataset:
+    def test_arrays(self):
+        ds = _small_dataset()
+        assert ds.x.dtype == np.float64 and ds.x.shape == (3, 3)
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [0, 1, 0]
+        assert len(ds) == 3
+        empty = LabeledDataset(ds.schema, [], [])
+        assert empty.x.shape == (0, 3) and len(empty) == 0
+
+    @pytest.mark.parametrize("x, y, error", [
+        ([[1.0, math.nan, 0.0]], [0], DatasetError),
+        ([[1.0, 2.0, math.inf]], [1], DatasetError),
+        ([[1.0, 2.0]], [0], SchemaError),
+        ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [0], DatasetError),
+        ([[1.0, 2.0, 3.0]], [2], DatasetError),
+    ], ids=["nan", "inf", "width", "label-count", "label-2"])
+    def test_refuses(self, x, y, error):
+        with pytest.raises(DatasetError) as err:
+            LabeledDataset(_small_dataset().schema, x, y)
+        assert type(err.value) is error
 
 
 class TestDatasetCsv:
-    def test_roundtrip(self):
+    def test_roundtrip(self, tmp_path):
         ds = _small_dataset()
-        buf = io.BytesIO()
-        n = write_dataset_csv(ds, buf)
-        assert n == len(buf.getvalue())
-        back = read_dataset_csv(buf.getvalue(), ds.schema)
-        assert back.labels == ds.labels
-        for (v1, _), (v2, _) in zip(ds.rows, back.rows):
-            for a, b in zip(v1.values, v2.values):
+        path = tmp_path / "ds.csv"
+        write_dataset_csv(ds, path)
+        back = read_dataset_csv(path, ds.schema)
+        assert back.y.tolist() == ds.y.tolist()
+        for v1, v2 in zip(ds.x, back.x):
+            for a, b in zip(v1, v2):
                 assert b == pytest.approx(a, rel=1e-9)
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        csv_text = b"a,b,c,label\n1,2.5,3,1\n"
+        back = read_dataset_csv(b"\xef\xbb\xbf" + csv_text, _small_dataset().schema)
+        assert back.x.tolist() == [[1.0, 2.5, 3.0]] and back.y.tolist() == [1]
 
     def test_header_must_include_label(self):
         csv_text = b"a,b,c\n1,2,3\n"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tree_ref
-from trap4phish.core import FeatureSchema, FeatureVector, LabeledDataset
+from trap4phish.core import FeatureSchema, LabeledDataset
 from trap4phish.ml import (
     ForestParams,
     TreeParams,
@@ -62,8 +62,7 @@ def _json(trees) -> str:
 
 def _dataset(x, y) -> LabeledDataset:
     schema = FeatureSchema("test", tuple(f"f{i}" for i in range(x.shape[1])))
-    return LabeledDataset(schema, [(FeatureVector(schema, row.tolist()), int(label))
-                                   for row, label in zip(x, y)])
+    return LabeledDataset(schema, x, y)
 
 
 def _ref_forest(x, y, tree, forest):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trap4phish.core import FeatureSchema, FeatureVector, LabeledDataset
+from trap4phish.core import FeatureSchema, LabeledDataset
 from trap4phish.ml import (
     ForestParams,
     rank_features_gini,
@@ -13,10 +13,7 @@ from trap4phish.ml import (
 
 def make_ds(rows, labels):
     schema = FeatureSchema("test", tuple(f"f{i}" for i in range(len(rows[0]))))
-    return LabeledDataset(
-        schema, [(FeatureVector(schema, [float(v) for v in row]), int(l))
-                 for row, l in zip(rows, labels)]
-    )
+    return LabeledDataset(schema, rows, labels)
 
 
 def label_copy_dataset(seed: int, n=200, noise_features=9):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trap4phish.cli import _load_model
-from trap4phish.core import FeatureSchema, FeatureVector, LabeledDataset, SchemaError
+from trap4phish.core import FeatureSchema, LabeledDataset, SchemaError
 from trap4phish.ml import (
     DecisionTreeModel,
     EmptyDatasetError,
@@ -27,10 +27,7 @@ from trap4phish.ml.metrics import EvalMetrics
 
 def make_ds(rows, labels, kind="test"):
     schema = FeatureSchema(kind, tuple(f"f{i}" for i in range(len(rows[0]))))
-    return LabeledDataset(
-        schema, [(FeatureVector(schema, [float(v) for v in row]), int(l))
-                 for row, l in zip(rows, labels)]
-    )
+    return LabeledDataset(schema, rows, labels)
 
 
 class TestDecisionTree:
@@ -40,13 +37,13 @@ class TestDecisionTree:
         root = model.nodes[0]
         assert root["kind"] == "split"
         assert root["threshold"] == 0.5
-        assert model.predict_many(np.array([ds.rows[0][0].values]))[0] == 0
-        assert model.predict_many(np.array([ds.rows[1][0].values]))[0] == 1
+        assert model.predict_many(ds.x[:1])[0] == 0
+        assert model.predict_many(ds.x[1:2])[0] == 1
 
     def test_xor_depth_two(self):
         ds = make_ds([[0, 0], [0, 1], [1, 0], [1, 1]], [0, 1, 1, 0])
         model = train_decision_tree(ds, TreeParams(max_depth=2))
-        assert [model.predict_many(np.array([v.values]))[0] for v, _ in ds.rows] == [0, 1, 1, 0]
+        assert [model.predict_many(row[None])[0] for row in ds.x] == [0, 1, 1, 0]
 
     def test_identical_rows_tie_to_zero(self):
         ds = make_ds([[5.0], [5.0]], [0, 1])
@@ -63,7 +60,7 @@ class TestDecisionTree:
     def test_empty_dataset_error(self):
         schema = FeatureSchema("t", ("a",))
         with pytest.raises(EmptyDatasetError):
-            train_decision_tree(LabeledDataset(schema, []))
+            train_decision_tree(LabeledDataset(schema, [], []))
 
     def test_min_samples_leaf(self):
         ds = make_ds([[i] for i in range(10)], [0] * 5 + [1] * 5)
@@ -127,12 +124,12 @@ class TestRandomForest:
         leaf = lambda label: [{"kind": "leaf", "class_counts": [1 - label, label],
                                "label": label, "samples": 1, "impurity": 0.0}]
         params = TreeParams()
-        trees = [DecisionTreeModel(leaf(1), params, schema.columns),
-                 DecisionTreeModel(leaf(1), params, schema.columns),
-                 DecisionTreeModel(leaf(0), params, schema.columns)]
-        forest = RandomForestModel(trees, ForestParams(n_trees=3), schema.columns)
+        trees = [DecisionTreeModel(leaf(1), params, schema),
+                 DecisionTreeModel(leaf(1), params, schema),
+                 DecisionTreeModel(leaf(0), params, schema)]
+        forest = RandomForestModel(trees, ForestParams(n_trees=3), schema)
         assert forest.predict_many(np.array([[0.0]]))[0] == 1
-        forest2 = RandomForestModel(trees[1:], ForestParams(n_trees=2), schema.columns)
+        forest2 = RandomForestModel(trees[1:], ForestParams(n_trees=2), schema)
         assert forest2.predict_many(np.array([[0.0]]))[0] == 0
 
     def test_scaling_invariance(self):
@@ -142,10 +139,9 @@ class TestRandomForest:
                      [0, 0, 0, 1, 1, 1])
         eval_rows = np.array([[0.5, 6.0], [4.5, 0.5], [2.2, 2.0]])
         for column, factor in [(0, 4.0), (1, 0.5), (0, 3.0)]:
-            scaled_rows = [list(v.values) for v, _ in ds.rows]
-            for row in scaled_rows:
-                row[column] *= factor
-            ds_scaled = make_ds(scaled_rows, ds.labels)
+            scaled_rows = ds.x.copy()
+            scaled_rows[:, column] *= factor
+            ds_scaled = make_ds(scaled_rows, ds.y)
             scaled_eval = eval_rows.copy()
             scaled_eval[:, column] *= factor
             for params in (ForestParams(n_trees=7, seed=2),
@@ -182,7 +178,7 @@ class TestModelFilesV1:
         path = Path(__file__).parent / "data" / name
         model = _load_model(str(path))
         assert isinstance(model, kind)
-        assert model.columns == ("a", "b", "c")
+        assert model.schema.columns == ("a", "b", "c")
         assert model.to_json().encode("utf-8") == path.read_bytes()
         assert model.predict_many(self.ROWS).tolist() == labels
 
@@ -231,6 +227,18 @@ class TestModelFileChecks:
         with pytest.raises(ValueError, match="not finite"):
             load_model(self.mutated("model_v1_decision_tree.json", edit))
 
+    @pytest.mark.parametrize("name", ["model_v1_decision_tree.json", "model_v1_random_forest.json"])
+    def test_schema_that_repeats_a_column(self, name, tmp_path):
+        # FeatureSchema refuses the repeat; a model file is outside input, so ValueError
+        def edit(payload):
+            payload["schema"]["columns"][1] = "a"
+        text = self.mutated(name, edit)
+        with pytest.raises(ValueError, match=r"duplicate column names: \['a'\]"):
+            load_model(text)
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError):
+            _load_model(str(path))
 
     @pytest.mark.parametrize("kind, key, value", [
         ("split", "feature", 1e308), ("split", "feature", float("inf")), ("split", "feature", 10**30),
@@ -292,8 +300,8 @@ def test_single_field_mutations_load_or_raise_value_key_or_type_error(name, data
         model = load_model(json.dumps(payload))
     except (ValueError, KeyError, TypeError):
         return
-    rows = np.zeros((len(TestModelFilesV1.ROWS), len(model.columns)))
-    width = min(3, len(model.columns))
+    rows = np.zeros((len(TestModelFilesV1.ROWS), len(model.schema)))
+    width = min(3, len(model.schema))
     rows[:, :width] = TestModelFilesV1.ROWS[:, :width]
     assert set(model.predict_many(rows).tolist()) <= {0, 1}
 
@@ -338,7 +346,7 @@ class TestMetrics:
         ds = make_ds([[0], [1]], [0, 1])
         model = train_decision_tree(ds)
         with pytest.raises(EmptyDatasetError):
-            evaluate(model, LabeledDataset(ds.schema, []))
+            evaluate(model, LabeledDataset(ds.schema, [], []))
 
     def test_metrics_identities(self):
         rng = np.random.default_rng(17)
@@ -368,6 +376,6 @@ class TestStratifiedSplit:
         a_train, a_test = stratified_split(ds, 0.3, seed=5)
         b_train, b_test = stratified_split(ds, 0.3, seed=5)
         assert len(a_test) == len(b_test) == 60  # 36 + 24
-        assert a_test.labels == b_test.labels
-        assert a_test.labels.count(1) == 24
+        assert a_test.y.tolist() == b_test.y.tolist()
+        assert a_test.y.tolist().count(1) == 24
         assert len(a_train) + len(a_test) == 200

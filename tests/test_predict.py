@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tree_ref
+from trap4phish.core import FeatureSchema
 from trap4phish.ml import (
     DecisionTreeModel,
     ForestParams,
@@ -17,7 +18,7 @@ from trap4phish.ml import (
 from trap4phish.ml.tree import pack_trees
 
 N_FEATURES = 3
-COLUMNS = tuple(f"f{i}" for i in range(N_FEATURES))
+SCHEMA = FeatureSchema("test", tuple(f"f{i}" for i in range(N_FEATURES)))
 # thresholds and inputs share one small value set, so inputs often sit
 # exactly on a threshold
 VALUES = [-1.0, 0.0, 0.5, 1.0, 2.5]
@@ -34,12 +35,12 @@ def split(feature, threshold, left, right):
 
 
 def dt(nodes):
-    return DecisionTreeModel(nodes, TreeParams(), COLUMNS)
+    return DecisionTreeModel(nodes, TreeParams(), SCHEMA)
 
 
 def rf(trees):
     return RandomForestModel([dt(nodes) for nodes in trees],
-                             ForestParams(n_trees=len(trees)), COLUMNS)
+                             ForestParams(n_trees=len(trees)), SCHEMA)
 
 
 @st.composite
