@@ -21,7 +21,7 @@ from . import __version__
 from .analyzers import FORMATS as _FORMATS
 # scan calls neither write_*_csv; they stay names here for bench/tracing.py
 from .core import (
-    CsvRowWriter, FeatureSchema, FileKind, SchemaError, DatasetError,
+    CsvRowWriter, FeatureSchema, FileKind, LabeledDataset, SchemaError, DatasetError,
     read_dataset_csv, sniff_file_kind, write_dataset_csv, write_features_csv,
 )
 from .ml import (
@@ -30,7 +30,7 @@ from .ml import (
     train_decision_tree, train_random_forest,
 )
 from .qr import (
-    DEFAULT_MODULE_PX, DEFAULT_QUIET_ZONE, PayloadTooLong, QrError, from_pgm, qr_decode, qr_encode,
+    DEFAULT_MODULE_PX, DEFAULT_QUIET_ZONE, QrError, from_pgm, qr_decode, qr_encode,
     qr_render, to_pgm,
 )
 from .synth import SynthConfig, write_corpus
@@ -318,13 +318,16 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _require_both_classes(ds: LabeledDataset) -> None:
+    labels = set(ds.y.tolist())
+    if labels != {0, 1}:
+        raise SchemaError(f"training needs both classes, got labels {sorted(labels)}")
+
+
 def cmd_train(args) -> int:
     print(f"# train format={args.format} seed={args.seed} trees={args.trees}")
     ds = read_dataset_csv(args.input, _schema(args.format, args.features == "selected"))
-    labels = set(ds.y.tolist())
-    if labels != {0, 1}:
-        print(f"error: training needs both classes, got labels {sorted(labels)}", file=sys.stderr)
-        return EXIT_SCHEMA
+    _require_both_classes(ds)
     train_ds, test_ds = stratified_split(ds, 0.3, seed=args.seed)
     dt = train_decision_tree(train_ds, TreeParams())
     rf = train_random_forest(train_ds, ForestParams(n_trees=args.trees, seed=args.seed))
@@ -364,6 +367,8 @@ def cmd_rank(args) -> int:
     if k > columns:
         raise SchemaError(f"--k {k} exceeds the {columns} columns of the {args.format} schema")
     ds = read_dataset_csv(args.input, _schema(args.format, selected=False))
+    if len(ds):  # an empty dataset gets the trainer's own message
+        _require_both_classes(ds)
     rf = train_random_forest(ds, ForestParams(n_trees=args.trees, seed=args.seed))
     gini = rank_features_gini(rf)
     perm_scores = dict(rank_features_permutation(rf, ds, seed=args.seed, n_repeats=args.repeats))
@@ -401,10 +406,10 @@ def cmd_qr_encode(args) -> int:
     for idx, url in enumerate(urls):
         try:
             m = qr_encode(url.encode("utf-8"), args.ec_level)
-        except PayloadTooLong as exc:
+            bmp = qr_render(m, args.module_px, args.quiet_zone)
+        except QrError as exc:  # a payload too long, or a bitmap too large
             print(f"error: line {idx + 1}: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
-        bmp = qr_render(m, args.module_px, args.quiet_zone)
         name = f"{idx:05d}.pgm"
         (out_dir / name).write_bytes(to_pgm(bmp))
         manifest_rows.append([idx, url, m.version, m.ec_level])

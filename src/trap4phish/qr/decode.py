@@ -22,11 +22,12 @@ nothing: it reads the hits of the rows and the column it needs out of the
 whole-bitmap hits.
 
 The grid is sampled at module centers, format information is BCH-corrected
-by nearest-codeword search, and each Reed-Solomon block is corrected
-independently (`rs_decode` once per block, its syndromes read from the
-GF(256) log tables). The byte-mode bitstream is parsed strictly: pad bytes
-after the terminator must alternate 0xEC/0x11, which turns nearly all
-beyond-capacity miscorrections into loud failures.
+by nearest-codeword search (both words against all 32 codewords at once,
+with a byte popcount table), and each Reed-Solomon block is corrected
+independently (`rs_decode` once per block, its syndromes and Chien search
+read from cached GF(256) tables). The byte-mode bitstream is parsed
+strictly: pad bytes after the terminator must alternate 0xEC/0x11, which
+turns nearly all beyond-capacity miscorrections into loud failures.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import BadBitmap, FormatUnrecoverable, NoFinderPatterns, QrError, RsFailure, UnsupportedMode
 from .gf256 import RsDecodeError, rs_decode
-from .matrix import read_data_bits, read_format_words
+from .matrix import POPCOUNT, read_data_bits, read_format_words
 from .tables import (
     ALL_FORMAT_WORDS,
     BLOCK_STRUCTURE,
@@ -399,20 +400,19 @@ def _sample_grid(binary: np.ndarray, tl, tr, bl, unit: float) -> tuple[np.ndarra
     return modules, version
 
 
+_FORMATS = list(ALL_FORMAT_WORDS)
+_FORMAT_WORDS = np.array(list(ALL_FORMAT_WORDS.values()), dtype=np.int64)
+
+
 def _decode_format(modules: np.ndarray) -> tuple[str, int]:
-    word_a, word_b = read_format_words(modules)
-    best = None
-    for (level, mask_id), codeword in ALL_FORMAT_WORDS.items():
-        dist = min(
-            bin(word_a ^ codeword).count("1"),
-            bin(word_b ^ codeword).count("1"),
-        )
-        if best is None or dist < best[0]:
-            best = (dist, level, mask_id)
-    dist, level, mask_id = best
-    if dist > 3:
-        raise FormatUnrecoverable(f"format word distance {dist} exceeds BCH capacity")
-    return level, mask_id
+    """(level, mask) of the format codeword nearest to either format copy;
+    the first in `ALL_FORMAT_WORDS` order among equally near ones."""
+    diff = np.array(read_format_words(modules), dtype=np.int64)[:, None] ^ _FORMAT_WORDS
+    dist = (POPCOUNT[diff & 0xFF] + POPCOUNT[diff >> 8]).min(axis=0)
+    best = int(np.argmin(dist))  # the first of equal minima
+    if dist[best] > 3:
+        raise FormatUnrecoverable(f"format word distance {int(dist[best])} exceeds BCH capacity")
+    return _FORMATS[best]
 
 
 def _deinterleave_and_correct(codewords: list[int], version: int, level: str) -> list[int]:

@@ -2,10 +2,15 @@
 Reed-Solomon encoding/decoding over it, first root alpha^0 as QR requires.
 
 Polynomials are coefficient lists with index 0 = highest degree term.
-Encoding and the syndromes work in the log domain: `rs_encode` divides by a
-generator whose coefficient logs are cached per parity length, and
-`_syndromes` evaluates a block at all roots at once from the `_LOG`/`_EXP`
-tables. Berlekamp-Massey, the Chien search and Forney run on the plain
+Encoding, the syndromes and the Chien search read small tables cached per
+block shape, and each is one table product: the logs of the coefficients
+are added to a cached table of logs, looked up in the antilog table, and
+XOR-reduced. The parity of a block is the XOR of each data byte times
+x^(its degree + nsym) mod the generator (`_parity_logs`), and a polynomial
+evaluated at alpha^0, alpha^1, ... is the XOR of each coefficient times
+alpha^(i * its degree) (`_power_logs`). A zero coefficient has the log
+`_ZERO_LOG`, which carries any sum into the zero tail of `_EXP_X`, so zero
+bytes need no mask. Berlekamp-Massey and Forney run on the plain
 polynomial helpers; they run only for blocks with errors.
 """
 
@@ -26,8 +31,14 @@ for _i in range(255):
         _x ^= 0x11D
 for _i in range(255, 512):
     _EXP[_i] = _EXP[_i - 255]
-_EXP_ARR = np.array(_EXP, dtype=np.uint8)
-_LOG_ARR = np.array(_LOG, dtype=np.int64)
+
+# Logs as uint16, with zero mapped to _ZERO_LOG. Two nonzero logs sum to at
+# most 508, and a sum with _ZERO_LOG in it to at least 512, where _EXP_X
+# holds zeros.
+_ZERO_LOG = 512
+_LOG_X = np.array([_ZERO_LOG] + _LOG[1:], dtype=np.uint16)
+_EXP_X = np.zeros(2 * _ZERO_LOG + 1, dtype=np.uint8)
+_EXP_X[:510] = _EXP[:510]
 
 
 class RsDecodeError(Exception):
@@ -105,37 +116,60 @@ def generator_poly(nsym: int) -> list[int]:
     return g
 
 
-@lru_cache(maxsize=None)
-def _generator_logs(nsym: int) -> tuple[int, ...]:
-    """Logs of the generator's coefficients below the leading 1; none of
-    them is zero for any parity length QR uses."""
-    return tuple(_LOG[c] for c in generator_poly(nsym)[1:])
+# QR uses 47 block shapes; the bound matters only to callers of other shapes
+@lru_cache(maxsize=128)
+def _parity_logs(length: int, nsym: int) -> np.ndarray:
+    """(length, nsym) uint16 logs of the parity that data byte i of a
+    length-byte block adds per unit: x^(length - 1 - i + nsym) mod the
+    generator, with `_ZERO_LOG` for a zero coefficient. Row by row from
+    x^nsym mod g = g minus its leading 1, by r -> x * r mod g."""
+    gen = generator_poly(nsym)[1:]
+    gen_logs = [_LOG[c] for c in gen]  # no generator coefficient is zero
+    row = gen
+    rows = [row]
+    for _ in range(length - 1):
+        top = row[0]
+        row = row[1:] + [0]
+        if top:
+            log_top = _LOG[top]
+            row = [r ^ _EXP[log_top + g] for r, g in zip(row, gen_logs)]
+        rows.append(row)
+    table = _LOG_X[np.array(rows[::-1])]
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=128)
+def _power_logs(length: int, count: int) -> np.ndarray:
+    """(count, length) uint8 table of i * degree mod 255, the log of
+    (alpha^i)^degree, for coefficient k of a length-term polynomial, whose
+    degree is length - 1 - k."""
+    degrees = np.arange(length - 1, -1, -1)
+    table = (np.arange(count)[:, None] * degrees % 255).astype(np.uint8)
+    table.setflags(write=False)
+    return table
+
+
+def _evaluate_at_powers(poly: list[int], count: int) -> np.ndarray:
+    """poly(alpha^i) for i < count, as a uint8 array."""
+    products = _EXP_X[_power_logs(len(poly), count) + _LOG_X[np.array(poly)]]
+    return np.bitwise_xor.reduce(products, axis=1)
 
 
 def rs_encode(data: list[int], nsym: int) -> list[int]:
     """Parity codewords for `data` (nsym of them): the remainder of
-    data * x^nsym divided by the generator, shifted through one byte at a
-    time with each product taken from the log tables."""
-    gen = _generator_logs(nsym)
-    remainder = [0] * nsym
-    for byte in data:
-        coef = byte ^ remainder.pop(0)
-        remainder.append(0)
-        if coef:
-            log_coef = _LOG[coef]
-            remainder = [r ^ _EXP[log_coef + g] for r, g in zip(remainder, gen)]
-    return remainder
+    data * x^nsym divided by the generator, the XOR over the data bytes of
+    each byte times its row of `_parity_logs`."""
+    if not data:
+        return [0] * nsym
+    products = _EXP_X[_LOG_X[np.array(data)][:, None] + _parity_logs(len(data), nsym)]
+    return np.bitwise_xor.reduce(products, axis=0).tolist()
 
 
 def _syndromes(msg: list[int], nsym: int) -> list[int]:
-    """msg(alpha^i) for i < nsym: the XOR over nonzero coefficients c of
-    degree d of alpha^(log c + i*d), for all i at once."""
-    coefs = np.asarray(msg, dtype=np.int64)[::-1]
-    degrees = np.flatnonzero(coefs)
-    powers = (_LOG_ARR[coefs[degrees]] + np.arange(nsym)[:, None] * degrees) % 255
-    synd = np.bitwise_xor.reduce(_EXP_ARR[powers], axis=1)
+    """msg(alpha^i) for i < nsym."""
     # leading zero pad keeps index arithmetic in BM and Forney uniform
-    return [0] + synd.tolist()
+    return [0] + _evaluate_at_powers(msg, nsym).tolist()
 
 
 def _error_locator(synd: list[int], nsym: int) -> list[int]:
@@ -166,13 +200,11 @@ def _error_locator(synd: list[int], nsym: int) -> list[int]:
 
 
 def _find_errors(err_loc: list[int], nmess: int) -> list[int]:
-    # roots of the reciprocal locator sit at alpha^(coefficient degree)
+    """Chien search: the reciprocal locator has a root at alpha^i for an
+    error at position nmess - 1 - i; all nmess powers are tried at once."""
     errs = len(err_loc) - 1
-    reciprocal = err_loc[::-1]
-    positions = []
-    for i in range(nmess):
-        if poly_eval(reciprocal, gf_pow(2, i)) == 0:
-            positions.append(nmess - 1 - i)
+    roots = np.flatnonzero(_evaluate_at_powers(err_loc[::-1], nmess) == 0)
+    positions = (nmess - 1 - roots).tolist()
     if len(positions) != errs:
         raise RsDecodeError("Chien search found a different error count than the locator degree")
     return positions

@@ -3,8 +3,8 @@ zigzag data placement, the eight masks, and penalty scoring for mask choice.
 
 Layouts, placement orders and mask grids are cached per version; callers must
 treat the cached arrays as read-only. The encoder builds its mask candidates
-as one (masks, n, n) stack, and `penalty_scores` scores the whole stack with
-array reductions over its last two axes.
+as one (masks, n, n) stack, and `penalty_scores` scores the whole stack on
+its rows and columns packed into one 64-bit word each.
 """
 
 from __future__ import annotations
@@ -208,44 +208,66 @@ def read_data_bits(modules: np.ndarray, mask_id: int, version: int) -> np.ndarra
     return (modules[rows, cols] ^ data_masks(version)[mask_id]).astype(np.uint8)
 
 
-# 1:1:3:1:1 finder-like pattern with four light modules after it, and its
-# mirror image, as 11-bit codes read left to right
-_PATTERN_A = 0b10111010000
-_PATTERN_B = 0b00001011101
+# bits set in each byte value, for popcounts of packed words
+POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.uint8)
+
+# shift counts as uint64, so that no operand of the word arithmetic is signed
+_SHIFTS = tuple(np.uint64(v) for v in range(8))
 
 
 def penalty_scores(stack: np.ndarray) -> np.ndarray:
     """Mask evaluation penalty of each (n, n) symbol of a (k, n, n) boolean
-    stack, n >= 11: runs, 2x2 blocks, finder-like patterns, and dark-ratio
-    deviation. Rows and columns are scored together as the symbols and
-    their transposes, one (2k, n, n) array."""
+    stack, n <= 64: runs, 2x2 blocks, finder-like patterns, and
+    dark-ratio deviation.
+
+    Rows and columns are scored together as the symbols and their
+    transposes: each of the 2k * n lines is packed into one little-endian
+    uint64 word, bit j = module j (dark = 1). Each rule is a few shifts and
+    ANDs of those words whose set bits are the positions it counts, and all
+    the rule words are popcounted in one pass over their bytes."""
     k, n, _ = stack.shape
+    u1, u2, u3, u4, u5, u6, u7 = _SHIFTS[1:]
     lines = np.concatenate([stack, stack.transpose(0, 2, 1)])
+    packed = np.zeros((2 * k, n, 8), dtype=np.uint8)
+    packed[..., :-(-n // 8)] = np.packbits(lines, axis=2, bitorder="little")
+    dark = packed.view("<u8")[..., 0]
+    light = ~dark & np.uint64((1 << n) - 1)
 
     # rule 1: each run of length L >= 5 scores 3 + (L - 5) = L - 2. With
     # W5/W6 = counts of all-equal windows of widths 5/6, the number of long
     # runs is W5 - W6 and sum(L - 4) over them is W5, so the rule totals
-    # 3*W5 - 2*W6. A window of width w is w - 1 equal neighbour pairs.
-    same = lines[:, :, 1:] == lines[:, :, :-1]
-    same2 = same[:, :, :-1] & same[:, :, 1:]
-    same4 = same2[:, :, :-2] & same2[:, :, 2:]
-    w5 = same4.sum(axis=(1, 2))
-    w6 = (same4[:, :, :-1] & same[:, :, 4:]).sum(axis=(1, 2))
-    runs = 3 * w5 - 2 * w6
+    # 3*W5 - 2*W6. Bit j of `same` is set when modules j and j + 1 are
+    # equal, and a window of width w is w - 1 such bits in a row.
+    same = ~(dark ^ dark >> u1) & np.uint64((1 << (n - 1)) - 1)
+    same2 = same & same >> u1
+    same4 = same2 & same2 >> u2
+    rules = np.empty((5, 2 * k, n), dtype=np.uint64)
+    rules[0] = same4
+    rules[1] = same4 & same >> u4
 
-    # rule 3: each 11-module window as an 11-bit code, first module highest
-    code = lines[:, :, :n - 10].astype(np.int16)
-    for j in range(1, 11):
-        code <<= 1
-        code |= lines[:, :, j:n - 10 + j]
-    finders = ((code == _PATTERN_A) | (code == _PATTERN_B)).sum(axis=(1, 2))
+    # rule 3: the dark-light-dark-dark-dark-light-dark core at bit p, with
+    # four light modules after it (p + 7 .. p + 10) or before it
+    # (p - 4 .. p - 1)
+    core = (dark & light >> u1 & dark >> u2 & dark >> u3 & dark >> u4
+            & light >> u5 & dark >> u6)
+    light4 = light & light >> u1
+    light4 &= light4 >> u2
+    rules[2] = core & light4 >> u7
+    rules[3] = core & light4 << u4
 
-    # rule 2: 2x2 blocks of one color
-    corner = stack[:, :-1, :-1]
-    blocks = ((corner == stack[:, 1:, :-1]) & (corner == stack[:, :-1, 1:])
-              & (corner == stack[:, 1:, 1:])).sum(axis=(1, 2))
+    # rule 2, in the row half: a 2x2 block of one color at (r, j) is equal
+    # neighbours at j on rows r and r + 1 with rows r and r + 1 equal at j;
+    # the column half holds the dark modules for rule 4
+    rows, row_same = dark[:k], same[:k]
+    rules[4, :k, :-1] = row_same[:, :-1] & row_same[:, 1:] & ~(rows[:, :-1] ^ rows[:, 1:])
+    rules[4, :k, -1] = 0
+    rules[4, k:] = rows
 
-    scores = (runs[:k] + runs[k:]) + 40 * (finders[:k] + finders[k:]) + 3 * blocks
+    # at most 64 * n <= 4096 bits per sum, so uint16 holds it
+    counts = np.take(POPCOUNT, rules.view(np.uint8)).reshape(5, 2, k, 8 * n).sum(axis=3, dtype=np.uint16)
+    counts = counts.astype(np.int64)
+    runs, six, after, before = counts[:4, 0] + counts[:4, 1]
+    blocks, dark_count = counts[4]
+    scores = 3 * runs - 2 * six + 40 * (after + before) + 3 * blocks
     # rule 4: dark module proportion
-    dark = stack.sum(axis=(1, 2)).tolist()
-    return scores + [10 * int(abs(d * 100 / (n * n) - 50) // 5) for d in dark]
+    return scores + [10 * int(abs(d * 100 / (n * n) - 50) // 5) for d in dark_count.tolist()]

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .decode import MAX_PIXELS
+from .errors import BadBitmap
 from .matrix import QrMatrix
 
 DEFAULT_MODULE_PX = 8
@@ -13,12 +15,16 @@ DEFAULT_QUIET_ZONE = 4
 
 def qr_render(matrix: QrMatrix, module_px: int = DEFAULT_MODULE_PX,
               quiet_zone: int = DEFAULT_QUIET_ZONE) -> np.ndarray:
-    """Axis-aligned rendering with a light quiet zone; deterministic."""
+    """Axis-aligned rendering with a light quiet zone; deterministic. A
+    bitmap larger than `qr_decode` reads is refused (`BadBitmap`) before
+    anything is allocated."""
     if module_px < 1:
         raise ValueError("module_px must be >= 1")
     if quiet_zone < 0:
         raise ValueError("quiet_zone must be >= 0")
     total = (matrix.size + 2 * quiet_zone) * module_px
+    if total * total > MAX_PIXELS:
+        raise BadBitmap(f"{total}x{total} bitmap exceeds the {MAX_PIXELS}-pixel budget")
     pixels = np.full((total, total), 255, dtype=np.uint8)
     grid = np.where(matrix.modules, np.uint8(0), np.uint8(255))
     inner = slice(quiet_zone * module_px, total - quiet_zone * module_px)

@@ -15,6 +15,11 @@ The encoder builds one masked symbol at a time with per-module loops and
 scores it with sliding-window reductions (`penalty_score`), computes
 Reed-Solomon parity by long polynomial division and syndromes by Horner
 evaluation, and packs the data codewords from a list of bits.
+
+The decoder's former loops: `decode_format` measures both format words
+against each codeword in turn with `bin().count`, and `find_errors` is the
+Chien search that evaluates the reciprocal locator at one power of alpha
+at a time.
 """
 
 import itertools
@@ -23,17 +28,19 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from trap4phish.qr import NoFinderPatterns, QrMatrix
+from trap4phish.qr import FormatUnrecoverable, NoFinderPatterns, QrMatrix
 from trap4phish.qr.encode import PAD_BYTES
-from trap4phish.qr.gf256 import generator_poly, gf_pow, poly_divmod, poly_eval
+from trap4phish.qr.gf256 import RsDecodeError, generator_poly, gf_pow, poly_divmod, poly_eval
 from trap4phish.qr.matrix import (
     _format_positions_a,
     _format_positions_b,
     data_positions,
     mask_grid,
+    read_format_words,
 )
 from trap4phish.qr.tables import (
     ALIGNMENT_CENTERS,
+    ALL_FORMAT_WORDS,
     BLOCK_STRUCTURE,
     REMAINDER_BITS,
     blocks_of,
@@ -267,6 +274,35 @@ def rs_encode(data: list[int], nsym: int) -> list[int]:
 
 def syndromes(msg: list[int], nsym: int) -> list[int]:
     return [0] + [poly_eval(msg, gf_pow(2, i)) for i in range(nsym)]
+
+
+def find_errors(err_loc: list[int], nmess: int) -> list[int]:
+    # roots of the reciprocal locator sit at alpha^(coefficient degree)
+    errs = len(err_loc) - 1
+    reciprocal = err_loc[::-1]
+    positions = []
+    for i in range(nmess):
+        if poly_eval(reciprocal, gf_pow(2, i)) == 0:
+            positions.append(nmess - 1 - i)
+    if len(positions) != errs:
+        raise RsDecodeError("Chien search found a different error count than the locator degree")
+    return positions
+
+
+def decode_format(modules: np.ndarray) -> tuple[str, int]:
+    word_a, word_b = read_format_words(modules)
+    best = None
+    for (level, mask_id), codeword in ALL_FORMAT_WORDS.items():
+        dist = min(
+            bin(word_a ^ codeword).count("1"),
+            bin(word_b ^ codeword).count("1"),
+        )
+        if best is None or dist < best[0]:
+            best = (dist, level, mask_id)
+    dist, level, mask_id = best
+    if dist > 3:
+        raise FormatUnrecoverable(f"format word distance {dist} exceeds BCH capacity")
+    return level, mask_id
 
 
 def build_data_codewords(payload: bytes, version: int, level: str) -> list[int]:

@@ -386,6 +386,15 @@ class TestTrainEvaluateRank:
         assert capsys.readouterr().err == "error: --k 44 exceeds the 43 columns of the docx schema\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "docx.csv"]
 
+    def test_rank_single_class_csv_fails_before_any_output(self, tmp_path, capsys):
+        schema = FORMATS["docx"].schema
+        data = tmp_path / "docx.csv"
+        rows = [[float((i * 7 + j) % 5) for j in range(len(schema))] for i in range(8)]
+        write_dataset_csv(LabeledDataset(schema, rows, [0] * 8), data)
+        assert run(["rank", "--in", data, "--format", "docx", "--out", tmp_path / "r.csv", "--trees", "3"]) == 3
+        assert capsys.readouterr().err == "error: training needs both classes, got labels [0]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["docx.csv"]
+
     @pytest.mark.parametrize("command,flag,value", [
         ("train", "--trees", "0"),
         ("train", "--trees", "-3"),
@@ -426,6 +435,15 @@ class TestQrCli:
         pgm.write_bytes(b"P5\n2049 2048\n255\n" + b"\xff" * (2049 * 2048))
         assert run(["qr", "decode", "--in", pgm]) == 4
         assert "pixel budget" in capsys.readouterr().err
+
+    def test_encode_past_the_pixel_budget_exit_4(self, tmp_path, capsys):
+        # version 1 at quiet zone 4: 71 px a module is a 2059 px bitmap
+        url_file = tmp_path / "u.txt"
+        url_file.write_text("http://a.test\n")
+        out_dir = tmp_path / "q"
+        assert run(["qr", "encode", "--in", url_file, "--out-dir", out_dir, "--module-px", "71"]) == 4
+        assert capsys.readouterr().err == "error: line 1: 2059x2059 bitmap exceeds the 4194304-pixel budget\n"
+        assert list(out_dir.iterdir()) == []
 
     def test_decode_prints_payload(self, tmp_path, capsys):
         url_file = tmp_path / "u.txt"

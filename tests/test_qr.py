@@ -140,6 +140,16 @@ class TestRenderPgm:
         with pytest.raises(ValueError, match="quiet_zone"):
             qr_render(qr_encode(b"x", "M"), 4, -1)
 
+    def test_render_pixel_budget(self):
+        # a version-1 symbol with a 4-module quiet zone is 29 modules wide:
+        # 2030 px at 70 px a module is within the decoder's budget, 2059 px
+        # at 71 is not
+        m = qr_encode(b"budget", "M")
+        assert m.version == 1
+        assert qr_render(m, 70).shape == (2030, 2030)
+        with pytest.raises(BadBitmap, match="2059x2059 bitmap exceeds the 4194304-pixel budget"):
+            qr_render(m, 71)
+
     def test_pgm_bad_input(self):
         with pytest.raises(ValueError):
             from_pgm(b"P6\n1 1\n255\n\x00")

@@ -1,8 +1,9 @@
 """Differential and property tests of the QR encoder and Reed-Solomon code.
 
-The stacked mask scorer, the log-table Reed-Solomon parity and syndromes,
-the integer bitstream packer, the whole encoder and the renderer are
-compared with the one-symbol-at-a-time versions kept in `qr_ref.py`. The
+The stacked mask scorer, the table-product Reed-Solomon parity, syndromes
+and Chien search, the format-word decoder, the integer bitstream packer,
+the whole encoder and the renderer are compared with the one-at-a-time
+versions kept in `qr_ref.py`. The
 round trip then checks that any payload at any version and level survives
 encode, render and decode with up to floor(ec / 2) damaged codewords in
 every block.
@@ -10,15 +11,15 @@ every block.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qr_ref
 from test_qr import interleaved_block_ids
 from trap4phish.qr import QrError, byte_mode_capacity, decode, qr_decode, qr_encode, qr_render, to_pgm
 from trap4phish.qr.encode import build_data_codewords, interleave, mask_candidates
-from trap4phish.qr.gf256 import _syndromes, rs_decode, rs_encode
-from trap4phish.qr.matrix import QrMatrix, data_positions, penalty_scores
-from trap4phish.qr.tables import BLOCK_STRUCTURE, smallest_version
+from trap4phish.qr.gf256 import RsDecodeError, _find_errors, _syndromes, gf_pow, poly_mul, rs_decode, rs_encode
+from trap4phish.qr.matrix import QrMatrix, data_positions, format_index, penalty_scores
+from trap4phish.qr.tables import ALL_FORMAT_WORDS, BLOCK_STRUCTURE, blocks_of, smallest_version
 
 BYTES = st.integers(0, 255)
 
@@ -54,6 +55,82 @@ def test_rs_encode_matches_long_division(data, nsym):
 @given(st.lists(BYTES, min_size=1, max_size=200), st.integers(1, 68))
 def test_syndromes_match_horner(msg, nsym):
     assert _syndromes(msg, nsym) == qr_ref.syndromes(msg, nsym)
+
+
+def test_rs_encode_matches_long_division_on_every_qr_block_shape():
+    rng = np.random.default_rng(25)
+    shapes = {(dlen, ec) for (version, level), (ec, _groups) in BLOCK_STRUCTURE.items()
+              for dlen in blocks_of(version, level)}
+    assert len(shapes) == 47
+    for dlen, ec in sorted(shapes):
+        for data in (rng.integers(0, 256, dlen).tolist(), [0] * dlen, [0xFF] * dlen):
+            assert rs_encode(data, ec) == qr_ref.rs_encode(data, ec), (dlen, ec, data)
+
+
+def outcome(f, *args):
+    """What f returns, or the type and message of the QR or Reed-Solomon
+    error it raises."""
+    try:
+        return f(*args)
+    except (QrError, RsDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def locators(draw):
+    """(error locator, message length): the reciprocal locator is a nonzero
+    constant times x + alpha^i for up to 15 distinct i below the length,
+    sometimes times a random factor that may add roots, repeat one, or make
+    the polynomial zero."""
+    nmess = draw(st.integers(1, 255))
+    roots = draw(st.lists(st.integers(0, nmess - 1), max_size=min(15, nmess), unique=True))
+    reciprocal = [draw(st.integers(1, 255))]
+    for i in roots:
+        reciprocal = poly_mul(reciprocal, [1, gf_pow(2, i)])
+    if draw(st.booleans()):
+        reciprocal = poly_mul(reciprocal, draw(st.lists(BYTES, min_size=1, max_size=3)))
+    return reciprocal[::-1], nmess
+
+
+@settings(deadline=None, max_examples=300)
+@given(locators())
+def test_chien_search_matches_power_by_power_search(case):
+    err_loc, nmess = case
+    assert outcome(_find_errors, err_loc, nmess) == outcome(qr_ref.find_errors, err_loc, nmess)
+
+
+def format_modules(word_a: int, word_b: int) -> np.ndarray:
+    """A version-1 module grid, light but for the two format words."""
+    modules = np.zeros((21, 21), dtype=bool)
+    bits = np.array([word_a, word_b])[:, None] >> np.arange(15) & 1
+    modules[format_index(21)] = bits.reshape(-1) == 1
+    return modules
+
+
+FORMAT_CODEWORDS = list(ALL_FORMAT_WORDS.values())
+WORDS = st.integers(0, 2**15 - 1)
+NEAR_CODEWORDS = st.builds(lambda word, flips: word ^ sum(1 << i for i in flips),
+                           st.sampled_from(FORMAT_CODEWORDS), st.sets(st.integers(0, 14), max_size=4))
+
+
+@settings(deadline=None, max_examples=300)
+@given(WORDS, WORDS)
+def test_format_decode_matches_codeword_loop_on_random_words(word_a, word_b):
+    modules = format_modules(word_a, word_b)
+    assert outcome(decode._decode_format, modules) == outcome(qr_ref.decode_format, modules)
+
+
+@settings(deadline=None, max_examples=500)
+@given(NEAR_CODEWORDS, NEAR_CODEWORDS)
+# two clean copies of different codewords tie at distance 0: the first in
+# table order wins, whichever copy holds it
+@example(FORMAT_CODEWORDS[9], FORMAT_CODEWORDS[4])
+@example(FORMAT_CODEWORDS[4], FORMAT_CODEWORDS[9])
+# four flips in both copies: refused with the distance
+@example(FORMAT_CODEWORDS[0] ^ 0b1111, FORMAT_CODEWORDS[31] ^ 0b1111 << 11)
+def test_format_decode_matches_codeword_loop_near_codewords(word_a, word_b):
+    modules = format_modules(word_a, word_b)
+    assert outcome(decode._decode_format, modules) == outcome(qr_ref.decode_format, modules)
 
 
 @st.composite
