@@ -117,7 +117,7 @@ def compute_macro_metrics(source: str) -> dict[str, int]:
     tokens = _TOKEN_RE.findall(source)
     masked = _STRING_RE.sub(lambda m: '"' + " " * (len(m.group()) - 2) + '"', source)
     strings = [m.group()[1:-1] for m in _STRING_RE.finditer(source)]
-    arithmetic = sum(1 for ch in masked if ch in _ARITH_CHARS) + len(_MOD_RE.findall(masked))
+    arithmetic = sum(map(masked.count, _ARITH_CHARS)) + len(_MOD_RE.findall(masked))
     return {
         "line_count": len(lines),
         "token_count": len(tokens),

@@ -14,6 +14,7 @@ import csv
 import functools
 import glob
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -168,18 +169,47 @@ def _parser() -> argparse.ArgumentParser:
 
 def _expand_inputs(patterns: list[str], suffix: str | None = None) -> list[Path]:
     """Files named by `patterns`; a directory walk keeps only files ending in
-    `suffix` (compared case-insensitively) when one is given."""
+    `suffix` (compared case-insensitively) when one is given.
+
+    A walk yields what `rglob("*")` filtered by `is_file()` yields: hidden
+    files count, a symlink to a file counts, a symlink to a directory is not
+    entered, and broken links, FIFOs and sockets are left out. A directory
+    that cannot be listed is skipped on PermissionError; other OSErrors
+    propagate."""
     paths: set[Path] = set()
     for pattern in patterns:
         p = Path(pattern)
         if p.is_dir():
-            paths.update(q for q in p.rglob("*")
-                         if q.is_file() and (suffix is None or q.suffix.lower() == suffix))
+            _walk_files(p, suffix, paths)
         elif p.is_file():
             paths.add(p)
         else:
             paths.update(Path(m) for m in glob.glob(pattern, recursive=True) if Path(m).is_file())
     return sorted(paths)
+
+
+def _walk_files(root: Path, suffix: str | None, found: set[Path]) -> None:
+    # one scandir per directory: a DirEntry knows its type from the listing,
+    # so only symlinks cost a stat
+    pending = [root]
+    while pending:
+        directory = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except PermissionError:
+            continue
+        for entry in entries:
+            name = entry.name
+            if entry.is_dir(follow_symlinks=False):
+                pending.append(directory / name)
+                continue
+            if suffix is not None:
+                dot = name.rfind(".")  # where Path.suffix starts
+                if dot <= 0 or name[dot:].lower() != suffix:
+                    continue
+            if entry.is_file():
+                found.add(directory / name)
 
 
 def cmd_scan(args) -> int:
@@ -209,7 +239,9 @@ def cmd_scan(args) -> int:
 
     def analyze_one(path: Path):
         try:
-            data = path.read_bytes()
+            # unbuffered: one read of the whole file, no isatty probe
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.readall()
         except OSError as exc:
             return path, None, f"read failed: {exc}"
         kind = args.format

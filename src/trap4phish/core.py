@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -78,10 +79,10 @@ class FeatureVector:
             raise SchemaError(
                 f"vector length {len(self.values)} != schema length {len(self.schema.columns)}"
             )
-        self.values = [float(v) for v in self.values]
-        for name, v in zip(self.schema.columns, self.values):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value for feature {name!r}: {v}")
+        self.values = values = list(map(float, self.values))
+        if not all(map(math.isfinite, values)):
+            name, v = next((name, v) for name, v in zip(self.schema.columns, values) if not math.isfinite(v))
+            raise ValueError(f"non-finite value for feature {name!r}: {v}")
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.schema.columns, self.values))
@@ -202,8 +203,15 @@ def _byte_counts(data: bytes) -> list[int]:
     return hist[np.argsort(first, kind="stable")[:present]].tolist()
 
 
+# whitespace and complete comments, such as the "<!-- saved from url=... -->"
+# mark of a saved page; an unterminated comment ends the prelude at its "<!--"
+_HTML_PRELUDE_RE = re.compile(rb"(?:\s|<!--.*?-->)*", re.DOTALL)
+
+
 def sniff_file_kind(data: bytes) -> FileKind:
     """Deterministically classify raw bytes into one of the supported kinds.
+    HTML starts with `<!doctype` or `<html` after one optional UTF-8
+    byte-order mark, whitespace and complete comments in the first 4 KiB.
 
     Never raises: anything unrecognized (including malformed archives) is
     FileKind.UNKNOWN.
@@ -214,8 +222,9 @@ def sniff_file_kind(data: bytes) -> FileKind:
         return _sniff_ooxml(data)
     if data.startswith(b"P5"):
         return FileKind.QR_IMAGE
-    head = data[:4096].lstrip()
-    lowered = head[:16].lower()
+    head = data[:4096]
+    start = _HTML_PRELUDE_RE.match(head, 3 if head.startswith(b"\xef\xbb\xbf") else 0).end()
+    lowered = head[start:start + 16].lower()
     if lowered.startswith(b"<!doctype") or lowered.startswith(b"<html"):
         return FileKind.HTML
     return FileKind.UNKNOWN
@@ -243,16 +252,25 @@ def format_value(v: float) -> str:
     return f"{v:.9g}"
 
 
+# format_value of the integral values 0-1023, which are most cells of a scan;
+# keyed by float, so -0.0 finds "0" too. Fixed: it never grows.
+_SMALL_INT_TEXT = {float(i): str(i) for i in range(1024)}
+
+
 class CsvRowWriter:
     """Feature rows to a binary stream as UTF-8 CSV with "\\n" line ends: the
     header (columns, plus "label" when `labeled`) on creation, then one line
-    of `format_value` cells per `add`. `write` is the csv module's sink."""
+    of `format_value` cells per `add`.
+
+    The header goes through `csv.writer`; a row is its cells joined with
+    commas. The two give the same bytes, because a `format_value` cell is
+    digits with an optional sign, point and exponent, and `csv.writer`
+    quotes only a cell holding a comma, a quote or a line break."""
 
     def __init__(self, schema: FeatureSchema, fh, labeled: bool = False):
         self.schema = schema
         self._fh = fh
-        self._csv = csv.writer(self, lineterminator="\n")
-        self._csv.writerow(list(schema.columns) + ["label"] * labeled)
+        csv.writer(self, lineterminator="\n").writerow(list(schema.columns) + ["label"] * labeled)
 
     def write(self, line: str) -> None:
         self._fh.write(line.encode("utf-8"))
@@ -260,8 +278,9 @@ class CsvRowWriter:
     def add(self, vec: FeatureVector, label: int | None = None) -> None:
         if vec.schema.columns != self.schema.columns:
             raise SchemaError("vector schema mismatch in CSV row")
-        cells = [format_value(v) for v in vec.values]
-        self._csv.writerow(cells if label is None else cells + [str(label)])
+        text = _SMALL_INT_TEXT.get
+        line = ",".join([text(v) or format_value(v) for v in vec.values])
+        self.write(f"{line}\n" if label is None else f"{line},{label}\n")
 
 
 def write_dataset_csv(ds: LabeledDataset, path: str | Path) -> None:

@@ -11,6 +11,7 @@ import pytest
 import trap4phish
 from trap4phish.analyzers import FORMATS
 from trap4phish.analyzers.xlsx import XLSX_COLUMNS
+from trap4phish import cli
 from trap4phish.cli import main
 from trap4phish.core import LabeledDataset, write_dataset_csv, write_features_csv
 from trap4phish.qr import from_pgm, qr_decode
@@ -174,6 +175,66 @@ class TestScan:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _walk_tree(root: Path) -> Path:
+    """A tree of what a directory walk meets: nesting, a hidden file, links
+    to a file and a directory, a broken link, a FIFO, an upper-case suffix."""
+    (root / "a" / "b").mkdir(parents=True)
+    (root / "outside").mkdir()
+    for rel in ("top.docx", "a/.hidden.docx", "a/b/deep.docx", "a/b/UPPER.DOCX", "a/notes.txt",
+                ".docx", "outside/far.docx"):
+        (root / rel).write_bytes(b"x")
+    (root / "a" / "file_link.docx").symlink_to(root / "top.docx")
+    (root / "a" / "dir_link").symlink_to(root / "outside", target_is_directory=True)
+    (root / "a" / "broken.docx").symlink_to(root / "missing.docx")
+    os.mkfifo(root / "a" / "pipe.docx")
+    return root
+
+
+def _rglob_files(root: Path, suffix: str | None) -> list[Path]:
+    # the expression the walk replaced, kept as its oracle
+    return sorted(q for q in root.rglob("*") if q.is_file() and (suffix is None or q.suffix.lower() == suffix))
+
+
+class TestExpandInputs:
+    @pytest.mark.parametrize("suffix", [None, ".docx"])
+    def test_walk_equals_rglob(self, tmp_path, suffix):
+        root = _walk_tree(tmp_path / "tree")
+        walked = cli._expand_inputs([str(root / "a"), str(root)], suffix)
+        assert walked == _rglob_files(root, suffix)
+        names = {p.name for p in walked}
+        assert {".hidden.docx", "UPPER.DOCX", "file_link.docx"} <= names
+        assert not names & {"broken.docx", "pipe.docx", "dir_link"}
+        assert (root / "a" / "dir_link" / "far.docx") not in walked
+
+    def test_unlistable_directory_is_skipped(self, tmp_path, monkeypatch):
+        root = _walk_tree(tmp_path / "tree")
+        scandir = os.scandir
+
+        def refuse_b(path):
+            if os.fspath(path) == str(root / "a" / "b"):
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return scandir(path)
+
+        expected = [p for p in _rglob_files(root, None) if root / "a" / "b" not in p.parents]
+        monkeypatch.setattr(os, "scandir", refuse_b)
+        walked = cli._expand_inputs([str(root)])
+        assert walked == expected
+        assert root / "top.docx" in walked and root / "a" / "b" / "deep.docx" not in walked
+
+    def test_other_listing_errors_propagate(self, tmp_path, monkeypatch):
+        root = _walk_tree(tmp_path / "tree")
+        scandir = os.scandir
+
+        def fail_b(path):
+            if os.fspath(path) == str(root / "a" / "b"):
+                raise OSError(5, "Input/output error", os.fspath(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", fail_b)
+        with pytest.raises(OSError, match="Input/output error"):
+            cli._expand_inputs([str(root)])
+
+
 class TestScanLoop:
     """`scan` writes each file's outputs as soon as it is analyzed."""
 
@@ -235,6 +296,34 @@ class TestScanLoop:
         captured = capsys.readouterr()
         assert "scanned 0 file(s); parse_failed 0; skipped 1; io_failures 0" in captured.out
         assert f"{inputs / 'notes.txt'}: unsupported kind unknown" in captured.err
+
+    def test_auto_mode_reads_html_after_a_byte_order_mark_or_comment(self, tmp_path, capsys):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        page = b"<!DOCTYPE html><html><body><a href='https://example.test/'>x</a></body></html>"
+        (inputs / "marked.html").write_bytes(b"\xef\xbb\xbf" + page)
+        (inputs / "saved.htm").write_bytes(b"<!-- saved from url=(0014)about:internet -->\r\n" + page)
+        out = tmp_path / "out"
+        assert run(["scan", inputs, "--out", out]) == 0
+        assert "scanned 2 file(s); parse_failed 0; skipped 0; io_failures 0" in capsys.readouterr().out
+        assert len((out / "html.csv").read_bytes().splitlines()) == 3
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_is_an_io_failure(self, docx_corpus, tmp_path, monkeypatch, capsys, kind):
+        real = docx_corpus / "benign_00000.docx"
+        gone = tmp_path / "gone.docx"
+        if kind == "directory":
+            gone.mkdir()
+        # the file vanishes between the walk and the read
+        monkeypatch.setattr(cli, "_expand_inputs", lambda patterns, suffix=None: [gone, real])
+        out = tmp_path / "x.csv"
+        assert run(["scan", "ignored", "--format", "docx", "--out", out]) == 2
+        captured = capsys.readouterr()
+        error = ("[Errno 2] No such file or directory" if kind == "missing"
+                 else "[Errno 21] Is a directory")
+        assert f"warning: {gone}: read failed: {error}: '{gone}'\n" in captured.err
+        assert "scanned 1 file(s); parse_failed 0; skipped 0; io_failures 1" in captured.out
+        assert len(out.read_bytes().splitlines()) == 2
 
     @pytest.mark.parametrize("labeled", [False, True])
     def test_auto_mode_bytes_equal_core_writers_at_any_jobs(self, tmp_path, capsys, labeled):

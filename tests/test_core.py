@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 import tracemalloc
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from trap4phish import core
 from trap4phish.core import (
+    CsvRowWriter,
     DatasetError,
     FeatureSchema,
     FeatureVector,
@@ -134,6 +137,22 @@ class TestSniffFileKind:
         assert sniff_file_kind(b"   \n<!DOCTYPE html><html></html>") is FileKind.HTML
         assert sniff_file_kind(b"<HTML>") is FileKind.HTML
 
+    @pytest.mark.parametrize("data", [
+        b"\xef\xbb\xbf<!DOCTYPE html><html></html>",
+        b"<!-- saved from url=(0014)about:internet -->\r\n<html><body></body></html>",
+        b"\xef\xbb\xbf \n<!-- one -->\n<!--\ntwo <html> -->\t<HTML>",
+    ], ids=["byte-order-mark", "saved-page-comment", "mark-and-comments"])
+    def test_html_after_byte_order_mark_and_comments(self, data):
+        assert sniff_file_kind(data) is FileKind.HTML
+
+    @pytest.mark.parametrize("data", [
+        b"<!-- never closed <html>",
+        b"\xef\xbb\xbf\xef\xbb\xbf<html>",
+        b"<!--" + b" " * 4096 + b"--><html>",
+    ], ids=["unterminated-comment", "two-marks", "past-the-head"])
+    def test_html_prelude_limits(self, data):
+        assert sniff_file_kind(data) is FileKind.UNKNOWN
+
     def test_pgm_and_png(self):
         assert sniff_file_kind(b"P5\n2 2\n255\n0000") is FileKind.QR_IMAGE
         # nothing decodes PNG, so it is not a QR image kind
@@ -210,7 +229,65 @@ class TestDatasetCsv:
             read_dataset_csv(csv_text, _small_dataset().schema)
 
 
+def _csv_writer_rows(schema: FeatureSchema, rows: list[list[float]], labels: list[int] | None) -> bytes:
+    """The bytes the CSV writers wrote before rows were joined: every cell
+    through csv.writer, with format_value as it was then."""
+    def format_value(v):
+        if v == int(v) and abs(v) < 1e15:
+            return str(int(v))
+        return f"{v:.9g}"
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(list(schema.columns) + ["label"] * (labels is not None))
+    for i, row in enumerate(rows):
+        cells = [format_value(v) for v in row]
+        writer.writerow(cells if labels is None else cells + [str(labels[i])])
+    return out.getvalue().encode("utf-8")
+
+
+_EDGE_VALUES = [0.0, -0.0, 1023.0, 1024.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15,
+                2.0 ** 53, 0.1, 1 / 3, 5e-324, 1e300]
+
+
+class TestCsvRowWriter:
+    schema = FeatureSchema("pdf", ("a", "b", "c"))
+
+    def _written(self, rows, labels):
+        out = io.BytesIO()
+        writer = CsvRowWriter(self.schema, out, labeled=labels is not None)
+        for i, row in enumerate(rows):
+            vec = FeatureVector(self.schema, row)
+            writer.add(vec) if labels is None else writer.add(vec, labels[i])
+        return out.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+                    max_size=5),
+           st.booleans())
+    def test_rows_equal_csv_writer(self, rows, labeled):
+        labels = [i % 2 for i in range(len(rows))] if labeled else None
+        assert self._written(rows, labels) == _csv_writer_rows(self.schema, rows, labels)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_edge_values_equal_csv_writer(self, labeled):
+        rows = [_EDGE_VALUES[i:i + 3] for i in range(len(_EDGE_VALUES) - 2)]
+        rows += [[-v for v in row] for row in rows]
+        labels = [i % 2 for i in range(len(rows))] if labeled else None
+        assert self._written(rows, labels) == _csv_writer_rows(self.schema, rows, labels)
+
+
 class TestFeatureVector:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_value_names_its_column(self, bad, position):
+        values = [1.0, math.nan, math.inf]
+        values[position] = bad  # the first bad column is the one named
+        values[:position] = [1.0] * position
+        with pytest.raises(ValueError) as err:
+            FeatureVector(FeatureSchema("pdf", ("a", "b", "c")), values)
+        assert str(err.value) == f"non-finite value for feature {'abc'[position]!r}: {bad}"
+
     def test_rejects_nan(self):
         schema = FeatureSchema("html", ("x",))
         with pytest.raises(ValueError):
