@@ -6,6 +6,9 @@ full CSV, all through `cli.main`. The sha256 of every file they write must
 stay as recorded here: a refactor that changes one feature value, one CSV
 byte or one model byte fails this test. Regenerate the table only with a
 deliberate schema or model version bump.
+
+The `--report-dir` JSON of a scan of the same corpora is pinned the same
+way, one sha256 over every report file in name order.
 """
 
 import hashlib
@@ -115,3 +118,25 @@ def run_pipeline(fmt: str, root) -> dict[str, str]:
 @pytest.mark.parametrize("fmt", list(GOLDEN))
 def test_pipeline_output_is_golden(fmt, tmp_path, capsys):
     assert run_pipeline(fmt, tmp_path) == GOLDEN[fmt]
+
+
+REPORTS_GOLDEN = {
+    "docx": "8fcac4ae0120a5c116901f80765bf7a07df50eba5f1b9fd782e087d08728950c",
+    "xlsx": "b939b7bf69a604323f0373a5515bf2dd6d90fdd8e3b37aab64139a12754c1733",
+    "pdf": "63558c57868710ffbc721c931a5411958a9f4868ea22ca999d6c6de127f1bc71",
+    "html": "6a0a3e8cb9694e777c51aba491462e660c0a3ad07cbf22afb830226a168d6ad9",
+}
+
+
+@pytest.mark.parametrize("fmt", list(REPORTS_GOLDEN))
+def test_report_json_is_golden(fmt, tmp_path, monkeypatch, capsys):
+    # a relative corpus path, so each report's source_path is the same on every run
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--format", fmt, "--count", str(COUNT), "--seed", str(SEED),
+                 "--out", "corpus"]) == 0
+    assert main(["scan", "corpus", "--format", fmt, "--out", "full.csv",
+                 "--report-dir", "reports"]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "reports").glob("*.json")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == REPORTS_GOLDEN[fmt]
