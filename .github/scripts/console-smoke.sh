@@ -6,6 +6,8 @@
 # renderer, PGM writer and reader, and decoder, once at the default render
 # settings and once at one pixel a module with a one-module quiet zone;
 # the docx commands run the installed dataset reader, trees and rankers.
+# A selected-feature scan writes the 10 selected columns and a label to its
+# CSV and all 43 columns to each report JSON.
 # The auto-format scan runs the directory walk (a linked file counts, a
 # linked directory is not entered) and the sniffer (an HTML page after a
 # byte-order mark) over docx and html corpora.
@@ -22,6 +24,11 @@ trap4phish qr encode --in url.txt --out-dir qr1 --module-px 1 --quiet-zone 1
 test "$(trap4phish qr decode --in qr1/00000.pgm)" = "$url"
 trap4phish synth --format docx --count 6 --out corpus
 trap4phish scan corpus --format docx --labels corpus/labels.csv --out docx.csv
+trap4phish scan corpus --format docx --features selected --labels corpus/labels.csv \
+  --report-dir reports --out selected.csv
+test "$(head -n 1 selected.csv | tr ',' '\n' | wc -l)" -eq 11
+python3 -c 'import json, sys; assert len(json.load(open(sys.argv[1]))["features"]) == 43' \
+  reports/benign_00000.docx.json
 trap4phish train --in docx.csv --format docx --trees 5 --out-dir models
 trap4phish evaluate --model models/random_forest.json --in docx.csv --format docx --out eval.json
 trap4phish rank --in docx.csv --format docx --trees 5 --out rank.csv

@@ -8,7 +8,6 @@ from .core import (
     AnalysisReport,
     DatasetError,
     FeatureSchema,
-    FeatureVector,
     FileKind,
     LabeledDataset,
     SchemaError,
@@ -23,7 +22,6 @@ __all__ = [
     "__version__",
     "AnalysisReport",
     "FeatureSchema",
-    "FeatureVector",
     "FileKind",
     "LabeledDataset",
     "DatasetError",

@@ -2,6 +2,11 @@
 the input bytes and always returns a full-length report, downgrading parse
 problems to warnings.
 
+A format module holds its full `SCHEMA`, its `SELECTED` subset and an
+extractor that fills a zeroed value per column; its public `analyze_*` runs
+the extractor through `core.analysis_report`, which sets `file_size`, checks
+that every value is finite and builds the report.
+
 `FORMATS` is the one table of supported formats, keyed by format name (the
 schema's `format_kind`). Each `FormatSpec` holds the format's full feature
 schema, the compact subset the detectors use (top-10 by importance, top-13

@@ -13,7 +13,7 @@ import re
 from collections import Counter
 
 from ..config import VBA_SUSPICIOUS_KEYWORDS
-from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
+from ..core import AnalysisReport, FeatureSchema, analysis_report, shannon_entropy
 from .ooxml import (
     count_keywords, element_spans, extract_vba_sources, open_archive, parse_relationships,
     read_xml_parts, resolve_target, tag_attributes,
@@ -110,20 +110,15 @@ def analyze_docx(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
     Non-ZIP input still yields a report (parse_failed=True) with file_size
     and entropy populated.
     """
-    warnings: list[str] = []
-    values = dict.fromkeys(DOCX_COLUMNS, 0.0)
-    values["file_size"] = float(len(data))
+    return analysis_report(SCHEMA, data, source_path, _extract)
+
+
+def _extract(data: bytes, values: dict, warnings: list[str]) -> bool:
     values["entropy"] = shannon_entropy(data)
-
     archive = open_archive(data, warnings)
-    if archive is not None:
-        _extract_from_archive(archive, values, warnings)
+    if archive is None:
+        return True
 
-    vector = FeatureVector(SCHEMA, [values[c] for c in DOCX_COLUMNS])
-    return AnalysisReport(source_path, "docx", vector, warnings, archive is None)
-
-
-def _extract_from_archive(archive, values, warnings) -> None:
     # Macros and suspicious VBA keywords.
     if any(e.name.lower().endswith("vbaproject.bin") for e in archive.entries):
         values["macro_present"] = 1.0
@@ -149,6 +144,7 @@ def _extract_from_archive(archive, values, warnings) -> None:
             break
 
     _count_ole_objects(archive, parts, values)
+    return False
 
 
 def _struct_counts(parts) -> dict[str, int]:

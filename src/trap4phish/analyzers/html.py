@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..config import BASE64_MIN_LENGTH, HTML_SUSPICIOUS_KEYWORDS, URL_SHORTENER_HOSTS
-from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy, sum_in_order
+from ..core import AnalysisReport, FeatureSchema, analysis_report, shannon_entropy, sum_in_order
 from ..urls import host_only, is_ipv4_like, split_url, subdomain_count
 
 SCHEMA_VERSION = 1
@@ -240,11 +240,11 @@ def analyze_html(
     a `<base href>` host is used, else relative links count as internal and
     absolute ones as external.
     """
-    warnings: list[str] = []
-    values = dict.fromkeys(HTML_COLUMNS, 0.0)
-    text = data.decode("utf-8", errors="replace")
+    return analysis_report(SCHEMA, data, source_path, _extract, page_host)
 
-    values["file_size"] = float(len(data))
+
+def _extract(data: bytes, values: dict, _warnings: list[str], page_host: str | None) -> bool:
+    text = data.decode("utf-8", errors="replace")
     values["line_count"] = float(len(data.splitlines()))
     values["entropy"] = shannon_entropy(data)
     if data:
@@ -323,9 +323,7 @@ def analyze_html(
     values["keyword_text_ratio"] = keyword_hits / words if words else 0.0
 
     _url_features(stream, values, page_host)
-
-    vector = FeatureVector(SCHEMA, [values[c] for c in HTML_COLUMNS])
-    return AnalysisReport(source_path, "html", vector, warnings, False)
+    return False
 
 
 def _max_depth(stream: _TokenStream) -> int:

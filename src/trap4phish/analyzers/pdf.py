@@ -40,7 +40,7 @@ from heapq import heappop, heappush
 from itertools import groupby
 from typing import NamedTuple
 
-from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy, sum_in_order
+from ..core import AnalysisReport, FeatureSchema, analysis_report, shannon_entropy, sum_in_order
 
 SCHEMA_VERSION = 1
 
@@ -165,10 +165,10 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
 
     Never fails: non-PDF input yields zero counters and a warning.
     """
-    warnings: list[str] = []
-    values = dict.fromkeys(PDF_COLUMNS, 0.0)
-    values["file_size"] = float(len(data))
+    return analysis_report(SCHEMA, data, source_path, _extract)
 
+
+def _extract(data: bytes, values: dict, warnings: list[str]) -> bool:
     header = _HEADER_RE.search(data[:1024])
     values["valid_pdf_header"] = 1.0 if header is not None else 0.0
     parse_failed = header is None
@@ -236,9 +236,7 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
         values["entropy_of_streams"] = sum_in_order(entropies) / len(streams)
 
     _object_statistics(data, values, streams, filters, warnings)
-
-    vector = FeatureVector(SCHEMA, [values[c] for c in PDF_COLUMNS])
-    return AnalysisReport(source_path, "pdf", vector, warnings, parse_failed)
+    return parse_failed
 
 
 def _literals(data: bytes, opener: re.Pattern):

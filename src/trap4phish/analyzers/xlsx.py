@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 
 from ..config import AUTO_EXEC_NAMES, BASE64_MIN_LENGTH, XLSX_API_KEYWORDS
-from ..core import AnalysisReport, FeatureSchema, FeatureVector, shannon_entropy
+from ..core import AnalysisReport, FeatureSchema, analysis_report, shannon_entropy
 from ..containers import ContainerError
 from .ooxml import (
     ATTR_RE, count_keywords, element_spans, extract_vba_sources, open_archive,
@@ -188,20 +188,19 @@ _AUTO_EXEC_RE = re.compile(
 
 def analyze_xlsx(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
     """Extract the full 48-column Excel feature vector from raw .xlsx/.xlsm bytes."""
-    warnings: list[str] = []
-    values = dict.fromkeys(XLSX_COLUMNS, 0.0)
-    values["file_size"] = float(len(data))
+    return analysis_report(SCHEMA, data, source_path, _extract)
+
+
+def _extract(data: bytes, values: dict, warnings: list[str]) -> bool:
     values["entropy_of_file"] = shannon_entropy(data)
-
     archive = open_archive(data, warnings)
-    if archive is not None:
-        try:
-            _extract_from_archive(archive, values, warnings)
-        except ContainerError as exc:
-            warnings.append(f"workbook: {exc}")
-
-    vector = FeatureVector(SCHEMA, [values[c] for c in XLSX_COLUMNS])
-    return AnalysisReport(source_path, "xlsx", vector, warnings, archive is None)
+    if archive is None:
+        return True
+    try:
+        _extract_from_archive(archive, values, warnings)
+    except ContainerError as exc:
+        warnings.append(f"workbook: {exc}")
+    return False
 
 
 def _extract_from_archive(archive, values, warnings) -> None:

@@ -286,11 +286,11 @@ def cmd_scan(args) -> int:
                 (Path(args.report_dir) / f"{path.name}.json").write_text(
                     report.to_json(indent=2), encoding="utf-8")
             writer = writer_for(report.format_kind)
-            vec = report.features.project(writer.schema) if selected else report.features
+            row = [report.features[c] for c in writer.schema.columns]
             if labels is None:
-                writer.add(vec)
+                writer.add(row)
             elif path.name in labels:
-                writer.add(vec, labels[path.name])
+                writer.add(row, labels[path.name])
             else:
                 print(f"warning: no label for {report.source_path}, skipped", file=sys.stderr)
 

@@ -1,5 +1,6 @@
-"""Shared primitives: feature schemas and vectors, byte-level statistics,
-file-type sniffing, and the labeled CSV dataset format used across the toolkit.
+"""Shared primitives: feature schemas, the analyzer report frame, byte-level
+statistics, file-type sniffing, and the labeled CSV dataset format used
+across the toolkit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class SchemaError(DatasetError):
 class FeatureSchema:
     """Ordered, named numeric feature columns for one file format.
 
-    The column order is part of the contract: CSV files, feature vectors and
+    The column order is part of the contract: CSV rows, report features and
     trained models all refer to features by position within one schema version.
     """
 
@@ -56,53 +57,23 @@ class FeatureSchema:
     def __len__(self) -> int:
         return len(self.columns)
 
-    def index_of(self, column: str) -> int:
-        try:
-            return self.columns.index(column)
-        except ValueError:
-            raise SchemaError(f"unknown column {column!r} in {self.format_kind} schema") from None
-
     def project(self, columns: Sequence[str]) -> "FeatureSchema":
         """Schema restricted to the given columns, in the given order."""
         for c in columns:
-            self.index_of(c)
+            if c not in self.columns:
+                raise SchemaError(f"unknown column {c!r} in {self.format_kind} schema")
         return FeatureSchema(self.format_kind, tuple(columns), self.version)
 
 
 @dataclass
-class FeatureVector:
-    schema: FeatureSchema
-    values: list[float]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.schema.columns):
-            raise SchemaError(
-                f"vector length {len(self.values)} != schema length {len(self.schema.columns)}"
-            )
-        self.values = values = list(map(float, self.values))
-        if not all(map(math.isfinite, values)):
-            name, v = next((name, v) for name, v in zip(self.schema.columns, values) if not math.isfinite(v))
-            raise ValueError(f"non-finite value for feature {name!r}: {v}")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.schema.columns, self.values))
-
-    def __getitem__(self, column: str) -> float:
-        return self.values[self.schema.index_of(column)]
-
-    def project(self, schema: FeatureSchema) -> "FeatureVector":
-        """Re-express this vector under a projected (sub)schema."""
-        return FeatureVector(schema, [self[c] for c in schema.columns])
-
-
-@dataclass
 class AnalysisReport:
-    """Outcome of analyzing one input. Always carries a full-length vector,
-    even when parsing failed (unknown features are zero)."""
+    """Outcome of analyzing one input. `features` maps every column of the
+    format's full schema, in schema order, to a finite float, even when
+    parsing failed (unknown features are zero)."""
 
     source_path: str
     format_kind: str
-    features: FeatureVector
+    features: dict[str, float]
     warnings: list[str] = field(default_factory=list)
     parse_failed: bool = False
 
@@ -110,11 +81,28 @@ class AnalysisReport:
         payload = {
             "source_path": self.source_path,
             "format": self.format_kind,
-            "features": self.features.as_dict(),
+            "features": self.features,
             "warnings": list(self.warnings),
             "parse_failed": self.parse_failed,
         }
         return json.dumps(payload, indent=indent)
+
+
+def analysis_report(schema: FeatureSchema, data: bytes, source_path: str,
+                    extract: Callable[..., bool], *args) -> AnalysisReport:
+    """The report of one format's analyzer on `data`. Every column starts at
+    0.0 and `file_size` at the byte length; `extract(data, values, warnings,
+    *args)` fills the rest and returns whether parsing failed. A NaN or
+    infinite value raises ValueError naming its column."""
+    values = dict.fromkeys(schema.columns, 0.0)
+    values["file_size"] = float(len(data))
+    warnings: list[str] = []
+    parse_failed = extract(data, values, warnings, *args)
+    features = {c: float(values[c]) for c in schema.columns}
+    if not all(map(math.isfinite, features.values())):
+        name, v = next((c, v) for c, v in features.items() if not math.isfinite(v))
+        raise ValueError(f"non-finite value for feature {name!r}: {v}")
+    return AnalysisReport(source_path, schema.format_kind, features, warnings, parse_failed)
 
 
 @dataclass
@@ -260,7 +248,8 @@ _SMALL_INT_TEXT = {float(i): str(i) for i in range(1024)}
 class CsvRowWriter:
     """Feature rows to a binary stream as UTF-8 CSV with "\\n" line ends: the
     header (columns, plus "label" when `labeled`) on creation, then one line
-    of `format_value` cells per `add`.
+    of `format_value` cells per `add`, which takes one float per schema
+    column, in schema order, and refuses another width with SchemaError.
 
     The header goes through `csv.writer`; a row is its cells joined with
     commas. The two give the same bytes, because a `format_value` cell is
@@ -275,11 +264,11 @@ class CsvRowWriter:
     def write(self, line: str) -> None:
         self._fh.write(line.encode("utf-8"))
 
-    def add(self, vec: FeatureVector, label: int | None = None) -> None:
-        if vec.schema.columns != self.schema.columns:
-            raise SchemaError("vector schema mismatch in CSV row")
+    def add(self, values: Sequence[float], label: int | None = None) -> None:
+        if len(values) != len(self.schema):
+            raise SchemaError(f"row length {len(values)} != schema length {len(self.schema)}")
         text = _SMALL_INT_TEXT.get
-        line = ",".join([text(v) or format_value(v) for v in vec.values])
+        line = ",".join([text(v) or format_value(v) for v in values])
         self.write(f"{line}\n" if label is None else f"{line},{label}\n")
 
 
@@ -288,15 +277,16 @@ def write_dataset_csv(ds: LabeledDataset, path: str | Path) -> None:
     with open(path, "wb") as fh:
         writer = CsvRowWriter(ds.schema, fh, labeled=True)
         for values, label in zip(ds.x.tolist(), ds.y.tolist()):
-            writer.add(FeatureVector(ds.schema, values), label)
+            writer.add(values, label)
 
 
-def write_features_csv(schema: FeatureSchema, vectors: Iterable[FeatureVector], path: str | Path) -> None:
-    """Unlabeled variant of write_dataset_csv (header = columns only)."""
+def write_features_csv(schema: FeatureSchema, rows: Iterable[Sequence[float]], path: str | Path) -> None:
+    """Unlabeled variant of write_dataset_csv (header = columns only): one
+    row of floats per schema column each."""
     with open(path, "wb") as fh:
         writer = CsvRowWriter(schema, fh)
-        for vec in vectors:
-            writer.add(vec)
+        for row in rows:
+            writer.add(row)
 
 
 def read_dataset_csv(source: str | Path | bytes, schema: FeatureSchema) -> LabeledDataset:

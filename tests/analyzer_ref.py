@@ -65,7 +65,7 @@ from trap4phish.analyzers.pdf import (
 )
 from trap4phish.analyzers.docx import STRUCT_ATTRIBUTES, STRUCT_ELEMENTS, _struct_column
 from trap4phish.config import BASE64_MIN_LENGTH, HTML_SUSPICIOUS_KEYWORDS
-from trap4phish.core import AnalysisReport, FeatureVector, shannon_entropy
+from trap4phish.core import AnalysisReport, shannon_entropy
 
 # one name="value" attribute pair inside a start tag
 ATTR_RE = re.compile(rb'([A-Za-z:_][\w:.-]*)\s*=\s*"([^"]*)"')
@@ -172,8 +172,8 @@ def analyze_pdf(data: bytes, source_path: str = "<bytes>") -> AnalysisReport:
 
     _object_statistics(data, values, streams, warnings)
 
-    vector = FeatureVector(PDF_SCHEMA, [values[c] for c in PDF_COLUMNS])
-    return AnalysisReport(source_path, "pdf", vector, warnings, parse_failed)
+    features = {c: float(values[c]) for c in PDF_COLUMNS}
+    return AnalysisReport(source_path, "pdf", features, warnings, parse_failed)
 
 
 def _stream_regions(data: bytes, warnings: list[str]) -> list[dict]:
@@ -583,8 +583,8 @@ def analyze_html(
 
     _url_features(stream, values, page_host)
 
-    vector = FeatureVector(HTML_SCHEMA, [values[c] for c in HTML_COLUMNS])
-    return AnalysisReport(source_path, "html", vector, warnings, False)
+    features = {c: float(values[c]) for c in HTML_COLUMNS}
+    return AnalysisReport(source_path, "html", features, warnings, False)
 
 
 def _max_depth(stream: _TokenStream) -> int:

@@ -6,6 +6,7 @@ writer. PDF fixtures are assembled as byte strings with known counts.
 """
 
 import io
+import math
 import os
 import zipfile
 
@@ -17,6 +18,14 @@ from hypothesis import settings
 settings.register_profile("ci", derandomize=True, print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+def assert_full_features(report, schema) -> None:
+    """A report's features are its schema's columns, in schema order, each a
+    finite float."""
+    assert list(report.features) == list(schema.columns)
+    for column, value in report.features.items():
+        assert type(value) is float and math.isfinite(value), (column, value)
 
 
 def make_zip(entries: dict, method=zipfile.ZIP_DEFLATED) -> bytes:

@@ -82,7 +82,7 @@ def test_pdf_matches_rescanning_analyzer(data):
     except ValueError:
         reject()  # the old `\8` crash; see analyzer_ref
     new = analyze_pdf(data)
-    assert new.features.values == old.features.values
+    assert new.features == old.features
     assert new.warnings == old.warnings
 
 
@@ -97,7 +97,7 @@ def test_dict_windows_never_move_back(data):
 
 def test_octal_escape_with_digit_8_no_longer_raises():
     data = b"%PDF-1.4\n1 0 obj\n<< >>\nstream\nBT (a\\8) Tj ET\nendstream\nendobj\n/URI (http://x\\9)"
-    d = analyze_pdf(data).features.as_dict()
+    d = analyze_pdf(data).features
     assert d["text_length"] == 2  # "a8"
 
 
@@ -217,7 +217,7 @@ def test_docx_matches_rescanning_analyzer(body, attributes):
     with _patched(docx, _instr_text=ref._instr_text, _struct_counts=ref._struct_counts,
                   _DDE_TOKEN_RE=ref.DDE_TOKEN_RE):
         old = analyze_docx(data)
-    assert analyze_docx(data).features.values == old.features.values
+    assert analyze_docx(data).features == old.features
 
 
 # --- ooxml attributes ----------------------------------------------------------
@@ -336,7 +336,7 @@ def test_xlsx_matches_rescanning_analyzer(sheet, shared_xml):
     data = make_xlsx(sheet, extra_entries={"xl/sharedStrings.xml": shared_xml})
     with _patched(xlsx, _shared_strings=ref._shared_strings, _scan_cells=ref._scan_cells):
         old = analyze_xlsx(data)
-    assert analyze_xlsx(data).features.values == old.features.values
+    assert analyze_xlsx(data).features == old.features
 
 
 # the VBA keywords in several cases, number shapes, the characters that end
@@ -433,7 +433,7 @@ def test_html_matches_rescanning_analyzer(data):
     old_scripts = [("src" in tag.attrs, body) for tag, body in old.scripts]
     assert _projection(new, new.scripts) == _projection(old, old_scripts)
     assert html._max_depth(new) == ref._max_depth(old)
-    assert analyze_html(data).features.values == ref.analyze_html(data).features.values
+    assert analyze_html(data).features == ref.analyze_html(data).features
 
 
 def test_html_whitespace_counts_match_on_every_code_point():
@@ -442,7 +442,7 @@ def test_html_whitespace_counts_match_on_every_code_point():
     chars = list(text)
     rng.shuffle(chars)
     data = "".join(chars).encode("utf-8", "surrogatepass") + bytes(range(256))
-    assert analyze_html(data).features.values == ref.analyze_html(data).features.values
+    assert analyze_html(data).features == ref.analyze_html(data).features
 
 
 # the two escape openers, their bytes alone, and hex digits and near misses

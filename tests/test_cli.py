@@ -357,14 +357,15 @@ class TestScanLoop:
         for fmt in ("html", "pdf", "xlsx"):
             spec = FORMATS[fmt]
             paths = sorted(p for p in mixed.iterdir() if p.suffix == f".{fmt}")
-            vectors = [(p, spec.analyze(p.read_bytes(), source_path=str(p)).features) for p in paths]
+            rows = [(p, list(spec.analyze(p.read_bytes(), source_path=str(p)).features.values()))
+                    for p in paths]
             dest = tmp_path / f"expected.{fmt}.csv"
             if labeled:
-                kept = [(v.values, labels[p.name]) for p, v in vectors if p.name in labels]
-                write_dataset_csv(LabeledDataset(spec.schema, [values for values, _ in kept],
+                kept = [(row, labels[p.name]) for p, row in rows if p.name in labels]
+                write_dataset_csv(LabeledDataset(spec.schema, [row for row, _ in kept],
                                                  [label for _, label in kept]), dest)
             else:
-                write_features_csv(spec.schema, [v for _p, v in vectors], dest)
+                write_features_csv(spec.schema, [row for _p, row in rows], dest)
             expected[f"{fmt}.csv"] = dest.read_bytes()
         assert outputs[0] == expected
 

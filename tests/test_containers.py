@@ -24,7 +24,7 @@ from trap4phish.containers import (
 from trap4phish.synth import CfbWriter, SynthConfig, build_vba_project, ovba_compress, synthesize
 
 import ovba_ref
-from conftest import make_zip
+from conftest import assert_full_features, make_zip
 
 
 class TestZip:
@@ -370,7 +370,8 @@ class TestVbaExtract:
             for path, data in streams.items():
                 writer.add_stream(path, ovba_compress(dir_stream[:n]) if path == "VBA/dir" else data)
             report = FORMATS[fmt].analyze(_with_vba_project(document, writer.tobytes()))
-            assert len(report.features.values) == width
+            assert len(report.features) == width
+            assert_full_features(report, FORMATS[fmt].schema)
             cut = any(w.startswith("vba: dir record") for w in report.warnings)
             assert cut == (n in cuts), (n, report.warnings)
             # a cut between records, or inside a record's header, warns too

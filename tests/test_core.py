@@ -15,10 +15,10 @@ from trap4phish.core import (
     CsvRowWriter,
     DatasetError,
     FeatureSchema,
-    FeatureVector,
     FileKind,
     LabeledDataset,
     SchemaError,
+    analysis_report,
     read_dataset_csv,
     shannon_entropy,
     sniff_file_kind,
@@ -257,8 +257,7 @@ class TestCsvRowWriter:
         out = io.BytesIO()
         writer = CsvRowWriter(self.schema, out, labeled=labels is not None)
         for i, row in enumerate(rows):
-            vec = FeatureVector(self.schema, row)
-            writer.add(vec) if labels is None else writer.add(vec, labels[i])
+            writer.add(row) if labels is None else writer.add(row, labels[i])
         return out.getvalue()
 
     @settings(max_examples=200, deadline=None)
@@ -277,7 +276,20 @@ class TestCsvRowWriter:
         assert self._written(rows, labels) == _csv_writer_rows(self.schema, rows, labels)
 
 
+def _stub_report(schema: FeatureSchema, values: dict, data: bytes = b"", parse_failed: bool = False):
+    """`analysis_report` with an extractor that sets `values` and warns once."""
+    def extract(data, into, warnings):
+        into.update(values)
+        warnings.append("stub")
+        return parse_failed
+
+    return analysis_report(schema, data, "<stub>", extract)
+
+
 class TestFeatureVector:
+    """The feature vector of one file: the features dict of its report, as
+    `analysis_report` builds it, and its CSV row."""
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("position", [0, 1, 2])
     def test_non_finite_value_names_its_column(self, bad, position):
@@ -285,24 +297,34 @@ class TestFeatureVector:
         values[position] = bad  # the first bad column is the one named
         values[:position] = [1.0] * position
         with pytest.raises(ValueError) as err:
-            FeatureVector(FeatureSchema("pdf", ("a", "b", "c")), values)
+            _stub_report(FeatureSchema("pdf", ("a", "b", "c")), dict(zip("abc", values)))
         assert str(err.value) == f"non-finite value for feature {'abc'[position]!r}: {bad}"
 
     def test_rejects_nan(self):
         schema = FeatureSchema("html", ("x",))
         with pytest.raises(ValueError):
-            FeatureVector(schema, [float("nan")])
+            _stub_report(schema, {"x": float("nan")})
 
     def test_rejects_length_mismatch(self):
         schema = FeatureSchema("html", ("x", "y"))
+        writer = CsvRowWriter(schema, io.BytesIO())
         with pytest.raises(SchemaError):
-            FeatureVector(schema, [1.0])
+            writer.add([1.0])
 
     def test_projection(self):
         schema = FeatureSchema("html", ("x", "y", "z"))
-        vec = FeatureVector(schema, [1.0, 2.0, 3.0])
-        projected = vec.project(schema.project(["z", "x"]))
-        assert projected.values == [3.0, 1.0]
+        features = _stub_report(schema, {"x": 1.0, "y": 2.0, "z": 3.0}).features
+        projected = schema.project(["z", "x"])
+        assert [features[c] for c in projected.columns] == [3.0, 1.0]
+
+    def test_frame_fills_every_column_in_order_as_float(self):
+        schema = FeatureSchema("pdf", ("a", "file_size", "b"))
+        report = _stub_report(schema, {"b": 2, "extra": 9.0}, data=b"abcd", parse_failed=True)
+        assert list(report.features.items()) == [("a", 0.0), ("file_size", 4.0), ("b", 2.0)]
+        assert type(report.features["b"]) is float
+        assert (report.source_path, report.format_kind) == ("<stub>", "pdf")
+        assert report.warnings == ["stub"] and report.parse_failed is True
+        assert '"features": {"a": 0.0, "file_size": 4.0, "b": 2.0}' in report.to_json()
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(SchemaError):

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 from trap4phish.analyzers import analyze_docx, docx
-from trap4phish.analyzers.docx import SCHEMA, SELECTED
+from trap4phish.analyzers.docx import DOCX_COLUMNS, SCHEMA, SELECTED
 from trap4phish.config import VBA_SUSPICIOUS_KEYWORDS
 from trap4phish.synth import build_vba_project
 
@@ -17,7 +17,7 @@ def test_schema_shape():
 
 def test_minimal_benign(minimal_docx):
     report = analyze_docx(minimal_docx)
-    d = report.features.as_dict()
+    d = report.features
     assert not report.parse_failed
     assert d["macro_present"] == 0
     assert d["dde_present"] == 0
@@ -29,10 +29,10 @@ def test_minimal_benign(minimal_docx):
 def test_non_zip_input_still_reports():
     report = analyze_docx(b"definitely not a zip file")
     assert report.parse_failed
-    d = report.features.as_dict()
+    d = report.features
     assert d["file_size"] == 25
     assert d["entropy"] > 0
-    assert len(report.features.values) == 43
+    assert len(report.features) == 43
     assert report.warnings
 
 
@@ -40,7 +40,7 @@ def test_macro_keywords_counted():
     # AutoOpen once and Shell twice -> 3 keyword hits
     vba = build_vba_project([("Module1", 'Sub AutoOpen()\n  a = Shell("x")\n  b = Shell("y")\nEnd Sub\n')])
     data = make_docx({"word/vbaProject.bin": vba})
-    d = analyze_docx(data).features.as_dict()
+    d = analyze_docx(data).features
     assert d["macro_present"] == 1
     assert d["vba_keywords_count"] == 3
 
@@ -61,7 +61,7 @@ def test_keyword_count_matches_bruteforce_scan():
 
 
 def test_no_macro_means_no_keywords(minimal_docx):
-    d = analyze_docx(minimal_docx).features.as_dict()
+    d = analyze_docx(minimal_docx).features
     assert d["macro_present"] == 0
     assert d["vba_keywords_count"] == 0
 
@@ -111,7 +111,7 @@ def test_two_ole_objects_same_class():
         },
         document_xml=doc,
     )
-    d = analyze_docx(data).features.as_dict()
+    d = analyze_docx(data).features
     assert d["ole_object_count"] == 2
     assert d["ole_object_type_count"] == 1
 
@@ -123,41 +123,40 @@ def test_ole_type_count_bounded():
         "word/embeddings/b.doc": b"2",
         "word/embeddings/c.bin": b"3",
     })
-    d = analyze_docx(data).features.as_dict()
+    d = analyze_docx(data).features
     assert d["ole_object_count"] == 3
     assert d["ole_object_type_count"] == 2  # bin + doc
     assert d["ole_object_type_count"] <= d["ole_object_count"]
 
 
 def test_projection_order_and_identity(minimal_docx):
-    report = analyze_docx(minimal_docx)
-    projected = report.features.project(SELECTED)
-    assert projected.schema.columns == SELECTED.columns
-    assert len(projected.values) == 10
-    full = report.features.as_dict()
-    assert projected.values == [full[c] for c in SELECTED.columns]
+    features = analyze_docx(minimal_docx).features
+    projected = [features[c] for c in SELECTED.columns]
+    assert len(projected) == 10
+    full = list(features.values())
+    assert projected == [full[DOCX_COLUMNS.index(c)] for c in SELECTED.columns]
 
 
 def test_projection_ignores_unselected_counters():
     a = make_docx(document_xml="<w:document><w:body><w:p/></w:body></w:document>")
     b = make_docx(document_xml="<w:document><w:body><w:p/><w:tbl/><w:tbl/></w:body></w:document>")
-    pa = analyze_docx(a).features.project(SELECTED)
-    pb = analyze_docx(b).features.project(SELECTED)
+    fa = analyze_docx(a).features
+    fb = analyze_docx(b).features
     # struct_w_tbl is not selected; only file_size/entropy columns may differ
-    diffs = [c for c, va, vb in zip(SELECTED.columns, pa.values, pb.values) if va != vb]
+    diffs = [c for c in SELECTED.columns if fa[c] != fb[c]]
     assert set(diffs) <= {"file_size", "entropy"}
 
 
 def test_determinism(minimal_docx):
     r1 = analyze_docx(minimal_docx)
     r2 = analyze_docx(minimal_docx)
-    assert r1.features.values == r2.features.values
+    assert r1.features == r2.features
 
 
 def test_struct_counters_count_attribute_positions_only():
     # "pos" as an attribute counts; "pos" inside text or tag names does not
     doc = '<w:document><w:body><w:p w:x="1" pos="2"/><w:t>pos pos</w:t><pose pos="3"/></w:body></w:document>'
-    d = analyze_docx(make_docx(document_xml=doc)).features.as_dict()
+    d = analyze_docx(make_docx(document_xml=doc)).features
     assert d["struct_pos"] == 2
 
 

@@ -10,6 +10,8 @@ from trap4phish.analyzers import FORMATS
 from trap4phish.core import sniff_file_kind
 from trap4phish.synth import SynthConfig, synthesize
 
+from conftest import assert_full_features
+
 ANALYZERS = [(fmt, spec.analyze, len(spec.schema)) for fmt, spec in FORMATS.items()]
 
 
@@ -20,7 +22,8 @@ def test_random_bytes_never_crash(fmt, analyze, width):
         size = int(rng.integers(0, 1024))
         data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
         report = analyze(data)
-        assert len(report.features.values) == width
+        assert len(report.features) == width
+        assert_full_features(report, FORMATS[fmt].schema)
 
 
 @pytest.mark.parametrize("fmt,analyze,width", ANALYZERS)
@@ -28,7 +31,8 @@ def test_truncations_never_crash(fmt, analyze, width):
     fixture = synthesize(SynthConfig(fmt, count=1, seed=3))[1][1]  # a malicious file
     for offset in range(0, len(fixture), max(1, len(fixture) // 64)):
         report = analyze(fixture[:offset])
-        assert len(report.features.values) == width
+        assert len(report.features) == width
+        assert_full_features(report, FORMATS[fmt].schema)
 
 
 def test_structured_garbage():
@@ -45,5 +49,7 @@ def test_structured_garbage():
     ]
     for data in cases:
         sniff_file_kind(data)
-        for _fmt, analyze, width in ANALYZERS:
-            assert len(analyze(data).features.values) == width
+        for fmt, analyze, width in ANALYZERS:
+            report = analyze(data)
+            assert len(report.features) == width
+            assert_full_features(report, FORMATS[fmt].schema)

@@ -142,5 +142,5 @@ class TestSelectTopK:
         from trap4phish.ml.importance import _ranked
         ranking = _ranked(fake_scores, schema.columns)
         projected_schema = select_top_k(ranking, 13, schema)
-        projected = report.features.project(projected_schema)
-        assert len(projected.values) == 13
+        projected = [report.features[c] for c in projected_schema.columns]
+        assert len(projected) == 13

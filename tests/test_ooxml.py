@@ -37,6 +37,6 @@ def test_analyzer_reports_one_limit_warning(monkeypatch):
     monkeypatch.setattr(ziparc, "MAX_UNCOMPRESSED_SIZE", 3000)
     report = analyze_docx(data)
     assert len(_limit_warnings(report.warnings)) == 1
-    assert report.features.as_dict()["struct_ContentType"] > 0  # [Content_Types].xml came first
+    assert report.features["struct_ContentType"] > 0  # [Content_Types].xml came first
     monkeypatch.undo()
     assert _limit_warnings(analyze_docx(data).warnings) == []

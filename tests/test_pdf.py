@@ -12,7 +12,7 @@ def test_schema_shape():
 
 
 def test_minimal_fixture_counts(minimal_pdf):
-    d = analyze_pdf(minimal_pdf).features.as_dict()
+    d = analyze_pdf(minimal_pdf).features
     assert d["valid_pdf_header"] == 1
     assert d["object_count"] == 4
     assert d["stream_count"] == 1
@@ -26,7 +26,7 @@ def test_minimal_fixture_counts(minimal_pdf):
 def test_non_pdf_input(minimal_pdf):
     report = analyze_pdf(b"hello world")
     assert report.parse_failed
-    d = report.features.as_dict()
+    d = report.features
     assert d["valid_pdf_header"] == 0
     assert d["object_count"] == 0
     assert report.warnings
@@ -35,7 +35,7 @@ def test_non_pdf_input(minimal_pdf):
 def test_openaction_javascript_cooccurrence():
     objects = list(MINIMAL_PDF_OBJECTS)
     objects[0] = b"<< /Type /Catalog /Pages 2 0 R /OpenAction << /S /JavaScript /JS (app.alert(1)) >> >>"
-    d = analyze_pdf(make_pdf(objects)).features.as_dict()
+    d = analyze_pdf(make_pdf(objects)).features
     assert d["openaction_count"] == 1
     assert d["javascript_count"] == 1
     assert d["js_count"] == 1
@@ -45,7 +45,7 @@ def test_openaction_javascript_cooccurrence():
 def test_uri_nonstandard_port():
     objects = list(MINIMAL_PDF_OBJECTS)
     objects.append(b"<< /Type /Action /URI (http://evil.test:8080/) >>")
-    d = analyze_pdf(make_pdf(objects)).features.as_dict()
+    d = analyze_pdf(make_pdf(objects)).features
     assert d["uri_count"] == 1
     assert d["nonstandard_port_flag"] == 1
 
@@ -54,7 +54,7 @@ def test_standard_ports_not_flagged():
     objects = list(MINIMAL_PDF_OBJECTS)
     objects.append(b"<< /Type /Action /URI (https://ok.test:443/page) >>")
     objects.append(b"<< /Type /Action /URI (http://ok2.test/page) >>")
-    d = analyze_pdf(make_pdf(objects)).features.as_dict()
+    d = analyze_pdf(make_pdf(objects)).features
     assert d["uri_count"] == 2
     assert d["nonstandard_port_flag"] == 0
 
@@ -70,7 +70,7 @@ def test_metadata_stream_size():
         b"<< /Type /Metadata /Subtype /XML /Length " + str(len(xmp)).encode()
         + b" >>\nstream\n" + xmp + b"\nendstream"
     )
-    d = analyze_pdf(make_pdf(objects)).features.as_dict()
+    d = analyze_pdf(make_pdf(objects)).features
     assert d["metadata_size"] == len(xmp)
 
 
@@ -84,7 +84,7 @@ def test_flate_text_extraction():
         b"<< /Length " + str(len(compressed)).encode() + b" /Filter /FlateDecode >>\nstream\n"
         + compressed + b"\nendstream",
     ]
-    d = analyze_pdf(make_pdf(objects)).features.as_dict()
+    d = analyze_pdf(make_pdf(objects)).features
     assert d["text_length"] == 10
     assert d["total_filters"] == 1
 
@@ -101,7 +101,7 @@ def test_other_filters_contribute_zero_text():
     objects = list(MINIMAL_PDF_OBJECTS)
     objects[3] = (b"<< /Length 13 /Filter [/ASCIIHexDecode /FlateDecode] >>\nstream\n"
                   + content + b"\nendstream")
-    d = analyze_pdf(make_pdf(objects)).features.as_dict()
+    d = analyze_pdf(make_pdf(objects)).features
     assert d["text_length"] == 0
     assert d["total_filters"] == 2
     assert d["nested_filter_count"] == 1
@@ -120,7 +120,7 @@ def test_name_obfuscation():
 
 
 def test_entropy_of_streams_range(minimal_pdf):
-    d = analyze_pdf(minimal_pdf).features.as_dict()
+    d = analyze_pdf(minimal_pdf).features
     assert 0.0 <= d["entropy_of_streams"] <= 8.0
     # no streams -> defined zero
     no_stream = make_pdf([b"<< /Type /Catalog >>"])
@@ -133,28 +133,27 @@ def test_stream_endstream_match_on_wellformed():
         for k in range(n_streams):
             body = f"BT (s{k}) Tj ET".encode()
             objects.append(b"<< /Length " + str(len(body)).encode() + b" >>\nstream\n" + body + b"\nendstream")
-        d = analyze_pdf(make_pdf(objects)).features.as_dict()
+        d = analyze_pdf(make_pdf(objects)).features
         assert d["stream_count"] == d["endstream_count"] == n_streams
 
 
 def test_xref_counters(minimal_pdf):
-    d = analyze_pdf(minimal_pdf).features.as_dict()
+    d = analyze_pdf(minimal_pdf).features
     assert d["xref_table_count"] == 1
     assert d["xref_entry_count"] == 5  # 4 objects + free entry
 
 
 def test_projection_order(minimal_pdf):
-    report = analyze_pdf(minimal_pdf)
-    projected = report.features.project(SELECTED)
-    assert projected.schema.columns == SELECTED.columns
+    features = analyze_pdf(minimal_pdf).features
+    projected = [features[c] for c in SELECTED.columns]
     # positions 5, 6, 7 are object_count, stream_count, endstream_count
-    assert projected.values[4] == 4
-    assert projected.values[5] == 1
-    assert projected.values[6] == 1
+    assert projected[4] == 4
+    assert projected[5] == 1
+    assert projected[6] == 1
 
 
 def test_determinism(minimal_pdf):
-    assert analyze_pdf(minimal_pdf).features.values == analyze_pdf(minimal_pdf).features.values
+    assert analyze_pdf(minimal_pdf).features == analyze_pdf(minimal_pdf).features
 
 
 def test_entropy_of_streams_is_a_left_to_right_mean(monkeypatch):

@@ -48,7 +48,7 @@ def test_all_parse_clean():
 
 def test_docx_indicators():
     for _name, data, label in synthesize(SynthConfig("docx", count=10, seed=7)):
-        d = analyze_docx(data).features.as_dict()
+        d = analyze_docx(data).features
         if label == 1:
             assert d["macro_present"] == 1
             assert d["vba_keywords_count"] >= 1
@@ -60,7 +60,7 @@ def test_docx_indicators():
 
 def test_pdf_malicious_always_has_openaction():
     for _name, data, label in synthesize(SynthConfig("pdf", count=10, seed=7)):
-        d = analyze_pdf(data).features.as_dict()
+        d = analyze_pdf(data).features
         if label == 1:
             assert d["openaction_count"] >= 1
         else:
@@ -70,7 +70,7 @@ def test_pdf_malicious_always_has_openaction():
 
 def test_html_benign_keyword_free():
     for _name, data, label in synthesize(SynthConfig("html", count=10, seed=7)):
-        d = analyze_html(data).features.as_dict()
+        d = analyze_html(data).features
         if label == 0:
             assert d["suspicious_keyword_count"] == 0
             assert d["hidden_iframe_count"] == 0
@@ -83,7 +83,7 @@ def test_html_benign_keyword_free():
 
 def test_xlsx_indicators():
     for _name, data, label in synthesize(SynthConfig("xlsx", count=10, seed=7)):
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         if label == 1:
             assert d["macro_token_count"] > 0
             assert d["macro_chr_count"] >= 10
@@ -96,7 +96,7 @@ def test_toggles_disable_indicators():
     files = synthesize(SynthConfig("docx", count=5, seed=7, macros=False, ole=False))
     for _name, data, label in files:
         if label == 1:
-            d = analyze_docx(data).features.as_dict()
+            d = analyze_docx(data).features
             assert d["macro_present"] == 0
             assert d["dde_present"] == 1  # the remaining enabled indicator
 

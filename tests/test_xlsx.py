@@ -82,7 +82,7 @@ class TestAnalyzeXlsx:
             "</row></sheetData></worksheet>",
             shared=["abc"],
         )
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["numeric_cell_count"] == 2
         assert d["string_cell_count"] == 1
         assert d["avg_cell_length"] == 3.0
@@ -97,7 +97,7 @@ class TestAnalyzeXlsx:
             "</row></sheetData></worksheet>",
             shared=["first", "last"],
         )
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["string_cell_count"] == 2  # both empty
         assert d["avg_cell_length"] == 0
 
@@ -107,7 +107,7 @@ class TestAnalyzeXlsx:
             '<c r="A1"><v>1_0</v></c><c r="B1"><v>1e3</v></c><c r="C1"><v>_1</v></c>'
             "</row></sheetData></worksheet>"
         )
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["numeric_cell_count"] == 1
 
     @pytest.mark.parametrize("row", ["1_0", "-10", " 10", "+10", "\u0661\u0660"])
@@ -117,7 +117,7 @@ class TestAnalyzeXlsx:
             f'<worksheet><sheetData><row r="1"></row><row r="{row}"><c><v>1</v></c></row>'
             "</sheetData></worksheet>"
         )
-        assert analyze_xlsx(data).features.as_dict()["max_rows"] == 2
+        assert analyze_xlsx(data).features["max_rows"] == 2
 
     @pytest.mark.parametrize("sheet, max_rows, max_cols", [
         ('<row r="' + "9" * 400 + '"><c r="A1"><v>1</v></c></row>', 1, 1),
@@ -130,12 +130,12 @@ class TestAnalyzeXlsx:
         # a row number past 1,048,576 or a column past XFD names no cell: the
         # row counts by its position among rows, the cell by its position
         # among cells, and neither raises
-        d = analyze_xlsx(make_xlsx(f"<worksheet><sheetData>{sheet}</sheetData></worksheet>")).features.as_dict()
+        d = analyze_xlsx(make_xlsx(f"<worksheet><sheetData>{sheet}</sheetData></worksheet>")).features
         assert (d["max_rows"], d["max_cols"]) == (max_rows, max_cols)
 
     def test_no_macro_zero_metrics(self):
         data = make_xlsx("<worksheet/>")
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["macro_token_count"] == 0
         assert d["macro_vocab_size"] == 0
 
@@ -147,7 +147,7 @@ class TestAnalyzeXlsx:
             "</row></sheetData></worksheet>",
             shared=["aa", "bbbb"],
         )
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["avg_cell_length"] == 3.0
         assert d["entropy_of_text"] == pytest.approx(0.9183, abs=1e-4)
 
@@ -185,7 +185,7 @@ class TestAnalyzeXlsx:
             "<worksheet/>",
             extra_entries={"xl/vbaProject.bin": build_vba_project([("ThisWorkbook", source)])},
         )
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["macro_chr_count"] == 2
         assert d["macro_token_count"] > 0
         assert d["auto_exec_name_present"] == 1
@@ -203,7 +203,7 @@ class TestAnalyzeXlsx:
             "<worksheet/>",
             extra_entries={"xl/vbaProject.bin": build_vba_project([("Module1", source)])},
         )
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         # urldownloadtofile, shellexecute, createprocess and winhttp twice
         assert d["api_keyword_count"] == 5
         assert d["auto_exec_name_present"] == 0
@@ -220,7 +220,7 @@ class TestAnalyzeXlsx:
         )
         data = make_xlsx("<worksheet><sheetProtection sheet=\"1\"/></worksheet>",
                          workbook_xml=workbook)
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["sheet_count"] == 3
         assert d["hidden_sheet_count"] == 1
         assert d["very_hidden_sheet_count"] == 1
@@ -238,7 +238,7 @@ class TestAnalyzeXlsx:
                 "xl/drawings/drawing1.xml": "<xdr/>",
             },
         )
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["media_entry_count"] == 3
         assert d["embedded_image_count"] == 2
         assert d["largest_image_bytes"] == 302
@@ -252,24 +252,23 @@ class TestAnalyzeXlsx:
             "</row></sheetData></worksheet>",
             shared=["zz"],
         )
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["numeric_cell_count"] + d["string_cell_count"] <= 3
 
     def test_string_cells_zero_implies_avg_zero(self):
         data = make_xlsx('<worksheet><sheetData><row r="1"><c r="A1"><v>1</v></c></row></sheetData></worksheet>')
-        d = analyze_xlsx(data).features.as_dict()
+        d = analyze_xlsx(data).features
         assert d["string_cell_count"] == 0
         assert d["avg_cell_length"] == 0
 
     def test_projection(self):
         data = make_xlsx("<worksheet/>")
-        report = analyze_xlsx(data)
-        projected = report.features.project(SELECTED)
-        assert projected.schema.columns == SELECTED.columns
-        assert len(projected.values) == 10
+        features = analyze_xlsx(data).features
+        projected = [features[c] for c in SELECTED.columns]
+        assert len(projected) == 10
         macro_columns = [c for c in SELECTED.columns if c.startswith("macro_")]
         for c in macro_columns:
-            assert projected[c] == 0
+            assert features[c] == 0
 
     def test_compress_extract_metric_stability(self):
         # metrics on compress-then-extract source equal metrics on the original
