@@ -54,11 +54,11 @@ import zlib
 from dataclasses import dataclass, field
 
 from trap4phish.analyzers.html import (
-    HTML_COLUMNS, SCHEMA as HTML_SCHEMA, _ATTR_RE, _EVENT_ATTR_RE, _HEX_ESCAPE_RE,
+    HTML_COLUMNS, _ATTR_RE, _EVENT_ATTR_RE, _HEX_ESCAPE_RE,
     _VOID_ELEMENTS, _iframe_hidden, _url_features,
 )
 from trap4phish.analyzers.pdf import (
-    PDF_COLUMNS, SCHEMA as PDF_SCHEMA, _EMBEDDED_FILE_SUBTYPE_RE, _ENCRYPT_RE, _ACROFORM_RE,
+    PDF_COLUMNS, _EMBEDDED_FILE_SUBTYPE_RE, _ENCRYPT_RE, _ACROFORM_RE,
     _ENDSTREAM_RE, _FILTER_NAME_RE, _FONT_RE, _HEADER_RE, _IMAGE_RE,
     _NAME_OBFUSCATION_RE, _PAGE_RE, _PORT_RE, _STARTXREF_RE, _TITLE_HEX_RE,
     _TOKEN_COUNTERS, _TRAILER_RE, _XFA_RE, _name_token,
